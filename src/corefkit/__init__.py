@@ -18,8 +18,7 @@ from corefkit.transform import (ClassifierConfig, PronounRole,
                                 classify_pronoun, delexicalize,
                                 pronoun_specific, replace_nouns, swap_pronouns)
 from corefkit.metrics import (EvalReport, LeaScore, PronounScoreResult,
-                              aggregate, evaluate, lea, lea_backend,
-                              pronoun_score)
+                              aggregate, evaluate, lea, pronoun_score)
 from corefkit.resolver import ResolverConfig, resolve
 from corefkit.builder import (PartitionSpec, build_cda, build_unseen,
                               sample_partitions)
@@ -36,7 +35,7 @@ __all__ = [
     "anonymize_names", "classify_pronoun", "delexicalize",
     "pronoun_specific", "replace_nouns", "swap_pronouns",
     "EvalReport", "LeaScore", "PronounScoreResult",
-    "aggregate", "evaluate", "lea", "lea_backend", "pronoun_score",
+    "aggregate", "evaluate", "lea", "pronoun_score",
     "ResolverConfig", "resolve",
     "PartitionSpec", "build_cda", "build_unseen", "sample_partitions",
     "__version__",

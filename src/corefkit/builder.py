@@ -43,6 +43,18 @@ class PartitionSpec:
             raise ValueError("need at least one partition")
 
 
+def _rewrite(corpus: Corpus, assignment: dict[str, str],
+             config: ClassifierConfig, lexicon: RewriteLexicon | None,
+             options: TransformOptions) -> Corpus:
+    """Rewrite every document with the paradigm assigned to its id."""
+    paradigms = {name: get_paradigm(name) for name in set(assignment.values())}
+    documents = tuple(
+        pronoun_specific(document, paradigms[assignment[document.id]],
+                         config, lexicon, options)
+        for document in corpus.documents)
+    return Corpus(documents, corpus.split_label)
+
+
 def build_cda(corpus: Corpus, seed: int = 0,
               config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
               lexicon: RewriteLexicon | None = None,
@@ -64,13 +76,8 @@ def build_cda(corpus: Corpus, seed: int = 0,
     hen_name, die_name = GENDER_NEUTRAL_NAMES
     assignment = {doc_id: hen_name for doc_id in ids[:half]}
     assignment.update({doc_id: die_name for doc_id in ids[half:]})
-    paradigms = {name: get_paradigm(name) for name in GENDER_NEUTRAL_NAMES}
-    documents = tuple(
-        pronoun_specific(document, paradigms[assignment[document.id]],
-                         config, lexicon, options)
-        for document in corpus.documents)
     ordered = {d.id: assignment[d.id] for d in corpus.documents}
-    return Corpus(documents, corpus.split_label), ordered
+    return _rewrite(corpus, ordered, config, lexicon, options), ordered
 
 
 def sample_partitions(corpus: Corpus, spec: PartitionSpec,
@@ -121,8 +128,4 @@ def build_unseen(corpus: Corpus, seed: int = 0, fixed: str | None = None,
         rng = random.Random(seed)
         assignment = {d.id: rng.choice(NEOPRONOUN_NAMES)
                       for d in corpus.documents}
-    documents = tuple(
-        pronoun_specific(document, get_paradigm(assignment[document.id]),
-                         config, lexicon, options)
-        for document in corpus.documents)
-    return Corpus(documents, corpus.split_label), assignment
+    return _rewrite(corpus, assignment, config, lexicon, options), assignment

@@ -3,12 +3,15 @@
 Every subcommand reads the corpus format from a file path (or ``-`` for
 stdin) and writes to stdout unless ``-o`` names a file. Exit codes:
 0 success, 1 usage error, 2 data or I/O error. All output is assembled
-before anything is written, so a failing run produces no partial output.
+before anything is written, and output files are moved into place only
+once every one of them is written, so a failing run produces no partial
+output.
 Identical arguments and inputs give byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -54,14 +57,16 @@ def _read_corpus(path: str) -> Corpus:
     try:
         corpus, diagnostics = parse_corpus(text)
     except EmptyCorpusError as exc:
-        for diagnostic in exc.diagnostics:
-            print(f"{path}:{diagnostic.line_number}: {diagnostic.severity}: "
-                  f"{diagnostic.message}", file=sys.stderr)
+        _print_diagnostics(path, exc.diagnostics)
         raise
+    _print_diagnostics(path, diagnostics)
+    return corpus
+
+
+def _print_diagnostics(path: str, diagnostics) -> None:
     for diagnostic in diagnostics:
         print(f"{path}:{diagnostic.line_number}: {diagnostic.severity}: "
               f"{diagnostic.message}", file=sys.stderr)
-    return corpus
 
 
 def _load_classifier(path: str | None) -> ClassifierConfig:
@@ -78,11 +83,15 @@ def _load_lexicon(path: str | None):
         return load_noun_lexicon(handle)
 
 
-def _corpus_result(args, corpus: Corpus) -> _Output:
-    text = serialize_corpus(corpus)
+def _to_output(args, text: str) -> _Output:
+    """``text`` bound for the ``-o`` file, or for stdout without one."""
     if args.output and args.output != "-":
         return _Output(files={args.output: text})
     return _Output(stdout=text)
+
+
+def _corpus_result(args, corpus: Corpus) -> _Output:
+    return _to_output(args, serialize_corpus(corpus))
 
 
 def _assignment_tsv(assignment: dict[str, str]) -> str:
@@ -168,12 +177,18 @@ def _cmd_delex(args) -> _Output:
         args, map_documents(corpus, lambda d: delexicalize(d, config), args.jobs))
 
 
-def _cmd_cda(args) -> _Output:
+def _variant_inputs(args):
+    """Corpus, classifier, lexicon and options of ``cda`` and ``unseen``."""
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
     lexicon = _load_lexicon(args.lexicon)
     options = TransformOptions(anonymize=not args.no_anonymize,
                                neutralize_nouns=not args.no_neutralize_nouns)
+    return corpus, config, lexicon, options
+
+
+def _cmd_cda(args) -> _Output:
+    corpus, config, lexicon, options = _variant_inputs(args)
     augmented, assignment = build_cda(corpus, args.seed, config, lexicon, options)
     return _with_assignments(args, _corpus_result(args, augmented), assignment)
 
@@ -202,11 +217,7 @@ def _cmd_sample(args) -> _Output:
 
 
 def _cmd_unseen(args) -> _Output:
-    corpus = _read_corpus(args.input)
-    config = _load_classifier(args.config)
-    lexicon = _load_lexicon(args.lexicon)
-    options = TransformOptions(anonymize=not args.no_anonymize,
-                               neutralize_nouns=not args.no_neutralize_nouns)
+    corpus, config, lexicon, options = _variant_inputs(args)
     rewritten, assignment = build_unseen(corpus, args.seed, args.fixed,
                                          config, lexicon, options)
     return _with_assignments(args, _corpus_result(args, rewritten), assignment)
@@ -230,18 +241,37 @@ def _cmd_score(args) -> _Output:
     report = evaluate(gold, pred, config=config,
                       ignore_singletons=args.ignore_singletons,
                       macro_pronouns=args.macro)
-    text = format_report(report) + "\n\n" + report_keyvalues(report) + "\n"
-    if args.output and args.output != "-":
-        return _Output(files={args.output: text})
-    return _Output(stdout=text)
+    return _to_output(
+        args, format_report(report) + "\n\n" + report_keyvalues(report) + "\n")
 
 
-def _add_io(parser, output: bool = True) -> None:
-    parser.add_argument("input", nargs="?", default="-", metavar="INPUT",
-                        help="corpus file, or - for stdin (default)")
-    if output:
-        parser.add_argument("-o", "--output", default=None,
-                            help="output file (default: stdout)")
+# Options that several subcommands take, each declared once.
+_SHARED_OPTIONS = {
+    "input": (("input",), dict(nargs="?", default="-", metavar="INPUT",
+                               help="corpus file, or - for stdin (default)")),
+    "output": (("-o", "--output"), dict(default=None,
+                                        help="output file (default: stdout)")),
+    "config": (("--config",), dict(help="classifier configuration file")),
+    "lexicon": (("--lexicon",),
+                dict(help="noun lexicon file (default: builtin)")),
+    "jobs": (("--jobs",), dict(type=int, default=1,
+                               help="worker threads (default 1; output is "
+                                    "identical)")),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "assignments": (("--assignments",),
+                    dict(help="write the document-to-paradigm TSV here "
+                              "(default: OUTPUT.assignments.tsv when -o is "
+                              "used)")),
+    "no-anonymize": (("--no-anonymize",), dict(action="store_true")),
+    "no-neutralize-nouns": (("--no-neutralize-nouns",),
+                            dict(action="store_true")),
+}
+
+
+def _add_shared(parser, *names: str) -> None:
+    for name in names:
+        flags, kwargs = _SHARED_OPTIONS[name]
+        parser.add_argument(*flags, **kwargs)
 
 
 def build_parser() -> _ArgumentParser:
@@ -254,8 +284,7 @@ def build_parser() -> _ArgumentParser:
                                      metavar="COMMAND")
 
     p = commands.add_parser("stats", help="pronoun frequency report")
-    _add_io(p, output=False)
-    p.add_argument("--config", help="classifier configuration file")
+    _add_shared(p, "input", "config")
     p.add_argument("--forms", nargs="+", help="forms to tabulate")
     p.add_argument("--summary-only", action="store_true",
                    help="print corpus totals without the per-form table")
@@ -263,12 +292,12 @@ def build_parser() -> _ArgumentParser:
 
     p = commands.add_parser("strip-singletons",
                             help="drop all size-1 clusters")
-    _add_io(p)
+    _add_shared(p, "input", "output")
     p.set_defaults(handler=_cmd_strip_singletons)
 
     p = commands.add_parser("transform",
                             help="rewrite pronouns, names and nouns")
-    _add_io(p)
+    _add_shared(p, "input", "output")
     p.add_argument("--paradigm", choices=_PARADIGM_NAMES,
                    help="target pronoun paradigm (omit for the baseline "
                         "variant that keeps pronoun forms)")
@@ -276,34 +305,22 @@ def build_parser() -> _ArgumentParser:
                    help="replace PER tokens by ANON_x placeholders")
     p.add_argument("--neutralize-nouns", action="store_true",
                    help="rewrite gendered nouns with the lexicon")
-    p.add_argument("--config", help="classifier configuration file")
-    p.add_argument("--lexicon", help="noun lexicon file (default: builtin)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (default 1; output is identical)")
+    _add_shared(p, "config", "lexicon", "jobs")
     p.set_defaults(handler=_cmd_transform)
 
     p = commands.add_parser("delex",
                             help="replace pronouns by <SUBJ>/<OBJ>/<POSS> tags")
-    _add_io(p)
-    p.add_argument("--config", help="classifier configuration file")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_shared(p, "input", "output", "config", "jobs")
     p.set_defaults(handler=_cmd_delex)
 
     p = commands.add_parser("cda",
                             help="counterfactually augment with hen/die")
-    _add_io(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assignments",
-                   help="write the document-to-paradigm TSV here "
-                        "(default: OUTPUT.assignments.tsv when -o is used)")
-    p.add_argument("--config", help="classifier configuration file")
-    p.add_argument("--lexicon", help="noun lexicon file (default: builtin)")
-    p.add_argument("--no-anonymize", action="store_true")
-    p.add_argument("--no-neutralize-nouns", action="store_true")
+    _add_shared(p, "input", "output", "seed", "assignments", "config",
+                "lexicon", "no-anonymize", "no-neutralize-nouns")
     p.set_defaults(handler=_cmd_cda)
 
     p = commands.add_parser("sample", help="draw training partitions")
-    _add_io(p, output=False)
+    _add_shared(p, "input")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fraction", type=Fraction,
                        help="partition size as a fraction of the corpus, "
@@ -312,35 +329,28 @@ def build_parser() -> _ArgumentParser:
                        help="exact partition size in documents")
     p.add_argument("--partitions", type=int, required=True,
                    help="number of partitions to draw")
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared(p, "seed")
     p.add_argument("--out-prefix",
                    help="write each partition to PREFIX<i>.txt instead of stdout")
     p.set_defaults(handler=_cmd_sample)
 
     p = commands.add_parser("unseen", help="rewrite with neopronouns")
-    _add_io(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_shared(p, "input", "output", "seed")
     p.add_argument("--fixed", choices=_PARADIGM_NAMES,
                    help="use this paradigm for every document instead of "
                         "drawing one neopronoun paradigm per document")
-    p.add_argument("--assignments",
-                   help="write the document-to-paradigm TSV here "
-                        "(default: OUTPUT.assignments.tsv when -o is used)")
-    p.add_argument("--config", help="classifier configuration file")
-    p.add_argument("--lexicon", help="noun lexicon file (default: builtin)")
-    p.add_argument("--no-anonymize", action="store_true")
-    p.add_argument("--no-neutralize-nouns", action="store_true")
+    _add_shared(p, "assignments", "config", "lexicon", "no-anonymize",
+                "no-neutralize-nouns")
     p.set_defaults(handler=_cmd_unseen)
 
     p = commands.add_parser("resolve-baseline",
                             help="run the two-sieve baseline resolver")
-    _add_io(p)
+    _add_shared(p, "input", "output")
     p.add_argument("--window", type=int, default=2,
                    help="pronoun antecedent window in sentences (default 2)")
     p.add_argument("--no-string-match", action="store_true",
                    help="disable the exact-match sieve")
-    p.add_argument("--config", help="classifier configuration file")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_shared(p, "config", "jobs")
     p.set_defaults(handler=_cmd_resolve_baseline)
 
     p = commands.add_parser("score", help="evaluate predictions against gold")
@@ -350,11 +360,43 @@ def build_parser() -> _ArgumentParser:
                    help="average the pronoun score per document")
     p.add_argument("--ignore-singletons", action="store_true",
                    help="drop size-1 entities from both sides before LEA")
-    p.add_argument("--config", help="classifier configuration file")
-    p.add_argument("-o", "--output", default=None)
+    _add_shared(p, "config", "output")
     p.set_defaults(handler=_cmd_score)
 
     return parser
+
+
+def _write_files(files: dict[str, str]) -> None:
+    """Write all files or none.
+
+    Each file first goes to a temp file beside its target. The targets
+    are replaced only once every write has succeeded; on any error the
+    temp files are removed.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for i, (path, content) in enumerate(files.items()):
+            # Caught here, a directory target would only fail in
+            # os.replace, after earlier targets were already replaced.
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        path)
+            directory, name = os.path.split(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            temp = os.path.join(directory, f".{name}.{os.getpid()}.{i}.tmp")
+            with open(temp, "x", encoding="utf-8", newline="") as handle:
+                staged.append((temp, path))
+                handle.write(content)
+        for temp, path in staged:
+            os.replace(temp, path)
+    except BaseException:
+        for temp, _ in staged:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
+        raise
 
 
 def main(argv=None) -> int:
@@ -367,15 +409,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         result = args.handler(args)
+        _write_files(result.files)
     except (CorefKitError, ValueError, OSError) as exc:
         print(f"corefkit: error: {exc}", file=sys.stderr)
         return 2
-    for path, content in result.files.items():
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
     if result.stdout is not None:
         sys.stdout.write(result.stdout)
     return 0

@@ -86,14 +86,14 @@ class _DocumentReader:
             return
         index_s, form, lemma, pos, feats, head_s, dep_rel, ner, coref = columns
         expected = len(self.tokens) + 1
-        if not index_s.isdigit() or int(index_s) != expected:
+        if not index_s.isdecimal() or int(index_s) != expected:
             self.error(line_number,
                        f"token index {index_s!r}, expected {expected}")
             return
         if not form:
             self.error(line_number, "empty form column")
             return
-        if not head_s.isdigit():
+        if not head_s.isdecimal():
             self.error(line_number, f"dependency head {head_s!r} is not a number")
             return
         head = int(head_s)

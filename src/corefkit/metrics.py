@@ -11,14 +11,9 @@ single-token gold mention with at least one gold antecedent, whether the
 predicted clustering ties it to at least one of those gold antecedents.
 The first mention of a cluster is never counted, and a pronoun whose
 token is no gold mention at all is excluded but reported.
-
-The inner resolution loop runs on a compiled kernel when the
-``corefkit._lea_c`` extension is available and falls back to a
-pure-Python twin otherwise; COREFKIT_PURE_PYTHON=1 forces the fallback.
 """
 from __future__ import annotations
 
-import os
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -38,27 +33,9 @@ __all__ = [
     "pronoun_score",
     "evaluate",
     "aggregate",
-    "lea_backend",
     "format_report",
     "report_keyvalues",
 ]
-
-if os.environ.get("COREFKIT_PURE_PYTHON"):
-    from corefkit import _lea_py as _kernel
-    _BACKEND = "python"
-else:
-    try:
-        from corefkit import _lea_c as _kernel  # type: ignore[no-redef]
-        _BACKEND = "compiled"
-    except ImportError:
-        from corefkit import _lea_py as _kernel  # type: ignore[no-redef]
-        _BACKEND = "python"
-
-
-def lea_backend() -> str:
-    """Which resolution kernel is active: "compiled" or "python"."""
-    return _BACKEND
-
 
 @dataclass(frozen=True)
 class LeaScore:
@@ -114,6 +91,42 @@ def _entity_sets(document: Document,
             if len(c.mentions) >= 2 or not ignore_singletons]
 
 
+def _resolution_sums(entities_a: list[list[int]],
+                     entities_b: list[list[int]]) -> tuple[float, int]:
+    """Size-weighted LEA resolution of side A against side B.
+
+    Entities are lists of interned mention ids. For each entity ``a``
+    the resolution is ``sum_b C(|a & b|, 2) / C(|a|, 2)``; a singleton
+    resolves to 1 when any B entity contains its mention (self-link
+    convention). Returns ``(sum_a |a| * resolution(a), sum_a |a|)``, the
+    numerator and denominator of the corresponding precision or recall.
+    """
+    membership: dict[int, list[int]] = {}
+    for j, entity in enumerate(entities_b):
+        for mention in entity:
+            membership.setdefault(mention, []).append(j)
+
+    numerator = 0.0
+    denominator = 0
+    overlap: dict[int, int] = {}
+    for entity in entities_a:
+        size = len(entity)
+        denominator += size
+        overlap.clear()
+        for mention in entity:
+            for j in membership.get(mention, ()):
+                overlap[j] = overlap.get(j, 0) + 1
+        if size == 1:
+            resolution = 1.0 if overlap else 0.0
+        else:
+            common = 0
+            for count in overlap.values():
+                common += count * (count - 1) // 2
+            resolution = common / (size * (size - 1) // 2)
+        numerator += size * resolution
+    return numerator, denominator
+
+
 def _lea_sums(gold: Document, pred: Document,
               ignore_singletons: bool) -> tuple[float, int, float, int]:
     gold_sets = _entity_sets(gold, ignore_singletons)
@@ -126,8 +139,8 @@ def _lea_sums(gold: Document, pred: Document,
 
     gold_ids = interned(gold_sets)
     pred_ids = interned(pred_sets)
-    recall_num, recall_den = _kernel.resolution_sums(gold_ids, pred_ids)
-    prec_num, prec_den = _kernel.resolution_sums(pred_ids, gold_ids)
+    recall_num, recall_den = _resolution_sums(gold_ids, pred_ids)
+    prec_num, prec_den = _resolution_sums(pred_ids, gold_ids)
     return recall_num, recall_den, prec_num, prec_den
 
 

@@ -80,11 +80,16 @@ def grammatical_function(token: Token,
     return "other"
 
 
-def _totals(corpus: Corpus, config: ClassifierConfig,
-            masculine_forms: frozenset[str]) -> tuple[int, int, int, int]:
+def _count(corpus: Corpus, wanted: tuple[str, ...], config: ClassifierConfig,
+           masculine_forms: frozenset[str]) -> FrequencyReport:
+    """One walk over the corpus: per-form rows for ``wanted`` plus totals."""
+    index = {form.lower(): i for i, form in enumerate(wanted)}
+    totals = [0] * len(wanted)
+    by_function = [dict.fromkeys(FUNCTIONS, 0) for _ in wanted]
+    third_singular = [0] * len(wanted)
     tokens = 0
     pronouns = 0
-    third_singular = 0
+    third_sg = 0
     masculine = 0
     for document in corpus.documents:
         for token in document.tokens():
@@ -92,11 +97,30 @@ def _totals(corpus: Corpus, config: ClassifierConfig,
             function = grammatical_function(token, config)
             if function in ("personal_subject", "personal_object", "possessive"):
                 pronouns += 1
-            if classify_pronoun(token, config) is not None:
-                third_singular += 1
-                if token.form.lower() in masculine_forms:
+            is_third_singular = classify_pronoun(token, config) is not None
+            form = token.form.lower()
+            if is_third_singular:
+                third_sg += 1
+                if form in masculine_forms:
                     masculine += 1
-    return tokens, pronouns, third_singular, masculine
+            i = index.get(form)
+            if i is not None:
+                totals[i] += 1
+                by_function[i][function] += 1
+                third_singular[i] += is_third_singular
+    rows = tuple(
+        FormFrequency(form.lower(), totals[i], by_function[i], third_singular[i])
+        for i, form in enumerate(wanted))
+    return FrequencyReport(
+        forms=rows,
+        token_count=tokens,
+        pronoun_count=pronouns,
+        pronoun_proportion=pronouns / tokens if tokens else 0.0,
+        third_singular_count=third_sg,
+        third_singular_share=third_sg / pronouns if pronouns else 0.0,
+        masculine_count=masculine,
+        masculine_share=masculine / third_sg if third_sg else 0.0,
+    )
 
 
 def pronoun_frequencies(corpus: Corpus,
@@ -111,34 +135,7 @@ def pronoun_frequencies(corpus: Corpus,
     that a corpus uses exclusively in other functions.
     """
     wanted = tuple(forms) if forms is not None else DEFAULT_REPORT_FORMS
-    index = {form.lower(): i for i, form in enumerate(wanted)}
-    totals = [0] * len(wanted)
-    by_function = [dict.fromkeys(FUNCTIONS, 0) for _ in wanted]
-    third_singular = [0] * len(wanted)
-    for document in corpus.documents:
-        for token in document.tokens():
-            i = index.get(token.form.lower())
-            if i is None:
-                continue
-            totals[i] += 1
-            by_function[i][grammatical_function(token, config)] += 1
-            if classify_pronoun(token, config) is not None:
-                third_singular[i] += 1
-    rows = tuple(
-        FormFrequency(form.lower(), totals[i], by_function[i], third_singular[i])
-        for i, form in enumerate(wanted))
-    tokens, pronouns, third_sg, masculine = _totals(corpus, config,
-                                                    masculine_forms)
-    return FrequencyReport(
-        forms=rows,
-        token_count=tokens,
-        pronoun_count=pronouns,
-        pronoun_proportion=pronouns / tokens if tokens else 0.0,
-        third_singular_count=third_sg,
-        third_singular_share=third_sg / pronouns if pronouns else 0.0,
-        masculine_count=masculine,
-        masculine_share=masculine / third_sg if third_sg else 0.0,
-    )
+    return _count(corpus, wanted, config, masculine_forms)
 
 
 def corpus_summary(corpus: Corpus,
@@ -146,15 +143,4 @@ def corpus_summary(corpus: Corpus,
                    masculine_forms: frozenset[str] = MASCULINE_FORMS
                    ) -> FrequencyReport:
     """Corpus totals only; an empty corpus yields an all-zero report."""
-    tokens, pronouns, third_sg, masculine = _totals(corpus, config,
-                                                    masculine_forms)
-    return FrequencyReport(
-        forms=(),
-        token_count=tokens,
-        pronoun_count=pronouns,
-        pronoun_proportion=pronouns / tokens if tokens else 0.0,
-        third_singular_count=third_sg,
-        third_singular_share=third_sg / pronouns if pronouns else 0.0,
-        masculine_count=masculine,
-        masculine_share=masculine / third_sg if third_sg else 0.0,
-    )
+    return _count(corpus, (), config, masculine_forms)

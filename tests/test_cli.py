@@ -287,3 +287,45 @@ def test_bad_lexicon_file_is_a_data_error(cli, tmp_path):
                        "--lexicon", str(lexicon))
     assert code == 2
     assert "tab-separated" in err
+
+
+def test_unwritable_output_path_is_an_io_error(cli, tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", "utf-8")
+    code, out, err = cli("transform", HERSTEL, "-o", str(blocker / "x.conll"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("corefkit: error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+@pytest.mark.parametrize("command", ["cda", "unseen"])
+def test_failed_sidecar_write_leaves_no_output(cli, tmp_path, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", "utf-8")
+    code, out, err = cli(command, E2E, "-o", str(tmp_path / "out.conll"),
+                         "--assignments", str(blocker / "a.tsv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("corefkit: error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_failed_partition_write_leaves_no_partition_file(cli, tmp_path):
+    (tmp_path / "part1.txt").mkdir()   # the second target cannot be written
+    code, out, err = cli("sample", E2E, "--count", "2", "--partitions", "3",
+                         "--out-prefix", str(tmp_path / "part"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("corefkit: error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["part1.txt"]
+    assert not any((tmp_path / "part1.txt").iterdir())
+
+
+def test_existing_output_file_is_replaced(cli, tmp_path):
+    target = tmp_path / "out.conll"
+    target.write_text("stale\n", "utf-8")
+    code, _, _ = cli("transform", HERSTEL, "-o", str(target))
+    assert code == 0
+    assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.conll"]

@@ -140,6 +140,8 @@ def test_close_without_open():
     ("1\ta\ta\tX\t_\tx\tdep\tO\t-", "not a number"),
     ("1\ta\ta\tX\t_\t9\tdep\tO\t-", "beyond sentence"),
     ("1\ta\ta\tX\t_\t0\tdep\tO\t(x)", "malformed coreference entry"),
+    ("1\u00b2\ta\ta\tX\t_\t0\tdep\tO\t-", "token index '1\u00b2'"),
+    ("1\ta\ta\tX\t_\t0\u00b2\tdep\tO\t-", "not a number"),
 ])
 def test_bad_token_lines_drop_only_their_document(line, fragment):
     text = (f"#begin document broken\n{line}\n#end document\n"
@@ -241,3 +243,55 @@ def test_round_trip_property(seed, n_docs):
     reparsed, diagnostics = parse_corpus(text)
     assert diagnostics == []
     assert serialize_corpus(reparsed) == text
+
+
+# --- fuzzing: mutated corpora ----------------------------------------------
+
+FUZZ_TEXTS = tuple((FIXTURES / name).read_text("utf-8") for name in
+                   ("dialogue_gold.conll", "herstel.conll", "e2e.conll"))
+
+corpus_texts = st.one_of(
+    st.sampled_from(FUZZ_TEXTS),
+    st.integers(0, 10 ** 9).map(lambda seed: serialize_corpus(
+        corpusgen.random_corpus(random.Random(seed), 2))))
+
+edits = st.lists(st.tuples(
+    st.sampled_from(("drop", "duplicate", "unbracket", "tab", "insert")),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 10 ** 6),
+    st.one_of(st.sampled_from("()|-_#09 \n\r"), st.characters()),
+), min_size=1, max_size=8)
+
+
+def mutate(text, changes):
+    """Apply line-level edits: drop or duplicate a line, remove one
+    bracket, or insert a tab or an arbitrary character."""
+    lines = text.splitlines()
+    for kind, row, column, char in changes:
+        if not lines:
+            break
+        i = row % len(lines)
+        line = lines[i]
+        at = column % (len(line) + 1)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "unbracket":
+            lines[i] = line.replace("()"[column % 2], "", 1)
+        else:
+            lines[i] = line[:at] + ("\t" if kind == "tab" else char) + line[at:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_texts, edits)
+def test_mutated_corpora_parse_or_fail_cleanly(text, changes):
+    try:
+        corpus, _ = parse_corpus(mutate(text, changes))
+    except EmptyCorpusError:
+        return
+    canonical = serialize_corpus(corpus)
+    reparsed, diagnostics = parse_corpus(canonical)
+    assert diagnostics == []
+    assert reparsed == corpus

@@ -6,7 +6,7 @@ import pytest
 
 from corefkit.errors import AlignmentError
 from corefkit.metrics import (aggregate, evaluate, format_report, lea,
-                              lea_backend, pronoun_score, report_keyvalues)
+                              pronoun_score, report_keyvalues)
 from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token
 from corefkit.transform import classify_pronoun
 
@@ -197,10 +197,6 @@ def test_grid_mismatch_raises():
     two = corpusgen.build_doc("d", [[corpusgen.tok("a"), corpusgen.tok("b")]])
     with pytest.raises(AlignmentError):
         pronoun_score(one, two)
-
-
-def test_lea_backend_reports_a_known_kernel():
-    assert lea_backend() in ("compiled", "python")
 
 
 # --- properties ------------------------------------------------------------

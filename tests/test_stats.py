@@ -133,6 +133,10 @@ def test_frequencies_match_a_naive_recount():
         assert report.pronoun_count == pronouns
         assert report.third_singular_count == third
         assert report.masculine_count == masculine
+        summary = corpus_summary(corpus)
+        assert (summary.forms, summary.token_count, summary.pronoun_count,
+                summary.third_singular_count, summary.masculine_count) \
+            == ((), tokens, pronouns, third, masculine)
         for row in report.forms:
             assert row.total == counts[row.form]["total"]
             assert row.third_singular == counts[row.form]["third"]
