@@ -44,9 +44,23 @@ __all__ = [
 BEGIN_PREFIX = "#begin document "
 END_LINE = "#end document"
 
-_SINGLE_RE = re.compile(r"\((\d+)\)\Z")
-_OPEN_RE = re.compile(r"\((\d+)\Z")
-_CLOSE_RE = re.compile(r"(\d+)\)\Z")
+# ``(id`` opens a span, ``id)`` closes one, ``(id)`` is a single token.
+_ENTRY_RE = re.compile(r"(\()?(\d+)(\))?")
+
+
+def _number(text: str) -> int | None:
+    """The value of a decimal numeral, or None for anything else.
+
+    Numerals longer than the interpreter converts (``int`` raises
+    ``ValueError`` beyond ``sys.get_int_max_str_digits()``) count as
+    anything else, so the caller reports them like any bad field.
+    """
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -86,17 +100,17 @@ class _DocumentReader:
             return
         index_s, form, lemma, pos, feats, head_s, dep_rel, ner, coref = columns
         expected = len(self.tokens) + 1
-        if not index_s.isdecimal() or int(index_s) != expected:
+        if _number(index_s) != expected:
             self.error(line_number,
                        f"token index {index_s!r}, expected {expected}")
             return
         if not form:
             self.error(line_number, "empty form column")
             return
-        if not head_s.isdecimal():
+        head = _number(head_s)
+        if head is None:
             self.error(line_number, f"dependency head {head_s!r} is not a number")
             return
-        head = int(head_s)
         token = Token(
             sentence_index=len(self.sentences),
             token_index=len(self.tokens),
@@ -116,19 +130,16 @@ class _DocumentReader:
     def _coref_entries(self, line_number: int, field: str, tok: int) -> None:
         sent = len(self.sentences)
         for entry in field.split("|"):
-            match = _SINGLE_RE.fullmatch(entry)
-            if match:
-                cid = int(match.group(1))
+            match = _ENTRY_RE.fullmatch(entry)
+            cid = _number(match.group(2)) if match else None
+            if cid is None or not (match.group(1) or match.group(3)):
+                self.error(line_number, f"malformed coreference entry {entry!r}")
+                continue
+            if match.group(1) and match.group(3):
                 self.spans.setdefault(cid, []).append(MentionSpan(sent, tok, tok))
-                continue
-            match = _OPEN_RE.fullmatch(entry)
-            if match:
-                cid = int(match.group(1))
+            elif match.group(1):
                 self.open_spans.setdefault(cid, []).append((tok, line_number))
-                continue
-            match = _CLOSE_RE.fullmatch(entry)
-            if match:
-                cid = int(match.group(1))
+            else:
                 stack = self.open_spans.get(cid)
                 if not stack:
                     self.error(line_number,
@@ -136,8 +147,6 @@ class _DocumentReader:
                     continue
                 start, _ = stack.pop()
                 self.spans.setdefault(cid, []).append(MentionSpan(sent, start, tok))
-                continue
-            self.error(line_number, f"malformed coreference entry {entry!r}")
 
     def end_sentence(self) -> None:
         if not self.tokens:

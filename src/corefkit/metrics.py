@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from corefkit.errors import AlignmentError
-from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token, antecedents
+from corefkit.model import Corpus, Document, MentionSpan, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 classify_pronoun)
 
@@ -171,12 +171,44 @@ def _check_same_grid(gold: Document, pred: Document) -> None:
             f"token grid ({gold_shape} vs {pred_shape})")
 
 
-def _first_cluster_with(clusters: Iterable[Cluster],
-                        span: MentionSpan) -> Cluster | None:
-    for cluster in clusters:
-        if span in cluster.mentions:
-            return cluster
-    return None
+def _antecedent_hits(gold: Document,
+                     pred: Document) -> dict[MentionSpan, bool | None]:
+    """Pronoun-score outcome of every gold mention, in linear time.
+
+    A span counts at its first position in the first gold cluster that
+    lists it, and likewise on the predicted side. The value is None when
+    nothing precedes that position (a first mention); otherwise it says
+    whether the predicted antecedents share a span with the gold ones.
+    Spans absent from the result are no gold mention.
+    """
+    # span -> [(predicted cluster, first position in it), ...], in
+    # cluster order, so the first pair is the one the span is judged by
+    pred_positions: dict[MentionSpan, list[tuple[int, int]]] = {}
+    for q, cluster in enumerate(pred.clusters):
+        for k, span in enumerate(cluster.mentions):
+            positions = pred_positions.setdefault(span, [])
+            if not positions or positions[-1][0] != q:
+                positions.append((q, k))
+
+    hits: dict[MentionSpan, bool | None] = {}
+    for cluster in gold.clusters:
+        # predicted cluster -> smallest position in it of a gold mention
+        # seen so far in this gold cluster, i.e. of an antecedent
+        lowest: dict[int, int] = {}
+        for i, span in enumerate(cluster.mentions):
+            positions = pred_positions.get(span, ())
+            if span not in hits:
+                if i == 0:
+                    hits[span] = None
+                elif positions:
+                    q, j = positions[0]
+                    hits[span] = lowest.get(q, j) < j
+                else:
+                    hits[span] = False
+            for q, k in positions:
+                if k < lowest.get(q, k + 1):
+                    lowest[q] = k
+    return hits
 
 
 def pronoun_score(gold: Document, pred: Document,
@@ -190,12 +222,14 @@ def pronoun_score(gold: Document, pred: Document,
     pronoun. A counted pronoun is resolved when the predicted
     antecedents of its single-token mention share at least one span with
     its gold antecedents. Nesting is ignored: only the single-token
-    mention of the pronoun itself is consulted.
+    mention of the pronoun itself is consulted. A span listed by several
+    clusters is judged in the first of them.
     """
     _check_same_grid(gold, pred)
     if is_counted is None:
         is_counted = lambda token: classify_pronoun(token, config) is not None
 
+    hits = _antecedent_hits(gold, pred)
     resolved = 0
     total = 0
     non_mention = 0
@@ -207,18 +241,13 @@ def pronoun_score(gold: Document, pred: Document,
                 continue
             span = MentionSpan(token.sentence_index, token.token_index,
                                token.token_index)
-            gold_cluster = _first_cluster_with(gold.clusters, span)
-            if gold_cluster is None:
+            if span not in hits:
                 non_mention += 1
                 continue
-            gold_ants = antecedents(gold_cluster, span)
-            if not gold_ants:
+            hit = hits[span]
+            if hit is None:
                 first_mentions += 1
                 continue
-            pred_cluster = _first_cluster_with(pred.clusters, span)
-            pred_ants = (antecedents(pred_cluster, span)
-                         if pred_cluster is not None else ())
-            hit = bool(set(gold_ants) & set(pred_ants))
             total += 1
             resolved += hit
             form = token.form.lower()

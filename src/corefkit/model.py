@@ -229,13 +229,21 @@ def validate_document(document: Document) -> list[ValidationIssue]:
                 warning(f"span {span} appears in clusters {owner} and {cluster.id}")
         # Two spans of one cluster may nest but not cross: the bracket
         # serialization cannot distinguish crossing same-id spans from
-        # the nested reading.
+        # the nested reading. Only spans of one sentence can cross, so
+        # pairs are formed per sentence and reported in mention order.
         spans = cluster.mentions
-        for i, a in enumerate(spans):
-            for b in spans[i + 1:]:
-                if (a.sentence_index == b.sentence_index
-                        and a.start < b.start <= a.end < b.end):
-                    error(f"cluster {cluster.id}: spans {a} and {b} cross")
+        by_sentence: dict[int, list[int]] = {}
+        for i, span in enumerate(spans):
+            by_sentence.setdefault(span.sentence_index, []).append(i)
+        crossings = []
+        for indices in by_sentence.values():
+            for x, i in enumerate(indices):
+                a = spans[i]
+                for j in indices[x + 1:]:
+                    if a.start < spans[j].start <= a.end < spans[j].end:
+                        crossings.append((i, j))
+        for i, j in sorted(crossings):
+            error(f"cluster {cluster.id}: spans {spans[i]} and {spans[j]} cross")
     return issues
 
 

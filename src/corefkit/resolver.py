@@ -74,20 +74,19 @@ def resolve(document: Document,
         group_of[span] = key
 
     # Sieve 2: each pronoun joins the nearest preceding name mention
-    # within the window; the later (closer) mention wins.
+    # within the window. Names are in (sentence, end) order and pronouns
+    # in document order, so one pointer sweep keeps ``names[:preceding]``
+    # as the names that end before the current pronoun.
+    preceding = 0
     for pronoun in pronouns:
-        best: MentionSpan | None = None
-        for span in names:
-            if span.sentence_index < pronoun.sentence_index - config.pronoun_window_sentences:
-                continue
-            precedes = (span.sentence_index < pronoun.sentence_index
-                        or (span.sentence_index == pronoun.sentence_index
-                            and span.end < pronoun.start))
-            if not precedes:
-                continue
-            if best is None or (span.sentence_index, span.end) > (best.sentence_index, best.end):
-                best = span
-        if best is not None:
+        while (preceding < len(names)
+               and (names[preceding].sentence_index, names[preceding].end)
+               < (pronoun.sentence_index, pronoun.start)):
+            preceding += 1
+        if not preceding:
+            continue
+        best = names[preceding - 1]
+        if best.sentence_index >= pronoun.sentence_index - config.pronoun_window_sentences:
             groups[group_of[best]].append(pronoun)
 
     clusters = []

@@ -142,6 +142,17 @@ def test_close_without_open():
     ("1\ta\ta\tX\t_\t0\tdep\tO\t(x)", "malformed coreference entry"),
     ("1\u00b2\ta\ta\tX\t_\t0\tdep\tO\t-", "token index '1\u00b2'"),
     ("1\ta\ta\tX\t_\t0\u00b2\tdep\tO\t-", "not a number"),
+    # numerals longer than int() converts (4300 digits by default)
+    pytest.param("1" * 5000 + "\ta\ta\tX\t_\t0\tdep\tO\t-", "expected 1",
+                 id="overlong-token-index"),
+    pytest.param("1\ta\ta\tX\t_\t" + "1" * 5000 + "\tdep\tO\t-", "not a number",
+                 id="overlong-head"),
+    pytest.param("1\ta\ta\tX\t_\t0\tdep\tO\t(" + "7" * 5000 + ")",
+                 "malformed coreference entry", id="overlong-single-cluster-id"),
+    pytest.param("1\ta\ta\tX\t_\t0\tdep\tO\t(" + "7" * 5000,
+                 "malformed coreference entry", id="overlong-open-cluster-id"),
+    pytest.param("1\ta\ta\tX\t_\t0\tdep\tO\t(3|" + "3" * 5000 + ")",
+                 "malformed coreference entry", id="overlong-close-cluster-id"),
 ])
 def test_bad_token_lines_drop_only_their_document(line, fragment):
     text = (f"#begin document broken\n{line}\n#end document\n"
@@ -149,6 +160,9 @@ def test_bad_token_lines_drop_only_their_document(line, fragment):
     corpus, diagnostics = parse_one(text)
     assert corpus.document_ids() == ("fine",)
     assert any(fragment in d.message for d in diagnostics)
+    with pytest.raises(EmptyCorpusError) as excinfo:
+        parse_corpus(f"#begin document broken\n{line}\n#end document\n")
+    assert any(fragment in d.message for d in excinfo.value.diagnostics)
 
 
 def test_duplicate_document_id_keeps_the_first():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -238,18 +239,79 @@ def test_lea_stays_in_bounds():
             assert 0.0 <= value <= 1.0
 
 
+def assert_pronoun_score_matches_the_oracle(gold, pred):
+    outcome = pronoun_score(gold, pred)
+    score, resolved, total, per_form, non_mention, first = \
+        naive_pronoun_oracle(gold, pred)
+    assert outcome.score == score
+    assert (outcome.resolved, outcome.total) == (resolved, total)
+    assert outcome.per_form == per_form
+    assert outcome.non_mention == non_mention
+    assert outcome.first_mentions == first
+
+
 def test_pronoun_score_matches_the_naive_oracle():
     rng = random.Random(4321)
     for _ in range(120):
         gold, pred = random_pair(rng)
-        outcome = pronoun_score(gold, pred)
-        score, resolved, total, per_form, non_mention, first = \
-            naive_pronoun_oracle(gold, pred)
-        assert outcome.score == score
-        assert (outcome.resolved, outcome.total) == (resolved, total)
-        assert outcome.per_form == per_form
-        assert outcome.non_mention == non_mention
-        assert outcome.first_mentions == first
+        assert_pronoun_score_matches_the_oracle(gold, pred)
+
+
+def tangled_pair(rng):
+    """A ``random_pair`` reworked around its counted pronouns that have
+    gold antecedents, each given one of the shapes ``random_pair`` never
+    makes. Returns the pair and the shapes applied."""
+    gold, pred = random_pair(rng)
+    gold_groups = [set(c.mentions) for c in gold.clusters]
+    pred_groups = [set(c.mentions) for c in pred.clusters]
+    shapes = []
+    for span in counted_pronoun_spans(gold):
+        home = next((g for g in gold_groups if span in g), None)
+        if home is None or span == min(home):
+            continue
+        shape = rng.choice(("two clusters each", "only later mentions shared",
+                            "antecedent elsewhere first", "unpredicted"))
+        shapes.append(shape)
+        if shape == "two clusters each":
+            # "(0)|(1)" on the pronoun's token, in gold and in prediction
+            for groups in (gold_groups, pred_groups):
+                while sum(span in g for g in groups) < 2:
+                    others = [g for g in groups if span not in g]
+                    if others and rng.random() < 0.7:
+                        rng.choice(others).add(span)
+                    else:
+                        groups.insert(rng.randrange(len(groups) + 1), {span})
+            continue
+        # the other shapes start from the pronoun in no predicted cluster,
+        # which is all "unpredicted" asks for
+        for group in pred_groups:
+            group.discard(span)
+        if shape == "only later mentions shared":
+            later = [m for m in home if m > span]
+            pred_groups.insert(0, {span, *rng.sample(later, min(2, len(later)))})
+        elif shape == "antecedent elsewhere first":
+            # the antecedent's first predicted cluster is another one
+            antecedent = rng.choice([m for m in home if m < span])
+            if not any(antecedent in g for g in pred_groups):
+                pred_groups.insert(0, {antecedent})
+            pred_groups.append({antecedent, span})
+
+    def rebuilt(document, groups):
+        clusters = tuple(Cluster(i, tuple(sorted(g)))
+                         for i, g in enumerate(g for g in groups if g))
+        return Document(document.id, document.sentences, clusters)
+
+    return rebuilt(gold, gold_groups), rebuilt(pred, pred_groups), shapes
+
+
+def test_pronoun_score_matches_the_oracle_on_tangled_clusters():
+    rng = random.Random(4322)
+    shapes = Counter()
+    for _ in range(150):
+        gold, pred, applied = tangled_pair(rng)
+        shapes.update(applied)
+        assert_pronoun_score_matches_the_oracle(gold, pred)
+    assert len(shapes) == 4 and min(shapes.values()) >= 20, shapes
 
 
 def test_per_form_counts_sum_to_the_totals():

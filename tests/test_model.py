@@ -190,6 +190,24 @@ def test_same_cluster_crossing_spans_are_an_error():
     assert validate_document(nested) == []
 
 
+def test_crossing_messages_follow_mention_order():
+    sentences = tuple(tuple(Token(si, ti, "w") for ti in range(6))
+                      for si in range(2))
+    spans = (MentionSpan(1, 1, 3), MentionSpan(0, 2, 4), MentionSpan(1, 0, 2),
+             MentionSpan(0, 0, 2), MentionSpan(0, 1, 3), MentionSpan(1, 2, 4),
+             MentionSpan(0, 3, 5), MentionSpan(1, 0, 5))
+    doc = Document("d", sentences, (Cluster(4, spans),))
+    # the pairwise rule: every pair of spans, in mention order
+    expected = [f"document 'd': cluster 4: spans {a} and {b} cross"
+                for i, a in enumerate(spans) for b in spans[i + 1:]
+                if a.sentence_index == b.sentence_index
+                and a.start < b.start <= a.end < b.end]
+    assert len(expected) == 5
+    messages = _errors(validate_document(doc))
+    assert messages[-len(expected):] == expected
+    assert [m for m in messages if m.endswith(" cross")] == expected
+
+
 def test_span_in_two_clusters_is_only_a_warning():
     sentences = ((Token(0, 0, "a"), Token(0, 1, "b")),)
     shared = Document("d", sentences, (

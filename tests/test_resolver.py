@@ -201,6 +201,46 @@ def test_random_documents_match_the_oracle():
             [list(spans) for spans in oracle_resolve(doc, window, string_match)]
 
 
+def long_document(rng, n_sentences):
+    """Sentences that mix names, pronouns and filler words freely, so a
+    pronoun may sit between two names or before a name, and name-free
+    stretches span several sentences."""
+    patterns = ((), ("name", "pronoun", "name"), ("pronoun", "name"),
+                ("filler", "pronoun", "filler"))
+    sentences = []
+    for _ in range(n_sentences):
+        kinds = rng.choices(("name", "pronoun", "filler"), weights=(1, 2, 3),
+                            k=rng.randint(0, 6))
+        at = rng.randint(0, len(kinds))
+        kinds[at:at] = rng.choice(patterns)
+        words = []
+        for kind in kinds or ["filler"]:
+            if kind == "name":
+                form = rng.choice(("Anna", "Bo", "ANON_0", "ANON_1"))
+                words.append(corpusgen.tok(
+                    form, ner="O" if form.startswith("ANON_") else "PER"))
+            elif kind == "pronoun":
+                form, pos, feats = rng.choice(corpusgen.PRONOUNS)
+                words.append(corpusgen.tok(form, pos=pos, feats=feats))
+            else:
+                words.append(corpusgen.tok(rng.choice(("en", "ziet", "."))))
+        sentences.append(words)
+    return corpusgen.build_doc("long", sentences)
+
+
+def test_long_documents_match_the_oracle():
+    rng = random.Random(912)
+    for _ in range(2):
+        doc = long_document(rng, rng.randint(200, 260))
+        for window in (0, 1, 2, 3):
+            for string_match in (True, False):
+                config = ResolverConfig(pronoun_window_sentences=window,
+                                        enable_string_match=string_match)
+                assert [list(c.mentions) for c in resolve(doc, config).clusters] == \
+                    [list(spans) for spans in
+                     oracle_resolve(doc, window, string_match)], (window, string_match)
+
+
 def test_resolver_output_shape():
     rng = random.Random(910)
     for _ in range(30):
