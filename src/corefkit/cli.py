@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import logging
 import os
 import sys
@@ -419,6 +420,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """Process entry point: run :func:`main` and exit with its code.
+
+    The cyclic garbage collector is switched off first, because it
+    would only rescan live objects: the corpus data of a command holds
+    no reference cycles, so reference counting frees it, and the few
+    cycles of the argument parser last until the process exits right
+    after ``main`` returns. ``main`` itself leaves the collector alone.
+    """
+    gc.disable()
     sys.exit(main())
 
 

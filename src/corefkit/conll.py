@@ -47,6 +47,10 @@ END_LINE = "#end document"
 # ``(id`` opens a span, ``id)`` closes one, ``(id)`` is a single token.
 _ENTRY_RE = re.compile(r"(\()?(\d+)(\))?")
 
+# Canonical spellings of the token indices and heads of ordinary
+# sentences; any other numeral goes through ``_number``.
+_SMALL_NUMBERS = {str(n): n for n in range(256)}
+
 
 def _number(text: str) -> int | None:
     """The value of a decimal numeral, or None for anything else.
@@ -86,6 +90,7 @@ class _DocumentReader:
         self.token_lines: list[int] = []
         self.spans: dict[int, list[MentionSpan]] = {}
         self.open_spans: dict[int, list[tuple[int, int]]] = {}
+        self.max_head = 0  # largest 1-based head of the current sentence
 
     def error(self, line_number: int, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(
@@ -99,33 +104,33 @@ class _DocumentReader:
                        f"expected 9 tab-separated columns, found {len(columns)}")
             return
         index_s, form, lemma, pos, feats, head_s, dep_rel, ner, coref = columns
-        expected = len(self.tokens) + 1
-        if _number(index_s) != expected:
+        tokens = self.tokens
+        expected = len(tokens) + 1
+        index = _SMALL_NUMBERS.get(index_s)
+        if index is None:
+            index = _number(index_s)
+        if index != expected:
             self.error(line_number,
                        f"token index {index_s!r}, expected {expected}")
             return
         if not form:
             self.error(line_number, "empty form column")
             return
-        head = _number(head_s)
+        head = _SMALL_NUMBERS.get(head_s)
         if head is None:
-            self.error(line_number, f"dependency head {head_s!r} is not a number")
-            return
-        token = Token(
-            sentence_index=len(self.sentences),
-            token_index=len(self.tokens),
-            form=form,
-            lemma=lemma,
-            pos=pos,
-            feats="" if feats == "_" else feats,
-            dep_head=None if head == 0 else head - 1,
-            dep_rel=dep_rel,
-            ner=ner,
-        )
-        self.tokens.append(token)
+            head = _number(head_s)
+            if head is None:
+                self.error(line_number,
+                           f"dependency head {head_s!r} is not a number")
+                return
+        if head > self.max_head:
+            self.max_head = head
+        tokens.append(Token(len(self.sentences), expected - 1, form, lemma, pos,
+                            "" if feats == "_" else feats,
+                            None if head == 0 else head - 1, dep_rel, ner))
         self.token_lines.append(line_number)
         if coref != "-":
-            self._coref_entries(line_number, coref, token.token_index)
+            self._coref_entries(line_number, coref, expected - 1)
 
     def _coref_entries(self, line_number: int, field: str, tok: int) -> None:
         sent = len(self.sentences)
@@ -152,19 +157,22 @@ class _DocumentReader:
         if not self.tokens:
             return
         size = len(self.tokens)
-        for token, line_number in zip(self.tokens, self.token_lines):
-            if token.dep_head is not None and token.dep_head >= size:
-                self.error(line_number,
-                           f"dependency head {token.dep_head + 1} beyond sentence "
-                           f"of {size} tokens")
-        for cid, stack in self.open_spans.items():
-            for _, line_number in stack:
-                self.error(line_number,
-                           f"coreference bracket '({cid}' is never closed")
-        self.open_spans = {}
+        if self.max_head > size:
+            for token, line_number in zip(self.tokens, self.token_lines):
+                if token.dep_head is not None and token.dep_head >= size:
+                    self.error(line_number,
+                               f"dependency head {token.dep_head + 1} beyond "
+                               f"sentence of {size} tokens")
+        if self.open_spans:
+            for cid, stack in self.open_spans.items():
+                for _, line_number in stack:
+                    self.error(line_number,
+                               f"coreference bracket '({cid}' is never closed")
+            self.open_spans = {}
         self.sentences.append(tuple(self.tokens))
         self.tokens = []
         self.token_lines = []
+        self.max_head = 0
 
     def finish(self, line_number: int) -> Document | None:
         self.end_sentence()
@@ -222,7 +230,10 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
                     line_number, "error",
                     f"unexpected content outside a document: {line[:40]!r}"))
             continue
-        if line == END_LINE:
+        # Token lines are the common case and never start with '#'.
+        if line and line[0] != "#":
+            reader.token_line(line_number, line)
+        elif line == END_LINE:
             finish(line_number)
         elif line.startswith(BEGIN_PREFIX):
             reader.error(line_number, "new document begins before '#end document'")

@@ -29,6 +29,12 @@ __all__ = [
     "map_documents",
 ]
 
+# The line boundaries ``str.splitlines`` splits on. A token field holding
+# one of them or a tab, or a document id holding one of them, would not
+# survive serialization.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_FIELD_BREAKS = _LINE_BREAKS | {"\t"}
+
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -183,8 +189,23 @@ def validate_document(document: Document) -> list[ValidationIssue]:
     def warning(message: str) -> None:
         issues.append(ValidationIssue("warning", f"document {document.id!r}: {message}"))
 
+    if not _LINE_BREAKS.isdisjoint(document.id):
+        error("id contains a newline")
     for si, sentence in enumerate(document.sentences):
+        size = len(sentence)
+        if not size:
+            error(f"sentence {si} is empty")
         for ti, token in enumerate(sentence):
+            head = token.dep_head
+            # Every character in _FIELD_BREAKS is unprintable, so a
+            # token passing this test is clean; the rest are checked in full.
+            if (token.sentence_index == si and token.token_index == ti
+                    and token.form and token.feats != "_"
+                    and (head is None or 0 <= head < size)
+                    and token.form.isprintable() and token.lemma.isprintable()
+                    and token.pos.isprintable() and token.feats.isprintable()
+                    and token.dep_rel.isprintable() and token.ner.isprintable()):
+                continue
             where = f"sentence {si} token {ti}"
             if token.sentence_index != si or token.token_index != ti:
                 error(f"{where}: stored position "
@@ -194,11 +215,10 @@ def validate_document(document: Document) -> list[ValidationIssue]:
             if token.feats == "_":
                 error(f"{where}: feats is the literal '_', use an empty string")
             for name in ("form", "lemma", "pos", "feats", "dep_rel", "ner"):
-                value = getattr(token, name)
-                if "\t" in value or "\n" in value:
+                if not _FIELD_BREAKS.isdisjoint(getattr(token, name)):
                     error(f"{where}: {name} contains a tab or newline")
-            if token.dep_head is not None and not 0 <= token.dep_head < len(sentence):
-                error(f"{where}: dep head {token.dep_head} out of range")
+            if head is not None and not 0 <= head < size:
+                error(f"{where}: dep head {head} out of range")
 
     ids = [c.id for c in document.clusters]
     if len(set(ids)) != len(ids):

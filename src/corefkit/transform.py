@@ -152,6 +152,13 @@ def classify_pronoun(token: Token,
     return None
 
 
+def _rewritten(token: Token, form: str, lemma: str) -> Token:
+    """``token`` with a new form and lemma, every other column kept."""
+    return Token(token.sentence_index, token.token_index, form, lemma,
+                 token.pos, token.feats, token.dep_head, token.dep_rel,
+                 token.ner)
+
+
 def _map_tokens(document: Document,
                 fn: Callable[[Token], Token]) -> Document:
     sentences = tuple(tuple(fn(token) for token in sentence)
@@ -179,8 +186,7 @@ def swap_pronouns(document: Document, paradigm: PronounParadigm,
         if role is None:
             return token
         target = forms[role]
-        return replace(token, form=transfer_case(token.form, target),
-                       lemma=target)
+        return _rewritten(token, transfer_case(token.form, target), target)
 
     return _map_tokens(document, rewrite)
 
@@ -202,7 +208,7 @@ def anonymize_names(document: Document) -> tuple[Document, dict[str, int]]:
         if token.ner != "PER":
             return token
         tag = f"ANON_{indices[token.form]}"
-        return replace(token, form=tag, lemma=tag)
+        return _rewritten(token, tag, tag)
 
     return _map_tokens(document, rewrite), indices
 
@@ -224,7 +230,7 @@ def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None,
         replacement = lookup_noun(lexicon, token.form)
         if replacement is None:
             return token
-        return replace(token, form=replacement, lemma=replacement.lower())
+        return _rewritten(token, replacement, replacement.lower())
 
     return _map_tokens(document, rewrite)
 
@@ -243,7 +249,7 @@ def delexicalize(document: Document,
         role = classify_pronoun(token, config)
         if role is None:
             return token
-        return replace(token, form=DELEX_TAGS[role])
+        return _rewritten(token, DELEX_TAGS[role], token.lemma)
 
     return _map_tokens(document, rewrite)
 

@@ -32,6 +32,12 @@ PRONOUNS = [
     ("deze", "PRON", "PronType=Dem"),
 ]
 
+# Every character ``str.splitlines`` breaks a line at. A token field or a
+# document id holding one would not survive serialization.
+LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+# The token columns that hold free text.
+TEXT_FIELDS = ("form", "lemma", "pos", "feats", "dep_rel", "ner")
+
 
 def tok(form, lemma=None, pos="X", feats="", head=None, rel="dep", ner="O"):
     """A token spec for :func:`build_doc`; position is filled in later."""

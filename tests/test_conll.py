@@ -1,11 +1,13 @@
 import random
 import textwrap
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefkit.conll import parse_corpus, serialize_corpus, strip_singletons
+from corefkit.conll import (ParseDiagnostic, parse_corpus, serialize_corpus,
+                            strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.model import Cluster, Corpus, Document, MentionSpan
 
@@ -165,6 +167,64 @@ def test_bad_token_lines_drop_only_their_document(line, fragment):
     assert any(fragment in d.message for d in excinfo.value.diagnostics)
 
 
+SPELLED = ("#begin document d\n"
+           "{one}\ta\ta\tX\t_\t{three}\tdep\tO\t-\n"
+           "2\tb\tb\tX\t_\t{one}\tdep\tO\t-\n"
+           "{three}\tc\tc\tX\t_\t0\tdep\tO\t-\n"
+           "#end document\n")
+
+
+@pytest.mark.parametrize("one,three", [
+    ("01", "3"), ("1", "03"), ("\uff11", "3"), ("1", "\u0663"),
+    ("\u0661", "\uff13"), ("0001", "\u0663")])
+def test_other_decimal_spellings_parse_like_the_canonical_ones(one, three):
+    canonical, _ = parse_corpus(SPELLED.format(one="1", three="3"))
+    corpus, diagnostics = parse_corpus(SPELLED.format(one=one, three=three))
+    assert diagnostics == []
+    assert corpus == canonical
+    assert serialize_corpus(corpus) == SPELLED.format(one="1", three="3")
+
+
+@pytest.mark.parametrize("number", ["+1", "-1", " 1", "1 ", "1.0", ""])
+def test_non_numerals_keep_their_diagnostics(number):
+    line = "\ta\tX\t_\t{}\tdep\tO\t-\n"
+    text = ("#begin document d\n"
+            f"{number}\ta{line.format(0)}"
+            "#end document\n"
+            "#begin document e\n"
+            f"1\ta{line.format(number)}"
+            "#end document\n")
+    with pytest.raises(EmptyCorpusError) as excinfo:
+        parse_corpus(text)
+    assert excinfo.value.diagnostics == [
+        ParseDiagnostic(2, "error",
+                        f"document 'd': token index {number!r}, expected 1"),
+        ParseDiagnostic(5, "error",
+                        f"document 'e': dependency head {number!r} is not a number"),
+    ]
+
+
+@pytest.mark.parametrize("head", ["3", "03", "\u0663"])
+def test_head_beyond_sentence_is_reported_on_its_own_line(head):
+    text = ("#begin document d\n"
+            "1\ta\ta\tX\t_\t3\tdep\tO\t-\n"
+            "2\tb\tb\tX\t_\t3\tdep\tO\t-\n"
+            "3\tc\tc\tX\t_\t0\tdep\tO\t-\n"
+            "\n"
+            f"1\td\td\tX\t_\t{head}\tdep\tO\t-\n"
+            "2\te\te\tX\t_\t0\tdep\tO\t-\n"
+            "#end document\n")
+    with pytest.raises(EmptyCorpusError) as excinfo:
+        parse_corpus(text)
+    assert excinfo.value.diagnostics == [ParseDiagnostic(
+        6, "error", "document 'd': dependency head 3 beyond sentence of 2 tokens")]
+    # one more token makes room for the head
+    longer = text.replace("#end", "3\tf\tf\tX\t_\t0\tdep\tO\t-\n#end")
+    corpus, diagnostics = parse_corpus(longer)
+    assert diagnostics == []
+    assert corpus.documents[0].sentences[1][0].dep_head == 2
+
+
 def test_duplicate_document_id_keeps_the_first():
     text = ("#begin document twin\n1\ta\ta\tX\t_\t0\tdep\tO\t-\n#end document\n"
             "#begin document twin\n1\tb\tb\tX\t_\t0\tdep\tO\t-\n#end document\n")
@@ -226,6 +286,37 @@ def test_serialize_rejects_same_cluster_crossing_spans():
         Cluster(0, (MentionSpan(0, 0, 2), MentionSpan(0, 1, 3))),))
     with pytest.raises(ValidationError, match="cross"):
         serialize_corpus(Corpus((crossing,)))
+
+
+def unserializable_documents():
+    """Documents that validate_document rejects, one per line break and
+    place, plus empty sentences; without validation each would serialize
+    to text that does not parse back to the same document."""
+    plain = corpusgen.build_doc("d", [[corpusgen.tok("a"), corpusgen.tok("b")]])
+    first, second = plain.sentences[0]
+    for i, char in enumerate("\t" + corpusgen.LINE_BREAKS):
+        field = corpusgen.TEXT_FIELDS[i % len(corpusgen.TEXT_FIELDS)]
+        broken = replace(first, **{field: f"x{char}y"})
+        yield pytest.param(replace(plain, sentences=((broken, second),)),
+                           id=f"{field}-{ascii(char)}")
+        if char != "\t":
+            yield pytest.param(replace(plain, id=f"d{char}e"), id=f"id-{ascii(char)}")
+    for label, shape in (("only", (0,)), ("first", (0, 2)),
+                         ("middle", (2, 0, 1)), ("last", (1, 0))):
+        yield pytest.param(corpusgen.build_doc(
+            "d", [[corpusgen.tok("w")] * n for n in shape]), id=f"empty-{label}")
+
+
+@pytest.mark.parametrize("doc", unserializable_documents())
+def test_serialize_refuses_what_would_not_parse_back(doc):
+    corpus = Corpus((doc,))
+    with pytest.raises(ValidationError):
+        serialize_corpus(corpus)
+    try:
+        reparsed, _ = parse_corpus(serialize_corpus(corpus, validate=False))
+    except EmptyCorpusError:
+        return
+    assert reparsed != corpus
 
 
 def test_strip_singletons_sizes_and_idempotence():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -140,6 +141,75 @@ def test_validate_empty_form_and_literal_feats():
 def test_validate_tab_in_field():
     bad = Document("d", ((Token(0, 0, "a\tb"),),))
     assert any("tab or newline" in m for m in _errors(validate_document(bad)))
+
+
+def test_line_breaks_are_what_splitlines_splits_on():
+    found = "".join(c for c in map(chr, range(0x110000))
+                    if len(f"a{c}b".splitlines()) == 2)
+    assert found == corpusgen.LINE_BREAKS
+
+
+@pytest.mark.parametrize("char", "\t" + corpusgen.LINE_BREAKS, ids=ascii)
+@pytest.mark.parametrize("field", corpusgen.TEXT_FIELDS)
+def test_validate_line_break_in_token_field(field, char):
+    bad = Document("d", ((replace(Token(0, 0, "x"), **{field: f"a{char}b"}),),))
+    assert _errors(validate_document(bad)) == [
+        f"document 'd': sentence 0 token 0: {field} contains a tab or newline"]
+
+
+@pytest.mark.parametrize("char", corpusgen.LINE_BREAKS, ids=ascii)
+def test_validate_line_break_in_document_id(char):
+    bad = Document(f"a{char}b", ((Token(0, 0, "x"),),))
+    assert _errors(validate_document(bad)) == [
+        f"document {bad.id!r}: id contains a newline"]
+
+
+def test_tab_in_document_id_is_fine():
+    assert validate_document(Document("a\tb", ((Token(0, 0, "x"),),))) == []
+
+
+@pytest.mark.parametrize("shape,empty", [
+    ((0,), 0), ((0, 2), 0), ((2, 0, 1), 1), ((1, 0), 1)],
+    ids=["only", "first", "middle", "last"])
+def test_validate_empty_sentence(shape, empty):
+    doc = corpusgen.build_doc(
+        "d", [[corpusgen.tok("w")] * n for n in shape])
+    assert _errors(validate_document(doc)) == [
+        f"document 'd': sentence {empty} is empty"]
+
+
+def test_token_messages_keep_their_order():
+    """Tokens failing several checks report them in the order of the
+    full per-token rule, which the test spells out; clean tokens with
+    unprintable but harmless characters report nothing."""
+    tokens = [
+        Token(0, 0, "ok"),
+        Token(0, 0, "", feats="_", dep_head=7),
+        Token(3, 2, "a\u2028b", lemma="c\td", ner="\x85", dep_head=-1),
+        Token(0, 3, "\xa0\xad\x00", lemma="\u200b", pos="\x7f",
+              feats="\x1f", dep_rel="\ud800", ner="\ue000"),
+        Token(0, 4, "ok", dep_head=4),
+    ]
+    doc = Document("d", (tuple(tokens),))
+
+    def full_rule(ti, token):
+        where = f"document 'd': sentence 0 token {ti}"
+        if (token.sentence_index, token.token_index) != (0, ti):
+            yield (f"{where}: stored position ({token.sentence_index}, "
+                   f"{token.token_index}) disagrees with the grid")
+        if not token.form:
+            yield f"{where}: empty form"
+        if token.feats == "_":
+            yield f"{where}: feats is the literal '_', use an empty string"
+        for name in corpusgen.TEXT_FIELDS:
+            if any(c in getattr(token, name) for c in "\t" + corpusgen.LINE_BREAKS):
+                yield f"{where}: {name} contains a tab or newline"
+        if token.dep_head is not None and not 0 <= token.dep_head < len(tokens):
+            yield f"{where}: dep head {token.dep_head} out of range"
+
+    expected = [m for ti, token in enumerate(tokens) for m in full_rule(ti, token)]
+    assert len(expected) == 9
+    assert _errors(validate_document(doc)) == expected
 
 
 def test_validate_dep_head_range():

@@ -288,6 +288,25 @@ def test_transforms_preserve_grid_and_clusters():
             assert out.id == doc.id, label
 
 
+KEPT_COLUMNS = ("sentence_index", "token_index", "pos", "feats", "dep_head",
+                "dep_rel", "ner")
+
+
+def test_transforms_change_only_forms_and_lemmas():
+    rng = random.Random(43)
+    docs = [corpusgen.random_document(rng, "d") for _ in range(40)]
+    for label, fn in all_transforms():
+        kept = KEPT_COLUMNS + (("lemma",) if label == "delexicalize" else ())
+        rewritten = 0
+        for doc in docs:
+            for before, after in zip(doc.tokens(), fn(doc).tokens()):
+                assert type(after) is Token, label
+                for name in kept:
+                    assert getattr(after, name) == getattr(before, name), (label, name)
+                rewritten += after != before
+        assert rewritten, label
+
+
 def test_transforms_commute_with_strip_singletons():
     rng = random.Random(42)
     for _ in range(40):
