@@ -6,37 +6,45 @@ token-level transforms (pronoun swapping, name anonymization, noun
 neutralization, delexicalization), dataset builders, a rule-based
 baseline resolver and two evaluation measures (LEA and a pronoun
 resolution score). The ``corefkit`` command wraps all of it.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first use (PEP 562), so a command
+loads only the modules it runs.
 """
-from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
-                            antecedents, map_documents, mention_containing)
-from corefkit.conll import parse_corpus, serialize_corpus, strip_singletons
-from corefkit.lexicon import (PronounParadigm, RewriteLexicon,
-                              builtin_noun_lexicon, builtin_paradigms,
-                              get_paradigm, load_noun_lexicon, lookup_noun)
-from corefkit.transform import (ClassifierConfig, PronounRole,
-                                TransformOptions, anonymize_names,
-                                classify_pronoun, delexicalize,
-                                pronoun_specific, replace_nouns, swap_pronouns)
-from corefkit.metrics import (EvalReport, LeaScore, PronounScoreResult,
-                              aggregate, evaluate, lea, pronoun_score)
-from corefkit.resolver import ResolverConfig, resolve
-from corefkit.builder import (PartitionSpec, build_cda, build_unseen,
-                              sample_partitions)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cluster", "Corpus", "Document", "MentionSpan", "Token",
-    "antecedents", "map_documents", "mention_containing",
-    "parse_corpus", "serialize_corpus", "strip_singletons",
-    "PronounParadigm", "RewriteLexicon", "builtin_noun_lexicon",
-    "builtin_paradigms", "get_paradigm", "load_noun_lexicon", "lookup_noun",
-    "ClassifierConfig", "PronounRole", "TransformOptions",
-    "anonymize_names", "classify_pronoun", "delexicalize",
-    "pronoun_specific", "replace_nouns", "swap_pronouns",
-    "EvalReport", "LeaScore", "PronounScoreResult",
-    "aggregate", "evaluate", "lea", "pronoun_score",
-    "ResolverConfig", "resolve",
-    "PartitionSpec", "build_cda", "build_unseen", "sample_partitions",
-    "__version__",
-]
+# The home module of every public name, in the order of ``__all__``.
+_HOMES = {
+    "model": ("Cluster", "Corpus", "Document", "MentionSpan", "Token",
+              "antecedents", "map_documents", "mention_containing"),
+    "conll": ("parse_corpus", "serialize_corpus", "strip_singletons"),
+    "lexicon": ("PronounParadigm", "RewriteLexicon", "builtin_noun_lexicon",
+                "builtin_paradigms", "get_paradigm", "load_noun_lexicon",
+                "lookup_noun"),
+    "transform": ("ClassifierConfig", "PronounRole", "TransformOptions",
+                  "anonymize_names", "classify_pronoun", "delexicalize",
+                  "pronoun_specific", "replace_nouns", "swap_pronouns"),
+    "metrics": ("EvalReport", "LeaScore", "PronounScoreResult",
+                "aggregate", "evaluate", "lea", "pronoun_score"),
+    "resolver": ("ResolverConfig", "resolve"),
+    "builder": ("PartitionSpec", "build_cda", "build_unseen",
+                "sample_partitions"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

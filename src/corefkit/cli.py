@@ -13,24 +13,23 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import logging
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
+# Each handler imports the modules it runs, so a command loads only its
+# own layers; the top imports only what every command needs.
 from corefkit import __version__
-from corefkit.builder import PartitionSpec, build_cda, build_unseen, sample_partitions
-from corefkit.conll import parse_corpus, serialize_corpus, strip_singletons
 from corefkit.errors import CorefKitError, EmptyCorpusError
 from corefkit.lexicon import (builtin_paradigms, get_paradigm,
                               load_noun_lexicon)
-from corefkit.metrics import evaluate, format_report, report_keyvalues
-from corefkit.model import Corpus, map_documents
-from corefkit.resolver import ResolverConfig, resolve
-from corefkit.stats import FrequencyReport, corpus_summary, pronoun_frequencies
-from corefkit.transform import (ClassifierConfig, TransformOptions,
-                                delexicalize, pronoun_specific)
+
+if TYPE_CHECKING:
+    from corefkit.model import Corpus
+    from corefkit.stats import FrequencyReport
+    from corefkit.transform import ClassifierConfig
 
 _PARADIGM_NAMES = tuple(p.name for p in builtin_paradigms())
 
@@ -50,6 +49,8 @@ class _Output:
 
 
 def _read_corpus(path: str) -> Corpus:
+    from corefkit.conll import parse_corpus
+
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -71,6 +72,8 @@ def _print_diagnostics(path: str, diagnostics) -> None:
 
 
 def _load_classifier(path: str | None) -> ClassifierConfig:
+    from corefkit.transform import ClassifierConfig
+
     if path is None:
         return ClassifierConfig()
     with open(path, encoding="utf-8") as handle:
@@ -80,6 +83,10 @@ def _load_classifier(path: str | None) -> ClassifierConfig:
 def _load_lexicon(path: str | None):
     if path is None:
         return None
+    # A lexicon file may log a duplicate-key warning; nothing else logs.
+    import logging
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
+                        format="%(levelname)s: %(message)s")
     with open(path, encoding="utf-8") as handle:
         return load_noun_lexicon(handle)
 
@@ -92,6 +99,8 @@ def _to_output(args, text: str) -> _Output:
 
 
 def _corpus_result(args, corpus: Corpus) -> _Output:
+    from corefkit.conll import serialize_corpus
+
     return _to_output(args, serialize_corpus(corpus))
 
 
@@ -142,6 +151,8 @@ def _render_stats(report: FrequencyReport) -> str:
 
 
 def _cmd_stats(args) -> _Output:
+    from corefkit.stats import corpus_summary, pronoun_frequencies
+
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
     if args.summary_only:
@@ -153,11 +164,17 @@ def _cmd_stats(args) -> _Output:
 
 
 def _cmd_strip_singletons(args) -> _Output:
+    from corefkit.conll import strip_singletons
+    from corefkit.model import map_documents
+
     corpus = _read_corpus(args.input)
     return _corpus_result(args, map_documents(corpus, strip_singletons))
 
 
 def _cmd_transform(args) -> _Output:
+    from corefkit.model import map_documents
+    from corefkit.transform import TransformOptions, pronoun_specific
+
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
     lexicon = _load_lexicon(args.lexicon)
@@ -172,6 +189,9 @@ def _cmd_transform(args) -> _Output:
 
 
 def _cmd_delex(args) -> _Output:
+    from corefkit.model import map_documents
+    from corefkit.transform import delexicalize
+
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
     return _corpus_result(
@@ -180,6 +200,8 @@ def _cmd_delex(args) -> _Output:
 
 def _variant_inputs(args):
     """Corpus, classifier, lexicon and options of ``cda`` and ``unseen``."""
+    from corefkit.transform import TransformOptions
+
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
     lexicon = _load_lexicon(args.lexicon)
@@ -189,12 +211,18 @@ def _variant_inputs(args):
 
 
 def _cmd_cda(args) -> _Output:
+    from corefkit.builder import build_cda
+
     corpus, config, lexicon, options = _variant_inputs(args)
     augmented, assignment = build_cda(corpus, args.seed, config, lexicon, options)
     return _with_assignments(args, _corpus_result(args, augmented), assignment)
 
 
 def _cmd_sample(args) -> _Output:
+    from fractions import Fraction
+
+    from corefkit.builder import PartitionSpec, sample_partitions
+
     corpus = _read_corpus(args.input)
     n = len(corpus.documents)
     if args.count is not None:
@@ -218,6 +246,8 @@ def _cmd_sample(args) -> _Output:
 
 
 def _cmd_unseen(args) -> _Output:
+    from corefkit.builder import build_unseen
+
     corpus, config, lexicon, options = _variant_inputs(args)
     rewritten, assignment = build_unseen(corpus, args.seed, args.fixed,
                                          config, lexicon, options)
@@ -225,6 +255,9 @@ def _cmd_unseen(args) -> _Output:
 
 
 def _cmd_resolve_baseline(args) -> _Output:
+    from corefkit.model import map_documents
+    from corefkit.resolver import ResolverConfig, resolve
+
     corpus = _read_corpus(args.input)
     classifier = _load_classifier(args.config)
     resolver_config = ResolverConfig(
@@ -236,6 +269,8 @@ def _cmd_resolve_baseline(args) -> _Output:
 
 
 def _cmd_score(args) -> _Output:
+    from corefkit.metrics import evaluate, format_report, report_keyvalues
+
     gold = _read_corpus(args.gold)
     pred = _read_corpus(args.pred)
     config = _load_classifier(args.config)
@@ -244,6 +279,21 @@ def _cmd_score(args) -> _Output:
                       macro_pronouns=args.macro)
     return _to_output(
         args, format_report(report) + "\n\n" + report_keyvalues(report) + "\n")
+
+
+def _fraction(text: str):
+    """``--fraction`` as a ``Fraction``, importing ``fractions`` only
+    when the option is given."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:  # "1/0": a usage error, not a crash
+        raise ValueError(str(exc)) from None
+
+
+# argparse names the type in its usage error: "invalid Fraction value: 'x'".
+_fraction.__name__ = "Fraction"
 
 
 # Options that several subcommands take, each declared once.
@@ -323,7 +373,7 @@ def build_parser() -> _ArgumentParser:
     p = commands.add_parser("sample", help="draw training partitions")
     _add_shared(p, "input")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fraction", type=Fraction,
+    group.add_argument("--fraction", type=_fraction,
                        help="partition size as a fraction of the corpus, "
                             "for example 0.1 or 1/8 (floor rounding)")
     group.add_argument("--count", type=int,
@@ -370,27 +420,45 @@ def build_parser() -> _ArgumentParser:
 def _write_files(files: dict[str, str]) -> None:
     """Write all files or none.
 
-    Each file first goes to a temp file beside its target. The targets
-    are replaced only once every write has succeeded; on any error the
-    temp files are removed.
+    Each file first goes to a temp file beside its target, with the mode
+    of the file it replaces. A symlink is followed, so the file it names
+    is written and the link stays. The targets are replaced only once
+    every write has succeeded; on any error the temp files are removed.
+    A target that exists but is not a regular file (a FIFO, say) cannot
+    be replaced: it is written directly, after every temp file, so that
+    write alone is not all-or-nothing.
     """
     staged: list[tuple[str, str]] = []
+    direct: list[tuple[str, str]] = []
     try:
         for i, (path, content) in enumerate(files.items()):
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            try:
+                mode = os.stat(target).st_mode
+            except OSError:
+                mode = None  # not there yet; staging reports any other cause
             # Caught here, a directory target would only fail in
             # os.replace, after earlier targets were already replaced.
-            if os.path.isdir(path):
+            if mode is not None and stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                         path)
-            directory, name = os.path.split(path)
+            if mode is not None and not stat.S_ISREG(mode):
+                direct.append((target, content))
+                continue
+            directory, name = os.path.split(target)
             if directory:
                 os.makedirs(directory, exist_ok=True)
             temp = os.path.join(directory, f".{name}.{os.getpid()}.{i}.tmp")
             with open(temp, "x", encoding="utf-8", newline="") as handle:
-                staged.append((temp, path))
+                staged.append((temp, target))
+                if mode is not None:
+                    os.chmod(temp, stat.S_IMODE(mode))
                 handle.write(content)
-        for temp, path in staged:
-            os.replace(temp, path)
+        for target, content in direct:
+            with open(target, "w", encoding="utf-8", newline="") as handle:
+                handle.write(content)
+        for temp, target in staged:
+            os.replace(temp, target)
     except BaseException:
         for temp, _ in staged:
             try:
@@ -400,9 +468,22 @@ def _write_files(files: dict[str, str]) -> None:
         raise
 
 
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # What could not be written stays buffered, and the interpreter
+        # would retry it at exit and report the failure a second time.
+        # Closing the stream drops it (the close itself fails the same way).
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+        raise
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -411,11 +492,11 @@ def main(argv=None) -> int:
     try:
         result = args.handler(args)
         _write_files(result.files)
+        if result.stdout is not None:
+            _write_stdout(result.stdout)
     except (CorefKitError, ValueError, OSError) as exc:
         print(f"corefkit: error: {exc}", file=sys.stderr)
         return 2
-    if result.stdout is not None:
-        sys.stdout.write(result.stdout)
     return 0
 
 

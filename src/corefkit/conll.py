@@ -130,6 +130,7 @@ class _DocumentReader:
 
     def _coref_entries(self, line_number: int, field: str, tok: int) -> None:
         sent = len(self.sentences)
+        spans = self.spans
         for entry in field.split("|"):
             # ``(id`` opens a span, ``id)`` closes one, ``(id)`` is a
             # single token; the id is a decimal numeral.
@@ -143,9 +144,10 @@ class _DocumentReader:
                 self.error(line_number, f"malformed coreference entry {entry!r}")
                 continue
             if opens and closes:
-                self.spans.setdefault(cid, []).append(_span(sent, tok, tok))
+                span = _span(sent, tok, tok)
             elif opens:
                 self.open_spans.setdefault(cid, []).append((tok, line_number))
+                continue
             else:
                 stack = self.open_spans.get(cid)
                 if not stack:
@@ -153,7 +155,13 @@ class _DocumentReader:
                                f"'{entry}' closes cluster {cid} that is not open")
                     continue
                 start, _ = stack.pop()
-                self.spans.setdefault(cid, []).append(_span(sent, start, tok))
+                span = _span(sent, start, tok)
+            # ``get`` first: ``setdefault`` would allocate a list per entry.
+            mentions = spans.get(cid)
+            if mentions is None:
+                spans[cid] = [span]
+            else:
+                mentions.append(span)
 
     def end_sentence(self) -> None:
         if not self.tokens:

