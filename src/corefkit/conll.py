@@ -278,17 +278,21 @@ def _coref_fields(document: Document) -> dict[tuple[int, int], str]:
                                  []).append((cluster.id, span.end))
                 closes.setdefault((span.sentence_index, span.end),
                                   []).append(cluster.id)
+    # Most annotated tokens carry single-token spans only; a token where
+    # a longer span opens or closes is written again in full below.
     fields: dict[tuple[int, int], str] = {}
-    for key in opens.keys() | singles.keys() | closes.keys():
-        parts = []
+    for key, cids in singles.items():
+        if len(cids) == 1:
+            fields[key] = f"({cids[0]})"
+        else:
+            fields[key] = "|".join([f"({cid})" for cid in sorted(cids)])
+    for key in opens.keys() | closes.keys():
         # Same-id spans sharing a start must open longest first so that
         # the reader's innermost-closes-first matching restores them.
-        for cid, _ in sorted(opens.get(key, ()), key=lambda p: (p[0], -p[1])):
-            parts.append(f"({cid}")
-        for cid in sorted(singles.get(key, ())):
-            parts.append(f"({cid})")
-        for cid in sorted(closes.get(key, ())):
-            parts.append(f"{cid})")
+        parts = [f"({cid}" for cid, _ in sorted(opens.get(key, ()),
+                                                key=lambda p: (p[0], -p[1]))]
+        parts += [f"({cid})" for cid in sorted(singles.get(key, ()))]
+        parts += [f"{cid})" for cid in sorted(closes.get(key, ()))]
         fields[key] = "|".join(parts)
     return fields
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from corefkit.errors import AlignmentError
-from corefkit.model import Corpus, Document, MentionSpan, Token
+from corefkit.model import Corpus, Document, MentionSpan, Token, _span_key
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
-                                classify_pronoun)
+                                _role_table)
 
 __all__ = [
     "LeaScore",
@@ -131,10 +131,12 @@ def _lea_sums(gold: Document, pred: Document,
               ignore_singletons: bool) -> tuple[float, int, float, int]:
     gold_sets = _entity_sets(gold, ignore_singletons)
     pred_sets = _entity_sets(pred, ignore_singletons)
-    ids: dict[MentionSpan, int] = {}
+    # Keyed by ``_span_key`` tuples, which hash in C, unlike the
+    # generated ``MentionSpan.__hash__``.
+    ids: dict[tuple[int, int, int], int] = {}
 
     def interned(sets: list[Sequence[MentionSpan]]) -> list[list[int]]:
-        return [[ids.setdefault(span, len(ids)) for span in entity]
+        return [[ids.setdefault(key, len(ids)) for key in map(_span_key, entity)]
                 for entity in sets]
 
     gold_ids = interned(gold_sets)
@@ -163,8 +165,8 @@ def lea(gold: Document, pred: Document,
 
 
 def _check_same_grid(gold: Document, pred: Document) -> None:
-    gold_shape = tuple(len(s) for s in gold.sentences)
-    pred_shape = tuple(len(s) for s in pred.sentences)
+    gold_shape = tuple(map(len, gold.sentences))
+    pred_shape = tuple(map(len, pred.sentences))
     if gold_shape != pred_shape:
         raise AlignmentError(
             f"document {gold.id!r}: gold and prediction disagree on the "
@@ -172,30 +174,31 @@ def _check_same_grid(gold: Document, pred: Document) -> None:
 
 
 def _antecedent_hits(gold: Document,
-                     pred: Document) -> dict[MentionSpan, bool | None]:
+                     pred: Document) -> dict[tuple[int, int, int], bool | None]:
     """Pronoun-score outcome of every gold mention, in linear time.
 
     A span counts at its first position in the first gold cluster that
     lists it, and likewise on the predicted side. The value is None when
     nothing precedes that position (a first mention); otherwise it says
     whether the predicted antecedents share a span with the gold ones.
-    Spans absent from the result are no gold mention.
+    Spans are keyed by their ``_span_key`` tuple; spans absent from the
+    result are no gold mention.
     """
     # span -> [(predicted cluster, first position in it), ...], in
     # cluster order, so the first pair is the one the span is judged by
-    pred_positions: dict[MentionSpan, list[tuple[int, int]]] = {}
+    pred_positions: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for q, cluster in enumerate(pred.clusters):
-        for k, span in enumerate(cluster.mentions):
+        for k, span in enumerate(map(_span_key, cluster.mentions)):
             positions = pred_positions.setdefault(span, [])
             if not positions or positions[-1][0] != q:
                 positions.append((q, k))
 
-    hits: dict[MentionSpan, bool | None] = {}
+    hits: dict[tuple[int, int, int], bool | None] = {}
     for cluster in gold.clusters:
         # predicted cluster -> smallest position in it of a gold mention
         # seen so far in this gold cluster, i.e. of an antecedent
         lowest: dict[int, int] = {}
-        for i, span in enumerate(cluster.mentions):
+        for i, span in enumerate(map(_span_key, cluster.mentions)):
             positions = pred_positions.get(span, ())
             if span not in hits:
                 if i == 0:
@@ -227,7 +230,12 @@ def pronoun_score(gold: Document, pred: Document,
     """
     _check_same_grid(gold, pred)
     if is_counted is None:
-        is_counted = lambda token: classify_pronoun(token, config) is not None
+        roles = _role_table(config)
+        counted = [token for sentence in gold.sentences for token in sentence
+                   if roles[token.pos, token.feats] is not None]
+    else:
+        counted = [token for sentence in gold.sentences for token in sentence
+                   if is_counted(token)]
 
     hits = _antecedent_hits(gold, pred)
     resolved = 0
@@ -235,24 +243,20 @@ def pronoun_score(gold: Document, pred: Document,
     non_mention = 0
     first_mentions = 0
     per_form: dict[str, tuple[int, int]] = {}
-    for sentence in gold.sentences:
-        for token in sentence:
-            if not is_counted(token):
-                continue
-            span = MentionSpan(token.sentence_index, token.token_index,
-                               token.token_index)
-            if span not in hits:
-                non_mention += 1
-                continue
-            hit = hits[span]
-            if hit is None:
-                first_mentions += 1
-                continue
-            total += 1
-            resolved += hit
-            form = token.form.lower()
-            old = per_form.get(form, (0, 0))
-            per_form[form] = (old[0] + hit, old[1] + 1)
+    for token in counted:
+        key = (token.sentence_index, token.token_index, token.token_index)
+        if key not in hits:
+            non_mention += 1
+            continue
+        hit = hits[key]
+        if hit is None:
+            first_mentions += 1
+            continue
+        total += 1
+        resolved += hit
+        form = token.form.lower()
+        old = per_form.get(form, (0, 0))
+        per_form[form] = (old[0] + hit, old[1] + 1)
 
     score = 100.0 * resolved / total if total else None
     return PronounScoreResult(score, resolved, total, per_form,
@@ -295,7 +299,7 @@ def evaluate(gold: Corpus, pred: Corpus,
     per_form: dict[str, tuple[int, int]] = {}
     doc_scores: list[float] = []
     for gold_doc, pred_doc in pairs:
-        _check_same_grid(gold_doc, pred_doc)
+        # ``pronoun_score`` checks the token grids of the pair.
         part = _lea_sums(gold_doc, pred_doc, ignore_singletons)
         sums = tuple(a + b for a, b in zip(sums, part))
         outcome = pronoun_score(gold_doc, pred_doc, is_counted, config)

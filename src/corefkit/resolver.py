@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from corefkit.model import Cluster, Document, MentionSpan, _span, _span_key
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
-                                DEFAULT_CLASSIFIER_CONFIG, classify_pronoun)
+                                DEFAULT_CLASSIFIER_CONFIG, _role_table)
 
 __all__ = ["ResolverConfig", "resolve"]
 
@@ -26,20 +26,34 @@ class ResolverConfig:
     enable_string_match: bool = True
 
 
-def _name_mentions(document: Document) -> list[MentionSpan]:
-    mentions = []
+def _mentions(document: Document, classifier: ClassifierConfig
+              ) -> tuple[list[MentionSpan], list[MentionSpan]]:
+    """Name and pronoun mentions, each list in document order.
+
+    A name mention is a maximal run of name-like tokens; a pronoun inside
+    one is part of the name, not a mention of its own.
+    """
+    roles = _role_table(classifier)
+    names = []
+    pronouns = []
     for si, sentence in enumerate(document.sentences):
         start = None
         for ti, token in enumerate(sentence):
-            name_like = token.ner == "PER" or ANON_FORM_RE.fullmatch(token.form)
-            if name_like and start is None:
-                start = ti
-            elif not name_like and start is not None:
-                mentions.append(_span(si, start, ti - 1))
+            form = token.form
+            # The prefix test spares the regex on almost every token.
+            if token.ner == "PER" or (form.startswith("ANON_")
+                                      and ANON_FORM_RE.fullmatch(form)):
+                if start is None:
+                    start = ti
+                continue
+            if start is not None:
+                names.append(_span(si, start, ti - 1))
                 start = None
+            if roles[token.pos, token.feats] is not None:
+                pronouns.append(_span(si, ti, ti))
         if start is not None:
-            mentions.append(_span(si, start, len(sentence) - 1))
-    return mentions
+            names.append(_span(si, start, len(sentence) - 1))
+    return names, pronouns
 
 
 def resolve(document: Document,
@@ -52,26 +66,19 @@ def resolve(document: Document,
     contain at least two mentions each. The procedure is a pure function
     of the token grid, so repeated runs agree byte for byte.
     """
-    names = _name_mentions(document)
-    covered = {(span.sentence_index, ti)
-               for span in names for ti in range(span.start, span.end + 1)}
-    pronouns = [
-        _span(token.sentence_index, token.token_index, token.token_index)
-        for token in document.tokens()
-        if (token.sentence_index, token.token_index) not in covered
-        and classify_pronoun(token, classifier) is not None
-    ]
+    names, pronouns = _mentions(document, classifier)
 
-    # Sieve 1: exact-match merging of name mentions.
+    # Sieve 1: exact-match merging of name mentions. ``group_of[i]`` is
+    # the group key of ``names[i]``.
     groups: dict[object, list[MentionSpan]] = {}
-    group_of: dict[MentionSpan, object] = {}
-    for span in names:
+    group_of: list[object] = []
+    for i, span in enumerate(names):
         if config.enable_string_match:
             key: object = " ".join(document.span_forms(span)).lower()
         else:
-            key = span
+            key = i
         groups.setdefault(key, []).append(span)
-        group_of[span] = key
+        group_of.append(key)
 
     # Sieve 2: each pronoun joins the nearest preceding name mention
     # within the window. Names are in (sentence, end) order and pronouns
@@ -87,7 +94,7 @@ def resolve(document: Document,
             continue
         best = names[preceding - 1]
         if best.sentence_index >= pronoun.sentence_index - config.pronoun_window_sentences:
-            groups[group_of[best]].append(pronoun)
+            groups[group_of[preceding - 1]].append(pronoun)
 
     clusters = []
     for spans in groups.values():

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from corefkit.model import Corpus, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
-                                classify_pronoun)
+                                _ByPosFeats, classify_pronoun)
 
 __all__ = [
     "FUNCTIONS",
@@ -35,6 +35,10 @@ DEFAULT_REPORT_FORMS = (
 )
 
 MASCULINE_FORMS = frozenset({"hij", "hem", "zijn"})
+
+# The buckets that count as a pronoun in ``pronoun_count``.
+_PRONOUN_FUNCTIONS = frozenset({"personal_subject", "personal_object",
+                                "possessive"})
 
 RELATIVE_FEATS = frozenset({"PronType=Rel"})
 DEMONSTRATIVE_FEATS = frozenset({"PronType=Dem"})
@@ -83,31 +87,40 @@ def grammatical_function(token: Token,
 def _count(corpus: Corpus, wanted: tuple[str, ...], config: ClassifierConfig,
            masculine_forms: frozenset[str]) -> FrequencyReport:
     """One walk over the corpus: per-form rows for ``wanted`` plus totals."""
-    index = {form.lower(): i for i, form in enumerate(wanted)}
+    # Lowercased form -> every row that counts it; a form may be asked
+    # for twice, in any spelling.
+    index: dict[str, list[int]] = {}
+    for i, form in enumerate(wanted):
+        index.setdefault(form.lower(), []).append(i)
     totals = [0] * len(wanted)
     by_function = [dict.fromkeys(FUNCTIONS, 0) for _ in wanted]
     third_singular = [0] * len(wanted)
+    # (pos, feats) -> (function bucket, whether a third-person singular)
+    kinds = _ByPosFeats(lambda token: (
+        grammatical_function(token, config),
+        classify_pronoun(token, config) is not None))
     tokens = 0
     pronouns = 0
     third_sg = 0
     masculine = 0
     for document in corpus.documents:
-        for token in document.tokens():
-            tokens += 1
-            function = grammatical_function(token, config)
-            if function in ("personal_subject", "personal_object", "possessive"):
-                pronouns += 1
-            is_third_singular = classify_pronoun(token, config) is not None
-            form = token.form.lower()
-            if is_third_singular:
-                third_sg += 1
-                if form in masculine_forms:
-                    masculine += 1
-            i = index.get(form)
-            if i is not None:
-                totals[i] += 1
-                by_function[i][function] += 1
-                third_singular[i] += is_third_singular
+        for sentence in document.sentences:
+            tokens += len(sentence)
+            for token in sentence:
+                function, is_third_singular = kinds[token.pos, token.feats]
+                if function in _PRONOUN_FUNCTIONS:
+                    pronouns += 1
+                form = token.form.lower()
+                if is_third_singular:
+                    third_sg += 1
+                    if form in masculine_forms:
+                        masculine += 1
+                rows = index.get(form)
+                if rows is not None:
+                    for i in rows:
+                        totals[i] += 1
+                        by_function[i][function] += 1
+                        third_singular[i] += is_third_singular
     rows = tuple(
         FormFrequency(form.lower(), totals[i], by_function[i], third_singular[i])
         for i, form in enumerate(wanted))

@@ -16,7 +16,7 @@ from typing import Callable, TextIO
 
 from corefkit.errors import ConfigFormatError
 from corefkit.lexicon import (RewriteLexicon, PronounParadigm,
-                              builtin_noun_lexicon, lookup_noun, transfer_case)
+                              builtin_noun_lexicon, transfer_case)
 from corefkit.model import Document, Token
 
 __all__ = [
@@ -152,18 +152,110 @@ def classify_pronoun(token: Token,
     return None
 
 
-def _rewritten(token: Token, form: str, lemma: str) -> Token:
-    """``token`` with a new form and lemma, every other column kept."""
-    return Token(token.sentence_index, token.token_index, form, lemma,
-                 token.pos, token.feats, token.dep_head, token.dep_rel,
-                 token.ner)
+class _ByPosFeats(dict):
+    """A per-token decision that reads only ``pos`` and ``feats``, made
+    once per distinct ``(pos, feats)`` pair.
+
+    Index it with ``table[token.pos, token.feats]``. A pair seen for the
+    first time runs ``decide`` on a token carrying just those two
+    columns. A document holds a handful of distinct pairs, so a table
+    lives for one call and is never shared between calls.
+    """
+
+    __slots__ = ("decide",)
+
+    def __init__(self, decide: Callable[[Token], object]):
+        super().__init__()
+        self.decide = decide
+
+    def __missing__(self, key: tuple[str, str]) -> object:
+        pos, feats = key
+        value = self[key] = self.decide(Token(0, 0, "_", "_", pos, feats))
+        return value
 
 
-def _map_tokens(document: Document,
-                fn: Callable[[Token], Token]) -> Document:
-    sentences = tuple(tuple(fn(token) for token in sentence)
-                      for sentence in document.sentences)
-    return replace(document, sentences=sentences)
+def _role_table(config: ClassifierConfig) -> _ByPosFeats:
+    """``(pos, feats)`` -> :func:`classify_pronoun`'s role under ``config``."""
+    return _ByPosFeats(lambda token: classify_pronoun(token, config))
+
+
+def _rewrite(document: Document,
+             config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
+             pronoun_forms: dict[PronounRole, str] | None = None,
+             delex: bool = False,
+             names: dict[str, int] | None = None,
+             lexicon: RewriteLexicon | None = None,
+             nominal_pos: frozenset[str] = NOMINAL_POS) -> Document:
+    """The one rewrite loop behind every transform.
+
+    Each token's ``(form, lemma)`` goes through the enabled steps in
+    order, each seeing what the previous one produced:
+
+    1. with ``pronoun_forms``, a classified pronoun takes the form for its
+       role: as a tag in the form alone when ``delex`` is set, otherwise
+       case-transferred in the form and bare in the lemma;
+    2. with ``names`` (filled here), a PER token becomes ``ANON_x``, ``x``
+       being the dense first-occurrence index of its form so far;
+    3. with ``lexicon``, a nominal token with an entry takes the neutral
+       replacement.
+
+    A sentence without a rewritten token keeps its tuple, and a document
+    without one is returned as it is.
+    """
+    # (pos, feats) -> the form for the pronoun's role, or None. Mapping
+    # straight to the form skips ``PronounRole``'s Python-level hash.
+    targets = None
+    if pronoun_forms is not None:
+        targets = _ByPosFeats(
+            lambda token: pronoun_forms.get(classify_pronoun(token, config)))
+    entries = lexicon.entries if lexicon is not None else None
+    sentences = []
+    changed = False
+    for sentence in document.sentences:
+        rebuilt = None
+        for ti, token in enumerate(sentence):
+            form = token.form
+            lemma = token.lemma
+            if targets is not None:
+                target = targets[token.pos, token.feats]
+                if target is not None:
+                    if delex:
+                        form = target
+                    else:
+                        lemma = target
+                        form = transfer_case(form, target)
+            if names is not None and token.ner == "PER":
+                index = names.get(form)
+                if index is None:
+                    index = names[form] = len(names)
+                form = lemma = f"ANON_{index}"
+            if entries is not None and token.pos in nominal_pos:
+                entry = entries.get(form.lower())
+                if entry is not None:
+                    form = transfer_case(form, entry.replacement)
+                    lemma = form.lower()
+            if form != token.form or lemma != token.lemma:
+                if rebuilt is None:
+                    rebuilt = list(sentence)
+                rebuilt[ti] = Token(token.sentence_index, token.token_index,
+                                    form, lemma, token.pos, token.feats,
+                                    token.dep_head, token.dep_rel, token.ner)
+        if rebuilt is None:
+            sentences.append(sentence)
+        else:
+            sentences.append(tuple(rebuilt))
+            changed = True
+    if not changed:
+        return document
+    return replace(document, sentences=tuple(sentences))
+
+
+def _paradigm_forms(paradigm: PronounParadigm) -> dict[PronounRole, str]:
+    return {
+        PronounRole.SUBJECT: paradigm.subject_form,
+        PronounRole.OBJECT: paradigm.object_form,
+        PronounRole.POSSESSIVE: paradigm.possessive_form,
+    }
 
 
 def swap_pronouns(document: Document, paradigm: PronounParadigm,
@@ -175,20 +267,7 @@ def swap_pronouns(document: Document, paradigm: PronounParadigm,
     case falls back to lowercase). The lemma becomes the new lowercase
     form; feats, POS and everything else stay as they were.
     """
-    forms = {
-        PronounRole.SUBJECT: paradigm.subject_form,
-        PronounRole.OBJECT: paradigm.object_form,
-        PronounRole.POSSESSIVE: paradigm.possessive_form,
-    }
-
-    def rewrite(token: Token) -> Token:
-        role = classify_pronoun(token, config)
-        if role is None:
-            return token
-        target = forms[role]
-        return _rewritten(token, transfer_case(token.form, target), target)
-
-    return _map_tokens(document, rewrite)
+    return _rewrite(document, config, _paradigm_forms(paradigm))
 
 
 def anonymize_names(document: Document) -> tuple[Document, dict[str, int]]:
@@ -200,17 +279,7 @@ def anonymize_names(document: Document) -> tuple[Document, dict[str, int]]:
     form-to-index map. The map never carries over between documents.
     """
     indices: dict[str, int] = {}
-    for token in document.tokens():
-        if token.ner == "PER" and token.form not in indices:
-            indices[token.form] = len(indices)
-
-    def rewrite(token: Token) -> Token:
-        if token.ner != "PER":
-            return token
-        tag = f"ANON_{indices[token.form]}"
-        return _rewritten(token, tag, tag)
-
-    return _map_tokens(document, rewrite), indices
+    return _rewrite(document, names=indices), indices
 
 
 def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None,
@@ -223,16 +292,7 @@ def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None,
     the lowercase replacement.
     """
     lexicon = lexicon if lexicon is not None else builtin_noun_lexicon()
-
-    def rewrite(token: Token) -> Token:
-        if token.pos not in nominal_pos:
-            return token
-        replacement = lookup_noun(lexicon, token.form)
-        if replacement is None:
-            return token
-        return _rewritten(token, replacement, replacement.lower())
-
-    return _map_tokens(document, rewrite)
+    return _rewrite(document, lexicon=lexicon, nominal_pos=nominal_pos)
 
 
 def delexicalize(document: Document,
@@ -244,14 +304,7 @@ def delexicalize(document: Document,
     ``<POSS>``, with no capitalization transfer. Lemmas and all other
     columns are untouched.
     """
-
-    def rewrite(token: Token) -> Token:
-        role = classify_pronoun(token, config)
-        if role is None:
-            return token
-        return _rewritten(token, DELEX_TAGS[role], token.lemma)
-
-    return _map_tokens(document, rewrite)
+    return _rewrite(document, config, DELEX_TAGS, delex=True)
 
 
 def pronoun_specific(document: Document, paradigm: PronounParadigm | None,
@@ -262,13 +315,13 @@ def pronoun_specific(document: Document, paradigm: PronounParadigm | None,
     """The full rewrite pipeline for one target paradigm.
 
     Pronouns are swapped first (skipped when ``paradigm`` is None, which
-    yields the baseline variant), then names are anonymized and gendered
-    nouns neutralized according to ``options``.
+    yields the baseline variant), then names are anonymized by their
+    swapped forms and gendered nouns neutralized by their anonymized
+    forms, according to ``options``. All three run in one pass.
     """
-    if paradigm is not None:
-        document = swap_pronouns(document, paradigm, config)
-    if options.anonymize:
-        document, _ = anonymize_names(document)
-    if options.neutralize_nouns:
-        document = replace_nouns(document, lexicon)
-    return document
+    if options.neutralize_nouns and lexicon is None:
+        lexicon = builtin_noun_lexicon()
+    return _rewrite(document, config,
+                    _paradigm_forms(paradigm) if paradigm is not None else None,
+                    names={} if options.anonymize else None,
+                    lexicon=lexicon if options.neutralize_nouns else None)

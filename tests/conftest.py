@@ -4,8 +4,15 @@ import os
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from corefkit.conll import parse_corpus
+
+# ``HYPOTHESIS_PROFILE=ci`` prints a ``@reproduce_failure`` blob with every
+# property failure and lifts the deadline, which a slow runner may miss.
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"

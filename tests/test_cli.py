@@ -110,6 +110,13 @@ def test_stats_table_and_totals(cli):
     assert "third_singular_count=2" in out
 
 
+def test_stats_rows_of_forms_equal_ignoring_case(cli):
+    code, out, _ = cli("stats", DIALOGUE_GOLD, "--forms", "they", "THEY")
+    assert code == 0
+    rows = [line.split() for line in out.split("\n\n", 1)[0].splitlines()[1:]]
+    assert rows == [["they", "1", "1", "0", "0", "0", "0", "0", "1"]] * 2
+
+
 def test_stats_summary_only(cli):
     code, out, _ = cli("stats", DIALOGUE_GOLD, "--summary-only")
     assert code == 0
@@ -425,3 +432,37 @@ def test_replaced_output_keeps_its_mode(cli, tmp_path):
     assert cli("transform", HERSTEL, "-o", str(target))[0] == 0
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
     assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every rewrite, the resolver, the scorer and stats write the same
+    bytes whatever order the interpreter's string hashes give to sets."""
+    def outputs(seed):
+        work = tmp_path / f"seed{seed}"
+        work.mkdir()
+        gold, pred = str(work / "hen.conll"), str(work / "pred.conll")
+        commands = [
+            ["transform", E2E, "--paradigm", "hen", "--anonymize",
+             "--neutralize-nouns", "-o", gold],
+            ["delex", E2E],
+            ["cda", E2E, "--seed", "3", "-o", str(work / "cda.conll")],
+            ["unseen", E2E, "--seed", "3", "-o", str(work / "unseen.conll")],
+            ["resolve-baseline", gold, "-o", pred],
+            ["score", "--gold", gold, "--pred", pred],
+            ["stats", gold],
+        ]
+        env = {**child_env(), "PYTHONHASHSEED": str(seed)}
+        written = {}
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-c", "from corefkit.cli import run; run()", *argv],
+                capture_output=True, timeout=120, env=env)
+            assert done.returncode == 0, done.stderr
+            written[argv[0]] = done.stdout
+        for path in sorted(work.iterdir()):
+            written[path.name] = path.read_bytes()
+        return written
+
+    first = outputs(0)
+    assert len(first) == 7 + 6  # seven stdouts; four corpora, two sidecars
+    assert first == outputs(1)

@@ -63,6 +63,19 @@ def test_counting_is_case_insensitive():
     assert report.forms[0].form == "die"
 
 
+def test_forms_equal_ignoring_case_each_get_their_counts():
+    specs = [pron("hen", "Case=Acc|Number=Plur|Person=3|PronType=Prs"),
+             pron("Hen", "Case=Nom|" + PRS_3SG), pron("die", "PronType=Rel")]
+    corpus = Corpus((corpusgen.build_doc("d", [specs]),))
+    report = pronoun_frequencies(corpus, forms=("hen", "die", "HEN"))
+    first, die, last = report.forms
+    assert first == last
+    assert (first.form, first.total, first.third_singular) == ("hen", 2, 1)
+    assert first.by_function["personal_subject"] == 1
+    assert first.by_function["personal_object"] == 1
+    assert die.total == 1
+
+
 def test_masculine_share_example():
     specs = [pron("hij", "Case=Nom|" + PRS_3SG)] * 2 \
         + [pron("zijn", "Number=Sing|Person=3|Poss=Yes|PronType=Prs")] \
