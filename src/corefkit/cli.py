@@ -45,7 +45,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 @dataclass
 class _Output:
     stdout: str | None = None
-    files: dict[str, str] = field(default_factory=dict)
+    files: list[tuple[str, str]] = field(default_factory=list)  # (path, text)
 
 
 def _read_corpus(path: str) -> Corpus:
@@ -94,14 +94,23 @@ def _load_lexicon(path: str | None):
 def _to_output(args, text: str) -> _Output:
     """``text`` bound for the ``-o`` file, or for stdout without one."""
     if args.output and args.output != "-":
-        return _Output(files={args.output: text})
+        return _Output(files=[(args.output, text)])
     return _Output(stdout=text)
 
 
-def _corpus_result(args, corpus: Corpus) -> _Output:
-    from corefkit.conll import serialize_corpus
+def _corpus_result(args, corpus: Corpus, source: Corpus) -> _Output:
+    """``corpus``, mapped document by document from the parsed ``source``,
+    serialized for output.
 
-    return _to_output(args, serialize_corpus(corpus))
+    The parser guarantees ``source`` is valid, so only what the mapping
+    changed is validated; an error raises the :class:`ValidationError`
+    that ``serialize_corpus`` would.
+    """
+    from corefkit.conll import _raise_on_errors, serialize_corpus
+    from corefkit.model import _validate_mapped
+
+    _raise_on_errors(_validate_mapped(corpus, source))
+    return _to_output(args, serialize_corpus(corpus, validate=False))
 
 
 def _assignment_tsv(assignment: dict[str, str]) -> str:
@@ -113,7 +122,7 @@ def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Out
     if path is None and args.output and args.output != "-":
         path = args.output + ".assignments.tsv"
     if path is not None:
-        result.files[path] = _assignment_tsv(assignment)
+        result.files.append((path, _assignment_tsv(assignment)))
     return result
 
 
@@ -168,7 +177,7 @@ def _cmd_strip_singletons(args) -> _Output:
     from corefkit.model import map_documents
 
     corpus = _read_corpus(args.input)
-    return _corpus_result(args, map_documents(corpus, strip_singletons))
+    return _corpus_result(args, map_documents(corpus, strip_singletons), corpus)
 
 
 def _cmd_transform(args) -> _Output:
@@ -182,10 +191,8 @@ def _cmd_transform(args) -> _Output:
     options = TransformOptions(anonymize=args.anonymize,
                                neutralize_nouns=args.neutralize_nouns)
     rewritten = map_documents(
-        corpus,
-        lambda d: pronoun_specific(d, paradigm, config, lexicon, options),
-        args.jobs)
-    return _corpus_result(args, rewritten)
+        corpus, lambda d: pronoun_specific(d, paradigm, config, lexicon, options))
+    return _corpus_result(args, rewritten, corpus)
 
 
 def _cmd_delex(args) -> _Output:
@@ -195,7 +202,7 @@ def _cmd_delex(args) -> _Output:
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
     return _corpus_result(
-        args, map_documents(corpus, lambda d: delexicalize(d, config), args.jobs))
+        args, map_documents(corpus, lambda d: delexicalize(d, config)), corpus)
 
 
 def _variant_inputs(args):
@@ -215,7 +222,8 @@ def _cmd_cda(args) -> _Output:
 
     corpus, config, lexicon, options = _variant_inputs(args)
     augmented, assignment = build_cda(corpus, args.seed, config, lexicon, options)
-    return _with_assignments(args, _corpus_result(args, augmented), assignment)
+    return _with_assignments(args, _corpus_result(args, augmented, corpus),
+                             assignment)
 
 
 def _cmd_sample(args) -> _Output:
@@ -235,10 +243,9 @@ def _cmd_sample(args) -> _Output:
         spec = PartitionSpec(args.fraction, args.partitions, args.seed)
         partitions = sample_partitions(corpus, spec)
     if args.out_prefix:
-        files = {}
-        for i, ids in enumerate(partitions):
-            files[f"{args.out_prefix}{i}.txt"] = "".join(f"{x}\n" for x in ids)
-        return _Output(files=files)
+        return _Output(files=[(f"{args.out_prefix}{i}.txt",
+                               "".join(f"{x}\n" for x in ids))
+                              for i, ids in enumerate(partitions)])
     blocks = []
     for i, ids in enumerate(partitions):
         blocks.append(f"# partition {i}\n" + "".join(f"{x}\n" for x in ids))
@@ -251,7 +258,8 @@ def _cmd_unseen(args) -> _Output:
     corpus, config, lexicon, options = _variant_inputs(args)
     rewritten, assignment = build_unseen(corpus, args.seed, args.fixed,
                                          config, lexicon, options)
-    return _with_assignments(args, _corpus_result(args, rewritten), assignment)
+    return _with_assignments(args, _corpus_result(args, rewritten, corpus),
+                             assignment)
 
 
 def _cmd_resolve_baseline(args) -> _Output:
@@ -264,8 +272,8 @@ def _cmd_resolve_baseline(args) -> _Output:
         pronoun_window_sentences=args.window,
         enable_string_match=not args.no_string_match)
     resolved = map_documents(
-        corpus, lambda d: resolve(d, resolver_config, classifier), args.jobs)
-    return _corpus_result(args, resolved)
+        corpus, lambda d: resolve(d, resolver_config, classifier))
+    return _corpus_result(args, resolved, corpus)
 
 
 def _cmd_score(args) -> _Output:
@@ -306,8 +314,8 @@ _SHARED_OPTIONS = {
     "lexicon": (("--lexicon",),
                 dict(help="noun lexicon file (default: builtin)")),
     "jobs": (("--jobs",), dict(type=int, default=1,
-                               help="worker threads (default 1; output is "
-                                    "identical)")),
+                               help="ignored: the work runs in one thread "
+                                    "and the value changes nothing")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "assignments": (("--assignments",),
                     dict(help="write the document-to-paradigm TSV here "
@@ -417,8 +425,12 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
-def _write_files(files: dict[str, str]) -> None:
+def _write_files(files: list[tuple[str, str]]) -> None:
     """Write all files or none.
+
+    Two paths that resolve to one file (the same spelling, ``./X`` for
+    ``X``, or a symlink to it) are an error, raised before anything is
+    written: one text would silently replace the other.
 
     Each file first goes to a temp file beside its target, with the mode
     of the file it replaces. A symlink is followed, so the file it names
@@ -428,10 +440,17 @@ def _write_files(files: dict[str, str]) -> None:
     be replaced: it is written directly, after every temp file, so that
     write alone is not all-or-nothing.
     """
+    targets: dict[str, str] = {}
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in targets:
+            raise CorefKitError(f"outputs {targets[real]!r} and {path!r} "
+                                "name the same file")
+        targets[real] = path
     staged: list[tuple[str, str]] = []
     direct: list[tuple[str, str]] = []
     try:
-        for i, (path, content) in enumerate(files.items()):
+        for i, (path, content) in enumerate(files):
             target = os.path.realpath(path) if os.path.islink(path) else path
             try:
                 mode = os.stat(target).st_mode

@@ -31,7 +31,7 @@ from typing import TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
-                            _span, _span_key, validate_corpus)
+                            ValidationIssue, _span, _span_key, validate_corpus)
 
 __all__ = [
     "ParseDiagnostic",
@@ -190,7 +190,7 @@ class _DocumentReader:
         for cid in sorted(self.spans):
             mentions = sorted(self.spans[cid], key=_span_key)
             for a, b in zip(mentions, mentions[1:]):
-                if a == b:
+                if _span_key(a) == _span_key(b):
                     self.error(line_number,
                                f"cluster {cid} contains span {a} twice")
             clusters.append(Cluster(cid, tuple(mentions)))
@@ -297,6 +297,14 @@ def _coref_fields(document: Document) -> dict[tuple[int, int], str]:
     return fields
 
 
+def _raise_on_errors(issues: list[ValidationIssue]) -> None:
+    """Raise :class:`ValidationError` if ``issues`` holds an error."""
+    errors = [i for i in issues if i.severity == "error"]
+    if errors:
+        raise ValidationError(
+            f"corpus failed validation: {errors[0].message}", issues)
+
+
 def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
     """Render a corpus to its canonical byte representation.
 
@@ -304,11 +312,7 @@ def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
     :class:`ValidationError` is raised instead of writing broken output.
     """
     if validate:
-        issues = validate_corpus(corpus)
-        errors = [i for i in issues if i.severity == "error"]
-        if errors:
-            raise ValidationError(
-                f"corpus failed validation: {errors[0].message}", issues)
+        _raise_on_errors(validate_corpus(corpus))
     lines: list[str] = []
     for document in corpus.documents:
         lines.append(f"{BEGIN_PREFIX}{document.id}")

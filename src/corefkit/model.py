@@ -222,6 +222,20 @@ def validate_document(document: Document) -> list[ValidationIssue]:
     Errors make the document unusable for serialization; warnings flag
     tolerated annotation noise (a span appearing in several clusters).
     """
+    return _document_issues(document)
+
+
+def _document_issues(document: Document,
+                     source: Document | None = None) -> list[ValidationIssue]:
+    """:func:`validate_document`, skipping what ``document`` shares with
+    an error-free ``source``.
+
+    A sentence that is the source's sentence at the same index is not
+    checked, nor is a token that is the source's token at the same
+    position of a sentence of the same length. The clusters are not
+    checked when they are the source's and every sentence keeps its
+    source's length, since their checks read nothing else.
+    """
     issues: list[ValidationIssue] = []
 
     def error(message: str) -> None:
@@ -230,13 +244,40 @@ def validate_document(document: Document) -> list[ValidationIssue]:
     def warning(message: str) -> None:
         issues.append(ValidationIssue("warning", f"document {document.id!r}: {message}"))
 
-    if not _LINE_BREAKS.isdisjoint(document.id):
+    sentences = document.sentences
+    known = source.sentences if source is not None else ()
+    if ((source is None or document.id != source.id)
+            and not _LINE_BREAKS.isdisjoint(document.id)):
         error("id contains a newline")
-    for si, sentence in enumerate(document.sentences):
+    _check_sentences(error, sentences, known)
+    if (source is None or document.clusters is not source.clusters
+            or len(known) != len(sentences)
+            or any(len(a) != len(b) for a, b in zip(sentences, known))):
+        _check_clusters(error, warning, document)
+    return issues
+
+
+def _check_sentences(error: Callable[[str], None],
+                     sentences: tuple[tuple[Token, ...], ...],
+                     known: tuple[tuple[Token, ...], ...] = ()) -> None:
+    """Report what in ``sentences`` would not serialize.
+
+    ``known`` holds the error-free sentences of a source document. A
+    sentence that is the known one at its index is not checked, nor is a
+    token that is the token at its index of a known sentence of the same
+    length.
+    """
+    for si, sentence in enumerate(sentences):
+        original = known[si] if si < len(known) else None
+        if sentence is original:
+            continue
         size = len(sentence)
         if not size:
             error(f"sentence {si} is empty")
+        shared = original is not None and len(original) == size
         for ti, token in enumerate(sentence):
+            if shared and token is original[ti]:
+                continue
             head = token.dep_head
             # Every character in _FIELD_BREAKS is unprintable, so a
             # token passing this test is clean; the rest are checked in full.
@@ -261,6 +302,10 @@ def validate_document(document: Document) -> list[ValidationIssue]:
             if head is not None and not 0 <= head < size:
                 error(f"{where}: dep head {head} out of range")
 
+
+def _check_clusters(error: Callable[[str], None],
+                    warning: Callable[[str], None], document: Document) -> None:
+    """Report the cluster ids and spans of ``document`` that are broken."""
     ids = [c.id for c in document.clusters]
     if len(set(ids)) != len(ids):
         error("duplicate cluster ids")
@@ -312,18 +357,39 @@ def validate_document(document: Document) -> list[ValidationIssue]:
                         crossings.append((i, j))
         for i, j in sorted(crossings):
             error(f"cluster {cluster.id}: spans {spans[i]} and {spans[j]} cross")
-    return issues
 
 
 def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
+    return _corpus_issues((document, None) for document in corpus.documents)
+
+
+def _validate_mapped(corpus: Corpus, source: Corpus) -> list[ValidationIssue]:
+    """:func:`validate_corpus` for ``corpus`` mapped document by document
+    from ``source``, a corpus without errors, as every parsed one is.
+
+    Only what the mapping changed is checked (see :func:`_document_issues`),
+    and a document that is its source's is not checked at all, so the
+    errors reported are those of ``validate_corpus(corpus)``, in the same
+    order. Every id still takes part in the duplicate test: an earlier
+    document may be renamed to a later one's unchanged id.
+    """
+    if len(corpus.documents) != len(source.documents):
+        return validate_corpus(corpus)
+    return _corpus_issues(zip(corpus.documents, source.documents))
+
+
+def _corpus_issues(pairs) -> list[ValidationIssue]:
+    """The issues of each document of ``(document, source)`` pairs, the
+    source an error-free document or None, after its duplicate-id test."""
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
-    for document in corpus.documents:
+    for document, source in pairs:
         if document.id in seen:
             issues.append(ValidationIssue(
                 "error", f"duplicate document id {document.id!r}"))
         seen.add(document.id)
-        issues.extend(validate_document(document))
+        if document is not source:
+            issues.extend(_document_issues(document, source))
     return issues
 
 
@@ -337,20 +403,7 @@ def check_valid(corpus: Corpus) -> None:
             f"{len(errors)} validation error(s): {head}", issues)
 
 
-def map_documents(corpus: Corpus, fn: Callable[[Document], Document],
-                  jobs: int = 1) -> Corpus:
-    """Apply ``fn`` to every document, optionally on a thread pool.
-
-    Output order matches input order regardless of ``jobs``, so results
-    are identical for any worker count.
-    """
-    if jobs <= 1:
-        documents = tuple(fn(d) for d in corpus.documents)
-    else:
-        # Imported here: no default command runs the pool, and the
-        # import costs every process about 12 ms.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            documents = tuple(pool.map(fn, corpus.documents))
-    return replace(corpus, documents=documents)
+def map_documents(corpus: Corpus,
+                  fn: Callable[[Document], Document]) -> Corpus:
+    """Apply ``fn`` to every document, in order, in the calling thread."""
+    return replace(corpus, documents=tuple(map(fn, corpus.documents)))

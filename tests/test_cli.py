@@ -154,6 +154,26 @@ def test_cda_explicit_assignment_path(cli, tmp_path):
     assert len(sidecar.read_text("utf-8").splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", ["cda", "unseen"])
+@pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink"])
+def test_output_and_assignments_naming_one_file_is_an_error(
+        cli, tmp_path, monkeypatch, command, spelling):
+    monkeypatch.chdir(tmp_path)
+    sidecar = {"same": "out.conll", "dot-slash": "./out.conll",
+               "symlink": "link.tsv"}[spelling]
+    if spelling == "symlink":
+        os.symlink("out.conll", "link.tsv")
+    code, out, err = cli(command, E2E, "-o", "out.conll",
+                         "--assignments", sidecar)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("corefkit: error: ")
+    assert "same file" in err
+    assert not (tmp_path / "out.conll").exists()
+    assert sorted(os.listdir(tmp_path)) == (
+        ["link.tsv"] if spelling == "symlink" else [])
+
+
 def test_sample_writes_partition_files(cli, tmp_path):
     prefix = str(tmp_path / "part")
     code, _, _ = cli("sample", E2E, "--count", "2", "--partitions", "3",

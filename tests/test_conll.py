@@ -421,6 +421,25 @@ def test_coref_column_parses_like_the_reference_rule(sentences):
     assert corpus == expected_corpus
 
 
+def test_span_listed_twice_diagnostic_text():
+    text = ("#begin document d\n"
+            "1\tw\tw\tX\t_\t0\tdep\tO\t(1)|(1)\n"
+            "2\tw\tw\tX\t_\t0\tdep\tO\t(2|(2\n"
+            "3\tw\tw\tX\t_\t0\tdep\tO\t2)|2)\n"
+            "#end document\n"
+            "#begin document e\n"
+            "1\tw\tw\tX\t_\t0\tdep\tO\t(1)\n"
+            "#end document\n")
+    corpus, diagnostics = parse_corpus(text)
+    assert corpus.document_ids() == ("e",)
+    assert diagnostics == [
+        ParseDiagnostic(5, "error", "document 'd': cluster 1 contains span "
+                        "MentionSpan(sentence_index=0, start=0, end=0) twice"),
+        ParseDiagnostic(5, "error", "document 'd': cluster 2 contains span "
+                        "MentionSpan(sentence_index=0, start=1, end=2) twice"),
+    ]
+
+
 def test_strip_singletons_sizes_and_idempotence():
     doc = corpusgen.build_doc(
         "s", [[corpusgen.tok(c) for c in "abcd"]],

@@ -78,6 +78,12 @@ def test_pipeline_command_loads_only_its_layers(baseline, args, own):
     assert not added & set(HEAVY)
 
 
+@pytest.mark.parametrize("command", ["transform", "resolve-baseline"])
+def test_jobs_above_one_starts_no_worker_pool(baseline, command):
+    added = loaded_modules(_PROBE, command, HERSTEL, "--jobs", "2") - baseline
+    assert not {m for m in added if m.startswith("concurrent")}
+
+
 def test_public_names_resolve_to_their_home_objects():
     for module, names in corefkit._HOMES.items():
         home = importlib.import_module(f"corefkit.{module}")
