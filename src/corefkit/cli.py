@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import io
+import marshal
 import os
 import stat
 import sys
@@ -48,27 +50,33 @@ class _Output:
     files: list[tuple[str, str]] = field(default_factory=list)  # (path, text)
 
 
+def _read_text(path: str) -> str:
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _read_corpus(path: str) -> Corpus:
     from corefkit.conll import parse_corpus
 
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
     try:
-        corpus, diagnostics = parse_corpus(text)
+        corpus, diagnostics = parse_corpus(_read_text(path))
     except EmptyCorpusError as exc:
-        _print_diagnostics(path, exc.diagnostics)
+        _print_diagnostics(path, _triples(exc.diagnostics))
         raise
-    _print_diagnostics(path, diagnostics)
+    _print_diagnostics(path, _triples(diagnostics))
     return corpus
 
 
+def _triples(diagnostics) -> list[tuple[int, str, str]]:
+    """Parse diagnostics as ``(line_number, severity, message)`` tuples."""
+    return [(d.line_number, d.severity, d.message) for d in diagnostics]
+
+
 def _print_diagnostics(path: str, diagnostics) -> None:
-    for diagnostic in diagnostics:
-        print(f"{path}:{diagnostic.line_number}: {diagnostic.severity}: "
-              f"{diagnostic.message}", file=sys.stderr)
+    for line_number, severity, message in diagnostics:
+        print(f"{path}:{line_number}: {severity}: {message}", file=sys.stderr)
 
 
 def _load_classifier(path: str | None) -> ClassifierConfig:
@@ -81,14 +89,24 @@ def _load_classifier(path: str | None) -> ClassifierConfig:
 
 
 def _load_lexicon(path: str | None):
+    """The noun lexicon at ``path`` (None without one) and the text of
+    its duplicate-key warnings, which the caller prints after the parse
+    diagnostics."""
     if path is None:
-        return None
+        return None, ""
     # A lexicon file may log a duplicate-key warning; nothing else logs.
     import logging
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s: %(message)s")
-    with open(path, encoding="utf-8") as handle:
-        return load_noun_lexicon(handle)
+    logger = logging.getLogger("corefkit.lexicon")
+    handler = logging.StreamHandler(io.StringIO())
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    logger.addHandler(handler)
+    propagate, logger.propagate = logger.propagate, False
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return load_noun_lexicon(handle), handler.stream.getvalue()
+    finally:
+        logger.removeHandler(handler)
+        logger.propagate = propagate
 
 
 def _to_output(args, text: str) -> _Output:
@@ -121,9 +139,192 @@ def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Out
     path = args.assignments
     if path is None and args.output and args.output != "-":
         path = args.output + ".assignments.tsv"
-    if path is not None:
+    if path == "-":
+        if result.stdout is not None:
+            raise CorefKitError("--assignments - needs -o FILE: the corpus "
+                                "would also go to stdout")
+        result.stdout = _assignment_tsv(assignment)
+    elif path is not None:
         result.files.append((path, _assignment_tsv(assignment)))
     return result
+
+
+# At most this many shards, whatever ``--jobs`` asks for.
+_MAX_SHARDS = 32
+
+
+def _shard_bounds(lines: list[str], jobs: int) -> list[int]:
+    """Where ``--jobs`` cuts ``lines``: ``0 = b[0] < ... < b[-1] = len(lines)``.
+
+    Each inner bound is right after an ``#end document`` line, the one
+    nearest to an equal split; bounds that coincide merge. So there are
+    at most ``jobs`` shards, at most ``_MAX_SHARDS``, and at most one more
+    than the ``#end document`` lines before the last line.
+    """
+    from corefkit.conll import END_LINE
+
+    n = len(lines)
+    shards = min(jobs, _MAX_SHARDS)
+    ends: list[int] = []
+    position = 0
+    while shards > 1:
+        try:
+            position = lines.index(END_LINE, position) + 1
+        except ValueError:
+            break
+        if position < n:
+            ends.append(position)
+    bounds = [0]
+    for k in range(1, shards):
+        target = k * n / shards
+        cut = min(ends, key=lambda end: abs(end - target), default=0)
+        if cut > bounds[-1]:
+            bounds.append(cut)
+    bounds.append(n)
+    return bounds
+
+
+def _shard(lines: list[str], start: int, stop: int, mapping, seen_ids=()):
+    """Parse ``lines[start:stop]``, map each kept document with
+    ``mapping``, check what the mapping changed and serialize.
+
+    Returns ``(diagnostics, kept ids, failure, text)`` as plain values
+    that ``marshal`` encodes. ``failure`` is ``(0, message)`` for the
+    first error the mapping raised, ``(1, message)`` for the first
+    validation error, or None; a failed shard has no text. Without a
+    mapping the shard only parses. ``seen_ids`` are ids kept before the
+    range (see :func:`corefkit.conll._parse_lines`). The mapping keeps
+    every document's id, as each command's does, so ids kept in
+    different shards cannot collide in validation.
+    """
+    from corefkit.conll import _parse_lines, _raise_on_errors, serialize_corpus
+    from corefkit.model import Corpus, _validate_mapped
+
+    documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
+    if stop - start == len(lines):
+        # A shard of every line is never redone, so the lines can go
+        # before the mapped corpus is built, as after a serial parse.
+        lines.clear()
+    parsed = (_triples(diagnostics), [d.id for d in documents])
+    if mapping is None:
+        return (*parsed, None, "")
+    source = Corpus(tuple(documents))
+    try:
+        mapped = Corpus(tuple(map(mapping, documents)))
+    except (CorefKitError, ValueError, OSError) as exc:
+        return (*parsed, (0, str(exc)), "")
+    try:
+        _raise_on_errors(_validate_mapped(mapped, source))
+    except CorefKitError as exc:
+        return (*parsed, (1, str(exc)), "")
+    return (*parsed, None, serialize_corpus(mapped, validate=False))
+
+
+def _work(lines: list[str], start: int, stop: int, mapping, pipe: int):
+    """A forked child's life: run :func:`_shard`, send its result down
+    ``pipe`` and exit without unwinding into the parent's stack."""
+    code = 1
+    try:
+        data = marshal.dumps(_shard(lines, start, stop, mapping))
+        with open(pipe, "wb") as handle:
+            handle.write(data)
+        code = 0
+    except BaseException:
+        # The parent reports the missing result; this says why.
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
+    """:func:`_shard` over the shards of ``lines``, in shard order.
+
+    This process runs the first shard and a child started by
+    ``os.fork`` runs each other one; forking is safe because the CLI
+    starts no thread, and it is cheap because a child shares the parsed
+    lines instead of receiving them. A shard that kept an id kept by an
+    earlier shard is redone here knowing the earlier ids, so each result
+    is what one parse of all the lines gives for its range. A child that
+    ends without a result is an error; on any error every child left is
+    killed and reaped.
+    """
+    bounds = _shard_bounds(lines, jobs) if hasattr(os, "fork") else [0, len(lines)]
+    shards = list(zip(bounds, bounds[1:]))
+    workers = []  # (pid, read end of its pipe), one per forked shard
+    reaped = set()
+    try:
+        for start, stop in shards[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(lines, start, stop, mapping, write)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        results = [_shard(lines, *shards[0], mapping)]
+        for (pid, pipe), (start, stop) in zip(workers, shards[1:]):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            try:
+                result = marshal.loads(data) if status == 0 else None
+            except (EOFError, ValueError, TypeError):
+                result = None
+            if result is None:
+                raise CorefKitError(
+                    f"the worker for input lines {start + 1}-{stop} ended "
+                    f"without a result (exit status "
+                    f"{os.waitstatus_to_exitcode(status)})")
+            results.append(result)
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid not in reaped:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    seen: set[str] = set()
+    for k, (start, stop) in enumerate(shards):
+        if k and not seen.isdisjoint(results[k][1]):
+            results[k] = _shard(lines, start, stop, mapping, seen)
+        seen.update(results[k][1])
+    return results
+
+
+def _mapped_output(args, prepare) -> _Output:
+    """The input parsed, mapped document by document, checked and
+    serialized in up to ``--jobs`` shards (see :func:`_run_shards`).
+
+    ``prepare()`` loads what the mapping needs and returns the mapping
+    and any warnings to print. What is reported is what one serial run
+    reports: the parse diagnostics in line order, then the first of an
+    empty corpus, an error of ``prepare``, the first error a mapping
+    raised and the first validation error.
+    """
+    lines = _read_text(args.input).splitlines()
+    try:
+        mapping, warnings = prepare()
+        failure = None
+    except (CorefKitError, ValueError, OSError) as exc:
+        mapping, warnings, failure = None, "", exc
+    results = _run_shards(lines, mapping, getattr(args, "jobs", 1))
+    for diagnostics, _, _, _ in results:
+        _print_diagnostics(args.input, diagnostics)
+    if not any(ids for _, ids, _, _ in results):
+        raise EmptyCorpusError("no parseable document in input")
+    sys.stderr.write(warnings)
+    if failure is not None:
+        raise failure
+    failures = [failed for _, _, failed, _ in results if failed is not None]
+    if failures:  # the first of the lowest rank
+        raise CorefKitError(min(failures, key=lambda f: f[0])[1])
+    return _to_output(args, "".join(text for _, _, _, text in results))
 
 
 def _render_stats(report: FrequencyReport) -> str:
@@ -174,35 +375,33 @@ def _cmd_stats(args) -> _Output:
 
 def _cmd_strip_singletons(args) -> _Output:
     from corefkit.conll import strip_singletons
-    from corefkit.model import map_documents
 
-    corpus = _read_corpus(args.input)
-    return _corpus_result(args, map_documents(corpus, strip_singletons), corpus)
+    return _mapped_output(args, lambda: (strip_singletons, ""))
 
 
 def _cmd_transform(args) -> _Output:
-    from corefkit.model import map_documents
-    from corefkit.transform import TransformOptions, pronoun_specific
+    def prepare():
+        from corefkit.transform import TransformOptions, pronoun_specific
 
-    corpus = _read_corpus(args.input)
-    config = _load_classifier(args.config)
-    lexicon = _load_lexicon(args.lexicon)
-    paradigm = get_paradigm(args.paradigm) if args.paradigm else None
-    options = TransformOptions(anonymize=args.anonymize,
-                               neutralize_nouns=args.neutralize_nouns)
-    rewritten = map_documents(
-        corpus, lambda d: pronoun_specific(d, paradigm, config, lexicon, options))
-    return _corpus_result(args, rewritten, corpus)
+        config = _load_classifier(args.config)
+        lexicon, warnings = _load_lexicon(args.lexicon)
+        paradigm = get_paradigm(args.paradigm) if args.paradigm else None
+        options = TransformOptions(anonymize=args.anonymize,
+                                   neutralize_nouns=args.neutralize_nouns)
+        return (lambda d: pronoun_specific(d, paradigm, config, lexicon,
+                                           options)), warnings
+
+    return _mapped_output(args, prepare)
 
 
 def _cmd_delex(args) -> _Output:
-    from corefkit.model import map_documents
-    from corefkit.transform import delexicalize
+    def prepare():
+        from corefkit.transform import delexicalize
 
-    corpus = _read_corpus(args.input)
-    config = _load_classifier(args.config)
-    return _corpus_result(
-        args, map_documents(corpus, lambda d: delexicalize(d, config)), corpus)
+        config = _load_classifier(args.config)
+        return (lambda d: delexicalize(d, config)), ""
+
+    return _mapped_output(args, prepare)
 
 
 def _variant_inputs(args):
@@ -211,7 +410,8 @@ def _variant_inputs(args):
 
     corpus = _read_corpus(args.input)
     config = _load_classifier(args.config)
-    lexicon = _load_lexicon(args.lexicon)
+    lexicon, warnings = _load_lexicon(args.lexicon)
+    sys.stderr.write(warnings)
     options = TransformOptions(anonymize=not args.no_anonymize,
                                neutralize_nouns=not args.no_neutralize_nouns)
     return corpus, config, lexicon, options
@@ -263,17 +463,16 @@ def _cmd_unseen(args) -> _Output:
 
 
 def _cmd_resolve_baseline(args) -> _Output:
-    from corefkit.model import map_documents
-    from corefkit.resolver import ResolverConfig, resolve
+    def prepare():
+        from corefkit.resolver import ResolverConfig, resolve
 
-    corpus = _read_corpus(args.input)
-    classifier = _load_classifier(args.config)
-    resolver_config = ResolverConfig(
-        pronoun_window_sentences=args.window,
-        enable_string_match=not args.no_string_match)
-    resolved = map_documents(
-        corpus, lambda d: resolve(d, resolver_config, classifier))
-    return _corpus_result(args, resolved, corpus)
+        classifier = _load_classifier(args.config)
+        resolver_config = ResolverConfig(
+            pronoun_window_sentences=args.window,
+            enable_string_match=not args.no_string_match)
+        return (lambda d: resolve(d, resolver_config, classifier)), ""
+
+    return _mapped_output(args, prepare)
 
 
 def _cmd_score(args) -> _Output:
@@ -314,8 +513,8 @@ _SHARED_OPTIONS = {
     "lexicon": (("--lexicon",),
                 dict(help="noun lexicon file (default: builtin)")),
     "jobs": (("--jobs",), dict(type=int, default=1,
-                               help="ignored: the work runs in one thread "
-                                    "and the value changes nothing")),
+                               help="run in up to JOBS processes, each on a "
+                                    "shard of whole documents (default 1)")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "assignments": (("--assignments",),
                     dict(help="write the document-to-paradigm TSV here "

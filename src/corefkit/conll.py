@@ -27,7 +27,8 @@ produces canonical bytes, so ``serialize -> parse`` is the identity and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TextIO
+from itertools import islice
+from typing import Iterable, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
@@ -206,12 +207,30 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     Raises :class:`EmptyCorpusError` when no document parses; I/O errors
     from the stream propagate unchanged.
     """
-    text = source.read() if hasattr(source, "read") else source
+    lines = (source.read() if hasattr(source, "read") else source).splitlines()
+    del source  # a text passed by nobody else can go before the parse
+    documents, diagnostics = _parse_lines(lines)
+    if not documents:
+        raise EmptyCorpusError("no parseable document in input", diagnostics)
+    return Corpus(tuple(documents)), diagnostics
+
+
+def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
+                 seen_ids: Iterable[str] = ()
+                 ) -> tuple[list[Document], list[ParseDiagnostic]]:
+    """The documents and diagnostics of ``lines[start:stop]``, each line
+    numbered by its place in ``lines``.
+
+    A document whose id is in ``seen_ids`` or was kept earlier in the
+    range is dropped as a duplicate. Right after an ``#end document``
+    line the parser is outside any document, so a range that starts
+    there parses exactly as it would within a parse of all the lines.
+    """
     diagnostics: list[ParseDiagnostic] = []
     documents: list[Document] = []
-    seen_ids: set[str] = set()
+    seen_ids = set(seen_ids)
     reader: _DocumentReader | None = None
-    line_number = 0
+    line_number = start
 
     def finish(at_line: int) -> None:
         nonlocal reader
@@ -228,7 +247,7 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
                 documents.append(document)
         reader = None
 
-    for line_number, line in enumerate(text.splitlines(), 1):
+    for line_number, line in enumerate(islice(lines, start, stop), start + 1):
         if reader is None:
             if not line.strip():
                 continue
@@ -257,10 +276,7 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     if reader is not None:
         reader.error(line_number + 1, "input ends before '#end document'")
         finish(line_number + 1)
-
-    if not documents:
-        raise EmptyCorpusError("no parseable document in input", diagnostics)
-    return Corpus(tuple(documents)), diagnostics
+    return documents, diagnostics
 
 
 def _coref_fields(document: Document) -> dict[tuple[int, int], str]:

@@ -214,6 +214,14 @@ def _antecedent_hits(gold: Document,
     return hits
 
 
+def _third_singular(config: ClassifierConfig) -> Callable[[Token], bool]:
+    """Whether the classifier counts a token as a third-person singular
+    pronoun, decided once per ``(pos, feats)`` pair for as long as the
+    returned predicate lives."""
+    roles = _role_table(config)
+    return lambda token: roles[token.pos, token.feats] is not None
+
+
 def pronoun_score(gold: Document, pred: Document,
                   is_counted: Callable[[Token], bool] | None = None,
                   config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
@@ -230,12 +238,9 @@ def pronoun_score(gold: Document, pred: Document,
     """
     _check_same_grid(gold, pred)
     if is_counted is None:
-        roles = _role_table(config)
-        counted = [token for sentence in gold.sentences for token in sentence
-                   if roles[token.pos, token.feats] is not None]
-    else:
-        counted = [token for sentence in gold.sentences for token in sentence
-                   if is_counted(token)]
+        is_counted = _third_singular(config)
+    counted = [token for sentence in gold.sentences for token in sentence
+               if is_counted(token)]
 
     hits = _antecedent_hits(gold, pred)
     resolved = 0
@@ -291,6 +296,8 @@ def evaluate(gold: Corpus, pred: Corpus,
     scores (documents without counted pronouns are left out).
     """
     pairs = _pair_documents(gold, pred)
+    if is_counted is None:  # one role table for every document
+        is_counted = _third_singular(config)
     sums = (0.0, 0, 0.0, 0)
     resolved = 0
     total = 0

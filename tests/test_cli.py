@@ -174,6 +174,45 @@ def test_output_and_assignments_naming_one_file_is_an_error(
         ["link.tsv"] if spelling == "symlink" else [])
 
 
+@pytest.mark.parametrize("command", ["cda", "unseen"])
+def test_assignments_dash_goes_to_stdout(cli, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = cli(command, E2E, "-o", "out.conll", "--assignments", "-")
+    assert code == 0, err
+    assert [row.split("\t")[0] for row in out.splitlines()] == [
+        "verhaal1", "verhaal2", "verhaal3"]
+    assert (tmp_path / "out.conll").read_text("utf-8").startswith(
+        "#begin document verhaal1\n")
+    assert sorted(os.listdir(tmp_path)) == ["out.conll"]  # no ./-
+
+
+@pytest.mark.parametrize("command", ["cda", "unseen"])
+@pytest.mark.parametrize("output", [(), ("-o", "-")])
+def test_assignments_dash_with_the_corpus_on_stdout_is_an_error(
+        cli, tmp_path, monkeypatch, command, output):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = cli(command, E2E, *output, "--assignments", "-")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("corefkit: error: ")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_lexicon_warnings_follow_the_parse_diagnostics(cli, tmp_path, jobs):
+    lexicon = tmp_path / "dup.tsv"
+    lexicon.write_text("x\teerste\t0\nx\ttweede\t1\n", "utf-8")
+    text = "stray\n" + (FIXTURES / "e2e.conll").read_text("utf-8")
+    code, out, err = cli("transform", "--neutralize-nouns", "--lexicon",
+                         str(lexicon), "--jobs", jobs, stdin_text=text)
+    assert code == 0
+    # The lexicon holds no noun of the corpus.
+    assert out == (FIXTURES / "e2e.conll").read_text("utf-8")
+    assert err == ("-:1: error: unexpected content outside a document: "
+                   "'stray'\n"
+                   "WARNING: duplicate lexicon key 'x' at line 2, last wins\n")
+
+
 def test_sample_writes_partition_files(cli, tmp_path):
     prefix = str(tmp_path / "part")
     code, _, _ = cli("sample", E2E, "--count", "2", "--partitions", "3",

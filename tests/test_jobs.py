@@ -1,0 +1,352 @@
+"""``--jobs N``: document shards parsed, mapped and serialized in forked
+processes must report exactly what one serial run reports.
+
+The CLI runs in this process, so each ``--jobs 2`` or ``3`` run forks
+this pytest process; the children only ever send their result down a
+pipe and exit.
+"""
+import io
+import os
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpusgen
+from conftest import FIXTURES
+from corefkit import cli
+from corefkit.conll import END_LINE, parse_corpus, serialize_corpus
+from corefkit.errors import CorefKitError, EmptyCorpusError
+from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
+from corefkit.model import Corpus, map_documents, validate_corpus
+from corefkit.resolver import ResolverConfig, resolve
+from corefkit.transform import (ClassifierConfig, TransformOptions,
+                                delexicalize, pronoun_specific)
+
+E2E = str(FIXTURES / "e2e.conll")
+E2E_TEXT = (FIXTURES / "e2e.conll").read_text("utf-8")
+
+
+def run(*argv, stdin_text=None):
+    """``main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def document_lines(sizes):
+    """One document per size, each with that many token lines."""
+    lines = []
+    for i, size in enumerate(sizes):
+        lines.append(f"#begin document d{i}")
+        lines += [f"{t + 1}\tw\tw\tX\t_\t0\troot\tO\t-" for t in range(size)]
+        lines.append(END_LINE)
+    return lines
+
+
+# --- the shard planner -----------------------------------------------------
+
+def test_cuts_go_after_the_end_line_nearest_an_equal_split():
+    lines = document_lines([1, 2, 7])  # ends after lines 3, 7 and 16
+    assert cli._shard_bounds(lines, 2) == [0, 7, 16]
+    # Both targets (5.3 and 10.7) are nearest to line 7: the cuts merge.
+    assert cli._shard_bounds(lines, 3) == [0, 7, 16]
+    assert cli._shard_bounds(lines, 4) == [0, 3, 7, 16]
+    lines = document_lines([10, 10, 10, 10])
+    assert cli._shard_bounds(lines, 2) == [0, 24, 48]
+    assert cli._shard_bounds(lines, 4) == [0, 12, 24, 36, 48]
+
+
+@pytest.mark.parametrize("lines", [[], ["stray"], ["#begin document a", "x"]])
+def test_no_end_line_means_one_shard(lines):
+    assert cli._shard_bounds(lines, 4) == [0, len(lines)]
+
+
+@pytest.mark.parametrize("documents", [1, 2, 5, 40, 200])
+@pytest.mark.parametrize("jobs", [-3, 0, 1, 2, 3, 7, 64, 10**9])
+@pytest.mark.parametrize("tail", [[], ["stray"]])
+def test_shards_are_bounded_by_documents_and_a_fixed_cap(documents, jobs, tail):
+    lines = document_lines([1 + i % 4 for i in range(documents)]) + tail
+    bounds = cli._shard_bounds(lines, jobs)
+    assert bounds[0] == 0 and bounds[-1] == len(lines)
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert all(lines[b - 1] == END_LINE for b in bounds[1:-1])
+    shards = len(bounds) - 1
+    assert shards <= max(1, min(jobs, cli._MAX_SHARDS,
+                                documents + (1 if tail else 0)))
+    # Any place to cut is used once two jobs are asked for.
+    assert (shards > 1) == (jobs > 1 and documents + len(tail) > 1)
+    if documents == 200 and jobs >= cli._MAX_SHARDS:
+        assert shards == cli._MAX_SHARDS
+
+
+# --- the fork path through the CLI ------------------------------------------
+
+def second_shard_id(jobs: int) -> str:
+    lines = E2E_TEXT.splitlines()
+    bounds = cli._shard_bounds(lines, jobs)
+    assert len(bounds) == jobs + 1
+    return lines[bounds[1]].removeprefix("#begin document ")
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("death", ["raises", "exits"])
+def test_a_failing_worker_fails_the_run(tmp_path, monkeypatch, jobs, death):
+    import corefkit.transform
+
+    victim = second_shard_id(jobs)
+    parent = os.getpid()
+    original = corefkit.transform.pronoun_specific
+
+    def failing(document, *args):
+        if document.id == victim:
+            assert os.getpid() != parent  # the victim is a worker's
+            if death == "exits":
+                os._exit(3)
+            raise CorefKitError(f"cannot rewrite {victim}")
+        return original(document, *args)
+
+    monkeypatch.setattr(corefkit.transform, "pronoun_specific", failing)
+    output = tmp_path / "out.conll"
+    code, out, err = run("transform", E2E, "--paradigm", "die",
+                         "--jobs", str(jobs), "-o", str(output))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("corefkit: error: ")
+    if death == "raises":
+        assert err == f"corefkit: error: cannot rewrite {victim}\n"
+    else:
+        assert "without a result (exit status 3)" in err
+    assert os.listdir(tmp_path) == []  # no output, no .tmp file
+    assert_no_child_left()
+
+
+def broken_form(document):
+    """``document`` with a tab in its first form: a validation error."""
+    first, *rest = document.sentences
+    token = replace(first[0], form="a\tb")
+    return replace(document, sentences=((token, *first[1:]), *rest))
+
+
+@pytest.mark.parametrize("plan, expected", [
+    # e2e document id -> what the mapping does to it
+    ({"verhaal1": "invalid", "verhaal2": "raise"}, "cannot map verhaal2"),
+    ({"verhaal2": "raise", "verhaal3": "raise"}, "cannot map verhaal2"),
+    ({"verhaal2": "invalid", "verhaal3": "invalid"},
+     "corpus failed validation: document 'verhaal2': sentence 0 token 0: "
+     "form contains a tab or newline"),
+    ({"verhaal3": "raise", "verhaal1": "invalid"}, "cannot map verhaal3"),
+])
+def test_errors_take_the_serial_precedence(monkeypatch, plan, expected):
+    import corefkit.transform
+
+    def mapping(document, config):
+        action = plan.get(document.id)
+        if action == "raise":
+            raise CorefKitError(f"cannot map {document.id}")
+        return broken_form(document) if action == "invalid" else document
+
+    monkeypatch.setattr(corefkit.transform, "delexicalize", mapping)
+    results = {jobs: run("delex", E2E, "--jobs", str(jobs))
+               for jobs in (1, 2, 3)}
+    assert results[1] == (2, "", f"corefkit: error: {expected}\n")
+    assert results[2] == results[3] == results[1]
+    assert_no_child_left()
+
+
+def test_an_id_kept_in_two_shards_is_kept_once(tmp_path):
+    text = E2E_TEXT.replace("#begin document verhaal3",
+                            "#begin document verhaal1")
+    begin = text.splitlines().index("#begin document verhaal1", 1) + 1
+    results = {jobs: run("resolve-baseline", "--jobs", str(jobs),
+                         stdin_text=text) for jobs in (1, 2, 3)}
+    code, out, err = results[1]
+    assert code == 0
+    assert out.count("#begin document") == 2
+    assert err == (f"-:{begin}: error: duplicate document id 'verhaal1'; "
+                   "keeping the first\n")
+    assert results[2] == results[3] == results[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_a_load_error_follows_the_parse_report(tmp_path, jobs):
+    missing = str(tmp_path / "missing.cfg")
+    text = "stray\n" + E2E_TEXT
+    code, out, err = run("delex", "--config", missing, "--jobs", jobs,
+                         stdin_text=text)
+    assert code == 2 and out == ""
+    assert err.startswith("-:1: error: unexpected content outside a "
+                          "document: 'stray'\ncorefkit: error: ")
+    assert missing in err and err.count("\n") == 2
+    # An empty corpus comes first, as when the corpus was read first.
+    assert run("delex", "--config", missing, "--jobs", jobs,
+               stdin_text="stray\n") == (
+        2, "", "-:1: error: unexpected content outside a document: "
+               "'stray'\ncorefkit: error: no parseable document in input\n")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "1"])
+def test_jobs_of_one_or_less_run_in_this_process(monkeypatch, jobs):
+    expected = run("transform", E2E, "--paradigm", "hen", "--jobs", "2")
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run("transform", E2E, "--paradigm", "hen", "--jobs", jobs) == expected
+
+
+def test_without_fork_the_run_is_one_shard(monkeypatch):
+    expected = run("resolve-baseline", E2E)
+    monkeypatch.delattr(os, "fork")
+    assert run("resolve-baseline", E2E, "--jobs", "3") == expected
+
+
+def test_output_file_is_the_same_at_every_job_count(tmp_path):
+    texts = set()
+    for jobs in (1, 2, 3, 5):
+        output = tmp_path / f"out{jobs}.conll"
+        assert run("transform", E2E, "--paradigm", "die", "--anonymize",
+                   "--neutralize-nouns", "--jobs", str(jobs),
+                   "-o", str(output)) == (0, "", "")
+        texts.add(output.read_bytes())
+    assert len(texts) == 1
+    assert sorted(os.listdir(tmp_path)) == [f"out{j}.conll" for j in (1, 2, 3, 5)]
+    assert_no_child_left()
+
+
+# --- shards against the serial run, on hostile corpora ---------------------
+
+# A mapping raises on this id, and a lexicon turns this noun into a form
+# holding a line break, which fails validation. No lexicon file can hold
+# one, so the test replaces the loaded lexicon.
+BOOM = "boom"
+POISON = RewriteLexicon({"zeeman": RewriteEntry("zee\nvaarder", False)})
+FIXTURE_DOCUMENTS = [d for name in ("e2e.conll", "herstel.conll",
+                                    "dialogue_gold.conll")
+                     for d in parse_corpus((FIXTURES / name).read_text("utf-8"))[0].documents]
+
+
+def booming(fn):
+    def mapping(document, *args):
+        if document.id == BOOM:
+            raise CorefKitError(f"cannot map {BOOM}")
+        return fn(document, *args)
+    return mapping
+
+
+def lines_of(document):
+    return serialize_corpus(Corpus((document,)), validate=False).splitlines()
+
+
+@st.composite
+def blocks(draw):
+    """The lines of one document, or of something between documents."""
+    kind = draw(st.sampled_from(["story", "random", "fixture", "malformed",
+                                 "stray", "unterminated", "poison", "boom"]))
+    doc_id = draw(st.sampled_from("abcde"))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if kind == "stray":
+        return [draw(st.sampled_from(["stray words", END_LINE, "", "  ",
+                                      "#comment"]))]
+    if kind == "poison":
+        doc_id = draw(st.sampled_from([doc_id, BOOM]))
+        return lines_of(corpusgen.build_doc(doc_id, [[
+            corpusgen.tok("De"), corpusgen.tok("zeeman", pos="NOUN")]]))
+    if kind == "fixture":
+        document = replace(draw(st.sampled_from(FIXTURE_DOCUMENTS)), id=doc_id)
+    elif kind == "random":
+        document = corpusgen.random_document(rng, doc_id)
+    else:
+        document = corpusgen.story_document(
+            rng, BOOM if kind == "boom" else doc_id, rng.randint(1, 8))
+    lines = lines_of(document)
+    if kind == "malformed":
+        at = rng.randrange(1, len(lines) - 1)
+        lines[at] = lines[at].rsplit("\t", 1)[0] if lines[at] else "1\tx"
+    if kind == "unterminated":
+        lines.pop()
+    return lines
+
+
+@st.composite
+def corpus_texts(draw):
+    lines = [line for block in draw(st.lists(blocks(), max_size=8))
+             for line in block]
+    if lines and lines[-1] == END_LINE and draw(st.booleans()):
+        lines.pop()  # the final "#end document" is missing
+    newline = draw(st.sampled_from(["\n", "\r\n", "\x1c"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+COMMANDS = {
+    "transform": ["transform", "--paradigm", "die", "--anonymize",
+                  "--neutralize-nouns", "--lexicon", E2E],
+    "delex": ["delex"],
+    "resolve-baseline": ["resolve-baseline"],
+}
+
+
+def serial_reference(command, text):
+    """What one serial run reports, built from the library calls."""
+    config = ClassifierConfig()
+    mapping = {
+        "transform": lambda d: pronoun_specific(
+            d, get_paradigm("die"), config, POISON, TransformOptions(True, True)),
+        "delex": lambda d: delexicalize(d, config),
+        "resolve-baseline": lambda d: resolve(d, ResolverConfig(), config),
+    }[command]
+    try:
+        corpus, diagnostics = parse_corpus(text)
+    except EmptyCorpusError as exc:
+        corpus, diagnostics, failure = None, exc.diagnostics, str(exc)
+    stderr = "".join(f"-:{d.line_number}: {d.severity}: {d.message}\n"
+                     for d in diagnostics)
+    if corpus is not None:
+        try:
+            mapped = map_documents(corpus, booming(mapping))
+        except CorefKitError as exc:
+            failure = str(exc)
+        else:
+            errors = [i.message for i in validate_corpus(mapped)
+                      if i.severity == "error"]
+            if not errors:
+                return 0, serialize_corpus(mapped), stderr
+            failure = f"corpus failed validation: {errors[0]}"
+    return 2, "", stderr + f"corefkit: error: {failure}\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=corpus_texts())
+def test_shards_report_what_the_serial_run_reports(text):
+    import corefkit.resolver
+    import corefkit.transform
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((corefkit.transform, "pronoun_specific"),
+                             (corefkit.transform, "delexicalize"),
+                             (corefkit.resolver, "resolve")):
+            patch.setattr(module, name, booming(getattr(module, name)))
+        patch.setattr(cli, "load_noun_lexicon", lambda handle: POISON)
+        for command, argv in COMMANDS.items():
+            expected = serial_reference(command, text)
+            for jobs in (1, 2, 3):
+                got = run(*argv, "--jobs", str(jobs), stdin_text=text)
+                assert got == expected, (command, jobs)
+    assert_no_child_left()

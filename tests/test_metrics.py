@@ -545,3 +545,26 @@ def test_report_keyvalues_block(dialogue_gold, dialogue_pred):
     assert "pronoun_score=50.00" in lines
     assert "pronoun_form_they=0/1" in lines
     assert "pronoun_form_their=1/1" in lines
+
+
+def test_evaluate_classifies_each_pos_feats_pair_once(monkeypatch):
+    import corefkit.transform
+
+    rng = random.Random(17)
+    corpus = Corpus(tuple(corpusgen.story_document(rng, f"s{i}", 8)
+                          for i in range(12)))
+    calls = []
+
+    def counting(token, config):
+        calls.append((token.pos, token.feats))
+        return classify_pronoun(token, config)
+
+    monkeypatch.setattr(corefkit.transform, "classify_pronoun", counting)
+    report = evaluate(corpus, corpus)
+    pairs = {(t.pos, t.feats) for d in corpus.documents for t in d.tokens()}
+    assert sorted(calls) == sorted(pairs)
+    # Every document holds pronouns, so one table per document would
+    # classify some pairs again.
+    assert report.pronouns.total > 0
+    assert sum(len({(t.pos, t.feats) for t in d.tokens()})
+               for d in corpus.documents) > len(pairs)
