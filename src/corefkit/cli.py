@@ -19,6 +19,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 # Each handler imports the modules it runs, so a command loads only its
@@ -57,11 +58,15 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _read_corpus(path: str) -> Corpus:
+def _read_corpus(path: str, read=_read_text) -> Corpus:
+    """The corpus in the text ``read(path)`` returns, with the parse
+    diagnostics printed. A caller that has read the text already hands
+    it over through ``read``, so that no reference keeps it alive while
+    it is parsed."""
     from corefkit.conll import parse_corpus
 
     try:
-        corpus, diagnostics = parse_corpus(_read_text(path))
+        corpus, diagnostics = parse_corpus(read(path))
     except EmptyCorpusError as exc:
         _print_diagnostics(path, _triples(exc.diagnostics))
         raise
@@ -220,12 +225,12 @@ def _shard(lines: list[str], start: int, stop: int, mapping, seen_ids=()):
     return (*parsed, None, serialize_corpus(mapped, validate=False))
 
 
-def _work(lines: list[str], start: int, stop: int, mapping, pipe: int):
-    """A forked child's life: run :func:`_shard`, send its result down
+def _work(function, pipe: int):
+    """A forked child's life: run ``function``, send its result down
     ``pipe`` and exit without unwinding into the parent's stack."""
     code = 1
     try:
-        data = marshal.dumps(_shard(lines, start, stop, mapping))
+        data = marshal.dumps(function())
         with open(pipe, "wb") as handle:
             handle.write(data)
         code = 0
@@ -237,24 +242,26 @@ def _work(lines: list[str], start: int, stop: int, mapping, pipe: int):
         os._exit(code)
 
 
-def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
-    """:func:`_shard` over the shards of ``lines``, in shard order.
+def _forked(tasks, here):
+    """``here()`` in this process while each of ``tasks`` runs in a child
+    started by ``os.fork``: ``(here's result, [each task's result])``.
 
-    This process runs the first shard and a child started by
-    ``os.fork`` runs each other one; forking is safe because the CLI
-    starts no thread, and it is cheap because a child shares the parsed
-    lines instead of receiving them. A shard that kept an id kept by an
-    earlier shard is redone here knowing the earlier ids, so each result
-    is what one parse of all the lines gives for its range. A child that
-    ends without a result is an error; on any error every child left is
-    killed and reaped.
+    ``tasks`` are ``(label, function)`` pairs. A function returns plain
+    values that ``marshal`` encodes, and its child sends them back
+    through a pipe. Forking is safe because the CLI starts no thread,
+    and cheap because a child shares what this process has read instead
+    of receiving it. A child that ends without a result is an error
+    naming its label. On any error, here or in reading a result, every
+    child left is killed and reaped. Without ``os.fork`` each function
+    runs in this process, in order, before ``here``.
     """
-    bounds = _shard_bounds(lines, jobs) if hasattr(os, "fork") else [0, len(lines)]
-    shards = list(zip(bounds, bounds[1:]))
-    workers = []  # (pid, read end of its pipe), one per forked shard
+    if not hasattr(os, "fork"):
+        results = [function() for _, function in tasks]
+        return here(), results
+    workers = []  # (pid, read end of its pipe), one per task
     reaped = set()
     try:
-        for start, stop in shards[1:]:
+        for _, function in tasks:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -263,11 +270,12 @@ def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
                 os.close(write)
                 raise
             if pid == 0:
-                _work(lines, start, stop, mapping, write)
+                _work(function, write)
             os.close(write)
             workers.append((pid, open(read, "rb")))
-        results = [_shard(lines, *shards[0], mapping)]
-        for (pid, pipe), (start, stop) in zip(workers, shards[1:]):
+        value = here()
+        results = []
+        for (pid, pipe), (label, _) in zip(workers, tasks):
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -278,9 +286,8 @@ def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
                 result = None
             if result is None:
                 raise CorefKitError(
-                    f"the worker for input lines {start + 1}-{stop} ended "
-                    f"without a result (exit status "
-                    f"{os.waitstatus_to_exitcode(status)})")
+                    f"the worker {label} ended without a result (exit "
+                    f"status {os.waitstatus_to_exitcode(status)})")
             results.append(result)
     finally:
         for pid, pipe in workers:
@@ -289,6 +296,26 @@ def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    return value, results
+
+
+def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
+    """:func:`_shard` over the shards of ``lines``, in shard order.
+
+    This process runs the first shard and a forked child each other one
+    (see :func:`_forked`), which shares the read lines. A shard that
+    kept an id kept by an earlier shard is redone here knowing the
+    earlier ids, so each result is what one parse of all the lines gives
+    for its range.
+    """
+    bounds = _shard_bounds(lines, jobs) if hasattr(os, "fork") else [0, len(lines)]
+    shards = list(zip(bounds, bounds[1:]))
+    first, rest = _forked(
+        [(f"for input lines {start + 1}-{stop}",
+          partial(_shard, lines, start, stop, mapping))
+         for start, stop in shards[1:]],
+        partial(_shard, lines, *shards[0], mapping))
+    results = [first, *rest]
     seen: set[str] = set()
     for k, (start, stop) in enumerate(shards):
         if k and not seen.isdisjoint(results[k][1]):
@@ -475,15 +502,63 @@ def _cmd_resolve_baseline(args) -> _Output:
     return _mapped_output(args, prepare)
 
 
-def _cmd_score(args) -> _Output:
-    from corefkit.metrics import evaluate, format_report, report_keyvalues
+def _prediction(text: str):
+    """What ``score`` reads of the prediction ``text``: the parse
+    diagnostics and the view of each kept document that scoring reads
+    (``metrics._prediction_view``), as plain values ``marshal`` encodes."""
+    from corefkit.conll import _parse_lines
+    from corefkit.metrics import _prediction_view
 
-    gold = _read_corpus(args.gold)
-    pred = _read_corpus(args.pred)
+    # The caller keeps no reference to the text, so each ``del`` frees
+    # what the rest of the parse no longer needs.
+    lines = text.splitlines()
+    del text
+    documents, diagnostics = _parse_lines(lines)
+    del lines
+    return _triples(diagnostics), [_prediction_view(d) for d in documents]
+
+
+def _cmd_score(args) -> _Output:
+    """Score ``--pred`` against ``--gold``, the prediction parsed in a
+    second process.
+
+    Both texts are read here, in argument order, so ``-`` for either or
+    both reads stdin as it would in one process. A child started by
+    :func:`_forked` parses the prediction while this process parses
+    gold, and sends back only the parse diagnostics and, per kept
+    document, its id, sentence lengths and cluster span keys: each
+    process holds one parsed corpus. What is reported is what a serial
+    run reports, in its order: the gold diagnostics, an empty gold
+    corpus (the prediction is then never reported), an error reading the
+    prediction, its diagnostics, an empty prediction, a ``--config``
+    error, then the alignment and grid errors of scoring.
+    """
+    import corefkit.conll  # loaded once, before the fork
+    from corefkit.metrics import _evaluate, format_report, report_keyvalues
+
+    texts = [_read_text(args.gold)]
+    try:
+        texts.append(_read_text(args.pred))
+    except (ValueError, OSError) as exc:
+        failure, tasks = exc, []
+    else:
+        failure = None
+        tasks = [(f"for --pred {args.pred}", lambda: _prediction(texts.pop()))]
+
+    def parse_gold():
+        del texts[1:]  # forked, the child holds the prediction
+        return _read_corpus(args.gold, lambda path: texts.pop())
+
+    gold, predictions = _forked(tasks, parse_gold)
+    if failure is not None:
+        raise failure
+    diagnostics, pred = predictions[0]
+    _print_diagnostics(args.pred, diagnostics)
+    if not pred:
+        raise EmptyCorpusError("no parseable document in input")
     config = _load_classifier(args.config)
-    report = evaluate(gold, pred, config=config,
-                      ignore_singletons=args.ignore_singletons,
-                      macro_pronouns=args.macro)
+    report = _evaluate(gold, pred, None, config, args.ignore_singletons,
+                       args.macro)
     return _to_output(
         args, format_report(report) + "\n\n" + report_keyvalues(report) + "\n")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from corefkit.errors import AlignmentError
-from corefkit.model import Corpus, Document, MentionSpan, Token, _span_key
+from corefkit.model import Corpus, Document, Token, _span_key
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 _role_table)
 
@@ -85,10 +85,18 @@ class AggregateReport:
     pronoun_score: MetricSummary | None
 
 
-def _entity_sets(document: Document,
-                 ignore_singletons: bool) -> list[Sequence[MentionSpan]]:
-    return [c.mentions for c in document.clusters
-            if len(c.mentions) >= 2 or not ignore_singletons]
+# What scoring reads of a predicted document: ``(id, sentence lengths,
+# clusters)``, each cluster a tuple of its mentions' ``_span_key`` tuples.
+# Plain tuples of ints and strings, so ``marshal`` carries it between
+# processes.
+_PredictionView = tuple[str, tuple[int, ...],
+                       tuple[tuple[tuple[int, int, int], ...], ...]]
+
+
+def _prediction_view(document: Document) -> _PredictionView:
+    """What scoring reads of ``document`` as a prediction."""
+    return (document.id, tuple(map(len, document.sentences)),
+            tuple(tuple(map(_span_key, c.mentions)) for c in document.clusters))
 
 
 def _resolution_sums(entities_a: list[list[int]],
@@ -127,20 +135,20 @@ def _resolution_sums(entities_a: list[list[int]],
     return numerator, denominator
 
 
-def _lea_sums(gold: Document, pred: Document,
+def _lea_sums(gold: Document, pred: _PredictionView,
               ignore_singletons: bool) -> tuple[float, int, float, int]:
-    gold_sets = _entity_sets(gold, ignore_singletons)
-    pred_sets = _entity_sets(pred, ignore_singletons)
-    # Keyed by ``_span_key`` tuples, which hash in C, unlike the
-    # generated ``MentionSpan.__hash__``.
+    # Mentions are keyed by ``_span_key`` tuples, which hash in C, unlike
+    # the generated ``MentionSpan.__hash__``.
+    gold_sets = [tuple(map(_span_key, c.mentions)) for c in gold.clusters]
     ids: dict[tuple[int, int, int], int] = {}
 
-    def interned(sets: list[Sequence[MentionSpan]]) -> list[list[int]]:
-        return [[ids.setdefault(key, len(ids)) for key in map(_span_key, entity)]
-                for entity in sets]
+    def interned(sets) -> list[list[int]]:
+        return [[ids.setdefault(key, len(ids)) for key in entity]
+                for entity in sets
+                if len(entity) >= 2 or not ignore_singletons]
 
     gold_ids = interned(gold_sets)
-    pred_ids = interned(pred_sets)
+    pred_ids = interned(pred[2])
     recall_num, recall_den = _resolution_sums(gold_ids, pred_ids)
     prec_num, prec_den = _resolution_sums(pred_ids, gold_ids)
     return recall_num, recall_den, prec_num, prec_den
@@ -161,20 +169,21 @@ def _finish_lea(recall_num: float, recall_den: int,
 def lea(gold: Document, pred: Document,
         ignore_singletons: bool = False) -> LeaScore:
     """LEA precision, recall and F1 of one predicted document."""
-    return _finish_lea(*_lea_sums(gold, pred, ignore_singletons))
+    return _finish_lea(*_lea_sums(gold, _prediction_view(pred),
+                                  ignore_singletons))
 
 
-def _check_same_grid(gold: Document, pred: Document) -> None:
+def _check_same_grid(gold: Document, pred: _PredictionView) -> None:
     gold_shape = tuple(map(len, gold.sentences))
-    pred_shape = tuple(map(len, pred.sentences))
+    pred_shape = pred[1]
     if gold_shape != pred_shape:
         raise AlignmentError(
             f"document {gold.id!r}: gold and prediction disagree on the "
             f"token grid ({gold_shape} vs {pred_shape})")
 
 
-def _antecedent_hits(gold: Document,
-                     pred: Document) -> dict[tuple[int, int, int], bool | None]:
+def _antecedent_hits(gold: Document, pred: _PredictionView
+                     ) -> dict[tuple[int, int, int], bool | None]:
     """Pronoun-score outcome of every gold mention, in linear time.
 
     A span counts at its first position in the first gold cluster that
@@ -187,8 +196,8 @@ def _antecedent_hits(gold: Document,
     # span -> [(predicted cluster, first position in it), ...], in
     # cluster order, so the first pair is the one the span is judged by
     pred_positions: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for q, cluster in enumerate(pred.clusters):
-        for k, span in enumerate(map(_span_key, cluster.mentions)):
+    for q, cluster in enumerate(pred[2]):
+        for k, span in enumerate(cluster):
             positions = pred_positions.setdefault(span, [])
             if not positions or positions[-1][0] != q:
                 positions.append((q, k))
@@ -236,9 +245,15 @@ def pronoun_score(gold: Document, pred: Document,
     mention of the pronoun itself is consulted. A span listed by several
     clusters is judged in the first of them.
     """
-    _check_same_grid(gold, pred)
     if is_counted is None:
         is_counted = _third_singular(config)
+    return _pronoun_outcome(gold, _prediction_view(pred), is_counted)
+
+
+def _pronoun_outcome(gold: Document, pred: _PredictionView,
+                     is_counted: Callable[[Token], bool]) -> PronounScoreResult:
+    """:func:`pronoun_score` against the view ``pred`` of a prediction."""
+    _check_same_grid(gold, pred)
     counted = [token for sentence in gold.sentences for token in sentence
                if is_counted(token)]
 
@@ -268,9 +283,10 @@ def pronoun_score(gold: Document, pred: Document,
                               non_mention, first_mentions)
 
 
-def _pair_documents(gold: Corpus, pred: Corpus) -> list[tuple[Document, Document]]:
+def _pair_documents(gold: Corpus, pred: Sequence[_PredictionView]
+                    ) -> list[tuple[Document, _PredictionView]]:
     gold_ids = {d.id for d in gold.documents}
-    pred_index = {d.id: d for d in pred.documents}
+    pred_index = {view[0]: view for view in pred}
     missing = [d.id for d in gold.documents if d.id not in pred_index]
     extra = [i for i in pred_index if i not in gold_ids]
     if missing or extra:
@@ -295,6 +311,17 @@ def evaluate(gold: Corpus, pred: Corpus,
     the reported score is instead the unweighted mean of per-document
     scores (documents without counted pronouns are left out).
     """
+    return _evaluate(gold, list(map(_prediction_view, pred.documents)),
+                     is_counted, config, ignore_singletons, macro_pronouns)
+
+
+def _evaluate(gold: Corpus, pred: Sequence[_PredictionView],
+              is_counted: Callable[[Token], bool] | None,
+              config: ClassifierConfig, ignore_singletons: bool,
+              macro_pronouns: bool) -> EvalReport:
+    """:func:`evaluate` against ``pred``, the views of the predicted
+    documents in corpus order. ``score`` receives them from the process
+    that parsed the prediction."""
     pairs = _pair_documents(gold, pred)
     if is_counted is None:  # one role table for every document
         is_counted = _third_singular(config)
@@ -306,10 +333,10 @@ def evaluate(gold: Corpus, pred: Corpus,
     per_form: dict[str, tuple[int, int]] = {}
     doc_scores: list[float] = []
     for gold_doc, pred_doc in pairs:
-        # ``pronoun_score`` checks the token grids of the pair.
+        # ``_pronoun_outcome`` checks the token grids of the pair.
         part = _lea_sums(gold_doc, pred_doc, ignore_singletons)
         sums = tuple(a + b for a, b in zip(sums, part))
-        outcome = pronoun_score(gold_doc, pred_doc, is_counted, config)
+        outcome = _pronoun_outcome(gold_doc, pred_doc, is_counted)
         resolved += outcome.resolved
         total += outcome.total
         non_mention += outcome.non_mention

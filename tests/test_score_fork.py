@@ -1,0 +1,344 @@
+"""``score`` parses ``--pred`` in a forked child that sends back only the
+parse diagnostics and what scoring reads of each kept document. It must
+report exactly what the serial library calls report.
+
+The CLI runs in this process, so each run forks this pytest process; the
+child only ever sends its result down a pipe and exits.
+"""
+import io
+import marshal
+import os
+import random
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpusgen
+from conftest import FIXTURES
+from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
+from corefkit import cli
+from corefkit.conll import parse_corpus, serialize_corpus
+from corefkit.errors import CorefKitError, EmptyCorpusError
+from corefkit.metrics import (_evaluate, evaluate, format_report,
+                              report_keyvalues)
+from corefkit.model import Corpus
+from corefkit.resolver import resolve
+from corefkit.transform import ClassifierConfig
+
+GOLD = str(FIXTURES / "dialogue_gold.conll")
+PRED = str(FIXTURES / "dialogue_pred.conll")
+HERSTEL = str(FIXTURES / "herstel.conll")
+CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
+
+
+def run(*argv, stdin_text=""):
+    """``main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# --- the view a child sends ------------------------------------------------
+
+def round_tripped(text):
+    """:func:`cli._prediction` of ``text``, through ``marshal`` as a
+    child sends it."""
+    return marshal.loads(marshal.dumps(cli._prediction(text)))
+
+
+def corpus_pairs():
+    gold, pred = (parse_corpus(Path(p).read_text("utf-8"))[0]
+                  for p in (GOLD, PRED))
+    yield gold, pred
+    for name in ("e2e.conll", "herstel.conll"):
+        corpus = parse_corpus((FIXTURES / name).read_text("utf-8"))[0]
+        yield corpus, corpus
+        yield corpus, Corpus(tuple(map(resolve, corpus.documents)))
+    rng = random.Random(7)
+    for _ in range(20):
+        documents = [corpusgen.story_document(rng, f"s{i}", rng.randint(1, 12),
+                                              rng.randint(1, 4))
+                     for i in range(rng.randint(1, 4))]
+        yield Corpus(tuple(documents)), Corpus(tuple(
+            corpusgen.perturb_clusters(rng, d) for d in documents))
+
+
+@pytest.mark.parametrize("ignore_singletons", [False, True])
+@pytest.mark.parametrize("macro", [False, True])
+def test_the_sent_view_scores_what_the_parsed_corpus_scores(ignore_singletons,
+                                                            macro):
+    config = ClassifierConfig()
+    for gold, pred in corpus_pairs():
+        diagnostics, views = round_tripped(serialize_corpus(pred))
+        assert diagnostics == []
+        assert _evaluate(gold, views, None, config, ignore_singletons,
+                         macro) == evaluate(gold, pred, config=config,
+                                            ignore_singletons=ignore_singletons,
+                                            macro_pronouns=macro)
+
+
+def test_the_sent_view_agrees_with_the_oracles():
+    rng = random.Random(11)
+    for k in range(40):
+        gold, pred = random_pair(rng, f"d{k}")
+        views = round_tripped(serialize_corpus(Corpus((pred,)), validate=False))[1]
+        report = _evaluate(Corpus((gold,)), views, None, ClassifierConfig(),
+                           False, False)
+        assert (report.lea.precision, report.lea.recall,
+                report.lea.f1) == pytest.approx(lea_oracle(gold, pred))
+        pronouns = report.pronouns
+        assert (pronouns.score, pronouns.resolved, pronouns.total,
+                pronouns.per_form, pronouns.non_mention,
+                pronouns.first_mentions) == naive_pronoun_oracle(gold, pred)
+
+
+def test_the_view_holds_ids_lengths_and_span_keys_only():
+    diagnostics, views = round_tripped(Path(PRED).read_text("utf-8"))
+    ((doc_id, lengths, clusters),) = views
+    pred = parse_corpus(Path(PRED).read_text("utf-8"))[0].documents[0]
+    assert doc_id == pred.id
+    assert lengths == tuple(map(len, pred.sentences))
+    assert clusters == tuple(
+        tuple((m.sentence_index, m.start, m.end) for m in c.mentions)
+        for c in pred.clusters)
+
+
+# --- failure modes -----------------------------------------------------------
+
+@pytest.mark.parametrize("death", ["exits", "raises"])
+def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, death):
+    import corefkit.conll
+
+    parent = os.getpid()
+    original = corefkit.conll._parse_lines
+
+    def parse_lines(*args):
+        if os.getpid() != parent:  # the child's parse, not the gold one
+            if death == "exits":
+                os._exit(3)
+            raise RuntimeError("parser bug")
+        return original(*args)
+
+    monkeypatch.setattr(corefkit.conll, "_parse_lines", parse_lines)
+    output = tmp_path / "score.txt"
+    code, out, err = run("score", "--gold", GOLD, "--pred", PRED,
+                         "-o", str(output))
+    status = 3 if death == "exits" else 1
+    assert (code, out, err) == (
+        2, "", f"corefkit: error: the worker for --pred {PRED} ended without "
+               f"a result (exit status {status})\n")
+    assert os.listdir(tmp_path) == []  # no output, no .tmp file
+    assert_no_child_left()
+
+
+def test_an_empty_gold_corpus_kills_and_reaps_the_child(monkeypatch):
+    def parse_slowly(text):
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_prediction", parse_slowly)
+    started = time.monotonic()
+    assert run("score", "--gold", "-", "--pred", PRED, stdin_text="stray\n") == (
+        2, "", "-:1: error: unexpected content outside a document: 'stray'\n"
+               "corefkit: error: no parseable document in input\n")
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_a_gold_read_error_starts_no_child(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    missing = tmp_path / "missing.conll"
+    code, out, err = run("score", "--gold", str(missing), "--pred", PRED)
+    assert (code, out) == (2, "")
+    assert err == f"corefkit: error: [Errno 2] No such file or directory: " \
+                  f"{str(missing)!r}\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["--gold", GOLD, "--pred", PRED], ""),
+    (["--gold", GOLD, "--pred", PRED, "--macro", "--ignore-singletons"], ""),
+    (["--gold", GOLD, "--pred", HERSTEL], ""),  # grid mismatch
+    (["--gold", HERSTEL, "--pred", PRED], ""),  # ids do not align
+    (["--gold", GOLD, "--pred", "-"], "stray\n"),  # empty prediction
+    (["--gold", "-", "--pred", "-"], Path(GOLD).read_text("utf-8")),
+    (["--gold", GOLD, "--pred", str(FIXTURES)], ""),  # a directory
+])
+def test_without_fork_the_output_is_the_same(monkeypatch, argv, stdin_text):
+    expected = run("score", *argv, stdin_text=stdin_text)
+    monkeypatch.delattr(os, "fork")
+    assert run("score", *argv, stdin_text=stdin_text) == expected
+
+
+# --- the CLI against the serial library calls, on hostile pairs -------------
+
+FIXTURE_DOCUMENTS = [d for name in ("e2e.conll", "herstel.conll",
+                                    "dialogue_gold.conll")
+                     for d in parse_corpus((FIXTURES / name).read_text("utf-8"))[0].documents]
+
+
+def lines_of(document):
+    return serialize_corpus(Corpus((document,)), validate=False).splitlines()
+
+
+def hostile(draw, rng, lines):
+    """``lines`` as they are, or broken in one of the ways the parser
+    recovers from."""
+    damage = draw(st.sampled_from(["none"] * 5 + ["malformed", "stray",
+                                                  "unterminated"]))
+    if damage == "malformed":
+        at = rng.randrange(1, len(lines) - 1)
+        lines[at] = lines[at].rsplit("\t", 1)[0] if lines[at] else "1\tx"
+    elif damage == "stray":
+        lines.insert(0, "stray words")
+    elif damage == "unterminated":
+        lines.pop()
+    return lines
+
+
+@st.composite
+def corpus_pairs_texts(draw):
+    """Gold and prediction texts: for each gold document the prediction
+    holds it, its resolution or perturbation, its token grid without
+    clusters, another grid, another id, or nothing; either side may be
+    damaged, reordered or empty."""
+    gold_blocks, pred_blocks = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        doc_id = draw(st.sampled_from("abcd"))
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        source = draw(st.sampled_from(["story", "random", "fixture"]))
+        if source == "story":
+            gold = corpusgen.story_document(rng, doc_id, rng.randint(1, 6))
+        elif source == "random":
+            gold = corpusgen.random_document(rng, doc_id)
+        else:
+            gold = replace(draw(st.sampled_from(FIXTURE_DOCUMENTS)), id=doc_id)
+        gold_blocks.append(hostile(draw, rng, lines_of(gold)))
+        kind = draw(st.sampled_from(["same", "resolved", "perturbed",
+                                     "unclustered"] * 3
+                                    + ["regridded", "renamed", "missing"]))
+        if kind == "missing":
+            continue
+        pred = {
+            "same": lambda: gold,
+            "resolved": lambda: resolve(gold),
+            "perturbed": lambda: corpusgen.perturb_clusters(rng, gold),
+            "unclustered": lambda: replace(gold, clusters=()),
+            "regridded": lambda: corpusgen.story_document(rng, doc_id, 3),
+            "renamed": lambda: replace(gold, id=doc_id.upper()),
+        }[kind]()
+        pred_blocks.append(hostile(draw, rng, lines_of(pred)))
+    pred_blocks = draw(st.permutations(pred_blocks))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return tuple(newline.join(line for block in blocks for line in block)
+                 + (newline if blocks else "")
+                 for blocks in (gold_blocks, pred_blocks))
+
+
+def serial_reference(gold_arg, pred_arg, config_arg, stdin_text, options,
+                     output):
+    """(exit code, stdout, stderr, output file text or None) of one serial
+    run, built from ``parse_corpus``, ``evaluate``, ``format_report`` and
+    ``report_keyvalues``."""
+    stdin = [stdin_text]
+    stderr = []
+
+    def read(path):
+        if path == "-":
+            text, stdin[0] = stdin[0], ""
+            return text
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+
+    def parsed(path):
+        try:
+            corpus, diagnostics = parse_corpus(read(path))
+        except EmptyCorpusError as exc:
+            corpus, diagnostics = exc, exc.diagnostics
+        stderr.extend(f"{path}:{d.line_number}: {d.severity}: {d.message}\n"
+                      for d in diagnostics)
+        if isinstance(corpus, Exception):
+            raise corpus
+        return corpus
+
+    try:
+        gold = parsed(gold_arg)
+        pred = parsed(pred_arg)
+        config = (ClassifierConfig() if config_arg is None
+                  else ClassifierConfig.from_text(read(config_arg)))
+        report = evaluate(gold, pred, config=config,
+                          ignore_singletons="--ignore-singletons" in options,
+                          macro_pronouns="--macro" in options)
+    except (CorefKitError, ValueError, OSError) as exc:
+        return 2, "", "".join(stderr) + f"corefkit: error: {exc}\n", None
+    text = format_report(report) + "\n\n" + report_keyvalues(report) + "\n"
+    if output:
+        return 0, "", "".join(stderr), text
+    return 0, text, "".join(stderr), None
+
+
+# Weighted so that about a third of the runs score.
+@settings(max_examples=200, deadline=None)
+@given(texts=corpus_pairs_texts(),
+       gold_kind=st.sampled_from(["file"] * 4 + ["-", "missing"]),
+       pred_kind=st.sampled_from(["file"] * 6 + ["-", "missing", "directory",
+                                                 "not utf-8"]),
+       config_kind=st.sampled_from([None] * 3 + ["good"] * 3
+                                   + ["bad", "missing"]),
+       options=st.sets(st.sampled_from(["--macro", "--ignore-singletons"])),
+       output=st.booleans())
+def test_score_reports_what_the_serial_calls_report(texts, gold_kind, pred_kind,
+                                                    config_kind, options,
+                                                    output):
+    gold_text, pred_text = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "gold.conll").write_text(gold_text, "utf-8", newline="")
+        (tmp / "pred.conll").write_text(pred_text, "utf-8", newline="")
+        (tmp / "latin1.conll").write_bytes(pred_text.encode("utf-8") + b"\xff")
+        (tmp / "directory").mkdir()
+        for name, text in CONFIGS.items():
+            (tmp / f"{name}.cfg").write_text(text, "utf-8")
+        paths = {"file": None, "-": "-", "missing": str(tmp / "missing.conll"),
+                 "directory": str(tmp / "directory"),
+                 "not utf-8": str(tmp / "latin1.conll")}
+        gold_arg = paths[gold_kind] or str(tmp / "gold.conll")
+        pred_arg = paths[pred_kind] or str(tmp / "pred.conll")
+        # stdin holds the text of the first side that reads it.
+        stdin_text = gold_text if gold_arg == "-" else pred_text
+        argv = ["score", "--gold", gold_arg, "--pred", pred_arg, *sorted(options)]
+        config_arg = None
+        if config_kind is not None:
+            config_arg = str(tmp / f"{config_kind}.cfg")
+            argv += ["--config", config_arg]
+        target = tmp / "out" / "score.txt"
+        if output:
+            argv += ["-o", str(target)]
+        before = set(tmp.rglob("*"))
+
+        expected = serial_reference(gold_arg, pred_arg, config_arg, stdin_text,
+                                    options, output)
+        code, out, err = run(*argv, stdin_text=stdin_text)
+        written = target.read_text("utf-8") if target.exists() else None
+        assert (code, out, err, written) == expected
+        assert set(tmp.rglob("*")) - before <= {target, target.parent}
+    assert_no_child_left()

@@ -78,6 +78,18 @@ def test_pipeline_command_loads_only_its_layers(baseline, args, own):
     assert not added & set(HEAVY)
 
 
+def test_score_loads_what_transform_loads_and_the_scorer(baseline):
+    # The prediction's child is forked, not started from a pool, and the
+    # scorer is the only layer score adds to transform's modules.
+    score = loaded_modules(_PROBE, "score", "--gold", HERSTEL,
+                           "--pred", HERSTEL) - baseline
+    transform = loaded_modules(_PROBE, "transform", HERSTEL,
+                               "--paradigm", "die") - baseline
+    assert score == transform | {"corefkit.metrics"}
+    assert not {m for m in score
+                if m.startswith(("multiprocessing", "concurrent"))}
+
+
 @pytest.mark.parametrize("command", ["transform", "resolve-baseline"])
 def test_jobs_above_one_starts_no_worker_pool(baseline, command):
     added = loaded_modules(_PROBE, command, HERSTEL, "--jobs", "2") - baseline
