@@ -10,11 +10,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import Sequence
 
 from corefkit.errors import EmptyCorpusError
 from corefkit.lexicon import (GENDER_NEUTRAL_NAMES, NEOPRONOUN_NAMES,
                               RewriteLexicon, get_paradigm)
-from corefkit.model import Corpus
+from corefkit.model import Corpus, Document
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 TransformOptions, pronoun_specific)
 
@@ -43,16 +44,28 @@ class PartitionSpec:
             raise ValueError("need at least one partition")
 
 
-def _rewrite(corpus: Corpus, assignment: dict[str, str],
+def _rewrite(documents, assignment: dict[str, str],
              config: ClassifierConfig, lexicon: RewriteLexicon | None,
-             options: TransformOptions) -> Corpus:
-    """Rewrite every document with the paradigm assigned to its id."""
+             options: TransformOptions) -> tuple[Document, ...]:
+    """Rewrite each document with the paradigm assigned to its id."""
     paradigms = {name: get_paradigm(name) for name in set(assignment.values())}
-    documents = tuple(
+    return tuple(
         pronoun_specific(document, paradigms[assignment[document.id]],
                          config, lexicon, options)
-        for document in corpus.documents)
-    return Corpus(documents, corpus.split_label)
+        for document in documents)
+
+
+def _cda_assignment(ids: Sequence[str], seed: int) -> dict[str, str]:
+    """``ids``, in their order, each to "hen" or "die": the seeded RNG
+    shuffles them, the first half goes to "hen" and the rest to "die";
+    with an odd count "hen" receives the extra id."""
+    shuffled = list(ids)
+    random.Random(seed).shuffle(shuffled)
+    half = (len(shuffled) + 1) // 2
+    hen_name, die_name = GENDER_NEUTRAL_NAMES
+    drawn = dict.fromkeys(shuffled[:half], hen_name)
+    drawn.update(dict.fromkeys(shuffled[half:], die_name))
+    return {doc_id: drawn[doc_id] for doc_id in ids}
 
 
 def build_cda(corpus: Corpus, seed: int = 0,
@@ -70,14 +83,9 @@ def build_cda(corpus: Corpus, seed: int = 0,
     """
     if not corpus.documents:
         raise EmptyCorpusError("cannot augment an empty corpus")
-    ids = list(corpus.document_ids())
-    random.Random(seed).shuffle(ids)
-    half = (len(ids) + 1) // 2
-    hen_name, die_name = GENDER_NEUTRAL_NAMES
-    assignment = {doc_id: hen_name for doc_id in ids[:half]}
-    assignment.update({doc_id: die_name for doc_id in ids[half:]})
-    ordered = {d.id: assignment[d.id] for d in corpus.documents}
-    return _rewrite(corpus, ordered, config, lexicon, options), ordered
+    assignment = _cda_assignment(corpus.document_ids(), seed)
+    documents = _rewrite(corpus.documents, assignment, config, lexicon, options)
+    return Corpus(documents, corpus.split_label), assignment
 
 
 def sample_partitions(corpus: Corpus, spec: PartitionSpec,
@@ -107,6 +115,16 @@ def sample_partitions(corpus: Corpus, spec: PartitionSpec,
     return partitions
 
 
+def _unseen_assignment(ids: Sequence[str], seed: int,
+                       fixed: str | None) -> dict[str, str]:
+    """``ids``, in their order, each to one of the six neopronoun
+    paradigms drawn uniformly by the seeded RNG, or all to ``fixed``."""
+    if fixed is not None:
+        return dict.fromkeys(ids, get_paradigm(fixed).name)
+    rng = random.Random(seed)
+    return {doc_id: rng.choice(NEOPRONOUN_NAMES) for doc_id in ids}
+
+
 def build_unseen(corpus: Corpus, seed: int = 0, fixed: str | None = None,
                  config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
                  lexicon: RewriteLexicon | None = None,
@@ -121,11 +139,6 @@ def build_unseen(corpus: Corpus, seed: int = 0, fixed: str | None = None,
     """
     if not corpus.documents:
         raise EmptyCorpusError("cannot rewrite an empty corpus")
-    if fixed is not None:
-        paradigm = get_paradigm(fixed)
-        assignment = {d.id: paradigm.name for d in corpus.documents}
-    else:
-        rng = random.Random(seed)
-        assignment = {d.id: rng.choice(NEOPRONOUN_NAMES)
-                      for d in corpus.documents}
-    return _rewrite(corpus, assignment, config, lexicon, options), assignment
+    assignment = _unseen_assignment(corpus.document_ids(), seed, fixed)
+    documents = _rewrite(corpus.documents, assignment, config, lexicon, options)
+    return Corpus(documents, corpus.split_label), assignment

@@ -121,21 +121,6 @@ def _to_output(args, text: str) -> _Output:
     return _Output(stdout=text)
 
 
-def _corpus_result(args, corpus: Corpus, source: Corpus) -> _Output:
-    """``corpus``, mapped document by document from the parsed ``source``,
-    serialized for output.
-
-    The parser guarantees ``source`` is valid, so only what the mapping
-    changed is validated; an error raises the :class:`ValidationError`
-    that ``serialize_corpus`` would.
-    """
-    from corefkit.conll import _raise_on_errors, serialize_corpus
-    from corefkit.model import _validate_mapped
-
-    _raise_on_errors(_validate_mapped(corpus, source))
-    return _to_output(args, serialize_corpus(corpus, validate=False))
-
-
 def _assignment_tsv(assignment: dict[str, str]) -> str:
     return "".join(f"{doc_id}\t{name}\n" for doc_id, name in assignment.items())
 
@@ -190,17 +175,19 @@ def _shard_bounds(lines: list[str], jobs: int) -> list[int]:
 
 
 def _shard(lines: list[str], start: int, stop: int, mapping, seen_ids=()):
-    """Parse ``lines[start:stop]``, map each kept document with
+    """Parse ``lines[start:stop]``, map the kept documents with
     ``mapping``, check what the mapping changed and serialize.
 
     Returns ``(diagnostics, kept ids, failure, text)`` as plain values
     that ``marshal`` encodes. ``failure`` is ``(0, message)`` for the
     first error the mapping raised, ``(1, message)`` for the first
-    validation error, or None; a failed shard has no text. Without a
-    mapping the shard only parses. ``seen_ids`` are ids kept before the
-    range (see :func:`corefkit.conll._parse_lines`). The mapping keeps
-    every document's id, as each command's does, so ids kept in
-    different shards cannot collide in validation.
+    validation error (the one ``serialize_corpus`` would raise, since
+    the parser keeps only valid documents), or None; a failed shard has
+    no text. ``mapping`` takes the list of kept documents and returns
+    them mapped, in order, each keeping its id, so ids kept in different
+    shards cannot collide in validation; without one the shard only
+    parses. ``seen_ids`` are ids kept before the range (see
+    :func:`corefkit.conll._parse_lines`).
     """
     from corefkit.conll import _parse_lines, _raise_on_errors, serialize_corpus
     from corefkit.model import Corpus, _validate_mapped
@@ -215,7 +202,7 @@ def _shard(lines: list[str], start: int, stop: int, mapping, seen_ids=()):
         return (*parsed, None, "")
     source = Corpus(tuple(documents))
     try:
-        mapped = Corpus(tuple(map(mapping, documents)))
+        mapped = Corpus(tuple(mapping(documents)))
     except (CorefKitError, ValueError, OSError) as exc:
         return (*parsed, (0, str(exc)), "")
     try:
@@ -302,8 +289,13 @@ def _forked(tasks, here):
 def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
     """:func:`_shard` over the shards of ``lines``, in shard order.
 
-    This process runs the first shard and a forked child each other one
-    (see :func:`_forked`), which shares the read lines. A shard that
+    :func:`_shard_bounds` cuts the lines into at most ``jobs`` shards of
+    whole documents, so one document is never split; without
+    ``os.fork`` there is one shard. This process runs the first shard
+    and a forked child each other one (see :func:`_forked`), which
+    shares the read lines and sends back its diagnostics, kept ids and
+    text. Several documents of similar size and a free core per job are
+    what make this faster than one shard. A shard that
     kept an id kept by an earlier shard is redone here knowing the
     earlier ids, so each result is what one parse of all the lines gives
     for its range.
@@ -324,15 +316,18 @@ def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
     return results
 
 
-def _mapped_output(args, prepare) -> _Output:
-    """The input parsed, mapped document by document, checked and
-    serialized in up to ``--jobs`` shards (see :func:`_run_shards`).
+def _mapped_output(args, prepare) -> tuple[_Output, list[str]]:
+    """The input parsed, mapped, checked and serialized in up to
+    ``--jobs`` shards (see :func:`_run_shards`), and the kept ids in order.
 
     ``prepare()`` loads what the mapping needs and returns the mapping
-    and any warnings to print. What is reported is what one serial run
-    reports: the parse diagnostics in line order, then the first of an
-    empty corpus, an error of ``prepare``, the first error a mapping
-    raised and the first validation error.
+    (see :func:`_shard`) and any warnings to print. A mapping that reads
+    all of a shard's documents at once, not one at a time, serves only
+    commands without ``--jobs``, which always run one shard. What is
+    reported is what one serial run reports: the parse diagnostics in
+    line order, then the first of an empty corpus, an error of
+    ``prepare``, the first error a mapping raised and the first
+    validation error.
     """
     lines = _read_text(args.input).splitlines()
     try:
@@ -343,7 +338,8 @@ def _mapped_output(args, prepare) -> _Output:
     results = _run_shards(lines, mapping, getattr(args, "jobs", 1))
     for diagnostics, _, _, _ in results:
         _print_diagnostics(args.input, diagnostics)
-    if not any(ids for _, ids, _, _ in results):
+    kept = [doc_id for _, ids, _, _ in results for doc_id in ids]
+    if not kept:
         raise EmptyCorpusError("no parseable document in input")
     sys.stderr.write(warnings)
     if failure is not None:
@@ -351,7 +347,7 @@ def _mapped_output(args, prepare) -> _Output:
     failures = [failed for _, _, failed, _ in results if failed is not None]
     if failures:  # the first of the lowest rank
         raise CorefKitError(min(failures, key=lambda f: f[0])[1])
-    return _to_output(args, "".join(text for _, _, _, text in results))
+    return _to_output(args, "".join(text for _, _, _, text in results)), kept
 
 
 def _render_stats(report: FrequencyReport) -> str:
@@ -403,7 +399,7 @@ def _cmd_stats(args) -> _Output:
 def _cmd_strip_singletons(args) -> _Output:
     from corefkit.conll import strip_singletons
 
-    return _mapped_output(args, lambda: (strip_singletons, ""))
+    return _mapped_output(args, lambda: (partial(map, strip_singletons), ""))[0]
 
 
 def _cmd_transform(args) -> _Output:
@@ -415,10 +411,10 @@ def _cmd_transform(args) -> _Output:
         paradigm = get_paradigm(args.paradigm) if args.paradigm else None
         options = TransformOptions(anonymize=args.anonymize,
                                    neutralize_nouns=args.neutralize_nouns)
-        return (lambda d: pronoun_specific(d, paradigm, config, lexicon,
-                                           options)), warnings
+        return partial(map, lambda d: pronoun_specific(
+            d, paradigm, config, lexicon, options)), warnings
 
-    return _mapped_output(args, prepare)
+    return _mapped_output(args, prepare)[0]
 
 
 def _cmd_delex(args) -> _Output:
@@ -426,31 +422,35 @@ def _cmd_delex(args) -> _Output:
         from corefkit.transform import delexicalize
 
         config = _load_classifier(args.config)
-        return (lambda d: delexicalize(d, config)), ""
+        return partial(map, lambda d: delexicalize(d, config)), ""
 
-    return _mapped_output(args, prepare)
+    return _mapped_output(args, prepare)[0]
 
 
-def _variant_inputs(args):
-    """Corpus, classifier, lexicon and options of ``cda`` and ``unseen``."""
-    from corefkit.transform import TransformOptions
+def _variant_output(args, assign) -> _Output:
+    """``cda`` and ``unseen``: each kept document rewritten with the
+    paradigm that ``assign(kept ids)`` gives its id, and the assignment
+    sidecar."""
+    def prepare():
+        from corefkit.builder import _rewrite
+        from corefkit.transform import TransformOptions
 
-    corpus = _read_corpus(args.input)
-    config = _load_classifier(args.config)
-    lexicon, warnings = _load_lexicon(args.lexicon)
-    sys.stderr.write(warnings)
-    options = TransformOptions(anonymize=not args.no_anonymize,
-                               neutralize_nouns=not args.no_neutralize_nouns)
-    return corpus, config, lexicon, options
+        config = _load_classifier(args.config)
+        lexicon, warnings = _load_lexicon(args.lexicon)
+        options = TransformOptions(anonymize=not args.no_anonymize,
+                                   neutralize_nouns=not args.no_neutralize_nouns)
+        return (lambda documents: _rewrite(
+            documents, assign([d.id for d in documents]), config, lexicon,
+            options)), warnings
+
+    result, ids = _mapped_output(args, prepare)
+    return _with_assignments(args, result, assign(ids))
 
 
 def _cmd_cda(args) -> _Output:
-    from corefkit.builder import build_cda
+    from corefkit.builder import _cda_assignment
 
-    corpus, config, lexicon, options = _variant_inputs(args)
-    augmented, assignment = build_cda(corpus, args.seed, config, lexicon, options)
-    return _with_assignments(args, _corpus_result(args, augmented, corpus),
-                             assignment)
+    return _variant_output(args, lambda ids: _cda_assignment(ids, args.seed))
 
 
 def _cmd_sample(args) -> _Output:
@@ -480,13 +480,10 @@ def _cmd_sample(args) -> _Output:
 
 
 def _cmd_unseen(args) -> _Output:
-    from corefkit.builder import build_unseen
+    from corefkit.builder import _unseen_assignment
 
-    corpus, config, lexicon, options = _variant_inputs(args)
-    rewritten, assignment = build_unseen(corpus, args.seed, args.fixed,
-                                         config, lexicon, options)
-    return _with_assignments(args, _corpus_result(args, rewritten, corpus),
-                             assignment)
+    return _variant_output(args, lambda ids: _unseen_assignment(
+        ids, args.seed, args.fixed))
 
 
 def _cmd_resolve_baseline(args) -> _Output:
@@ -497,9 +494,10 @@ def _cmd_resolve_baseline(args) -> _Output:
         resolver_config = ResolverConfig(
             pronoun_window_sentences=args.window,
             enable_string_match=not args.no_string_match)
-        return (lambda d: resolve(d, resolver_config, classifier)), ""
+        return partial(map, lambda d: resolve(d, resolver_config,
+                                              classifier)), ""
 
-    return _mapped_output(args, prepare)
+    return _mapped_output(args, prepare)[0]
 
 
 def _prediction(text: str):
@@ -795,6 +793,10 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Process entry point: run :func:`main` and exit with its code.
+
+    Each handler imports only the modules its command runs (``transform``
+    never loads the scorer, the resolver or the stats code), so a
+    process pays the start-up of its own layers only.
 
     The cyclic garbage collector is switched off first, because it
     would only rescan live objects: the corpus data of a command holds

@@ -12,8 +12,6 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterator
 
-from corefkit.errors import ValidationError
-
 __all__ = [
     "Token",
     "MentionSpan",
@@ -25,7 +23,6 @@ __all__ = [
     "mention_containing",
     "validate_document",
     "validate_corpus",
-    "check_valid",
     "map_documents",
 ]
 
@@ -391,16 +388,6 @@ def _corpus_issues(pairs) -> list[ValidationIssue]:
         if document is not source:
             issues.extend(_document_issues(document, source))
     return issues
-
-
-def check_valid(corpus: Corpus) -> None:
-    """Raise :class:`ValidationError` if the corpus has any error issue."""
-    issues = validate_corpus(corpus)
-    errors = [i for i in issues if i.severity == "error"]
-    if errors:
-        head = "; ".join(i.message for i in errors[:3])
-        raise ValidationError(
-            f"{len(errors)} validation error(s): {head}", issues)
 
 
 def map_documents(corpus: Corpus,

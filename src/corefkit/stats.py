@@ -65,9 +65,7 @@ class FrequencyReport:
 
 
 def grammatical_function(token: Token,
-                         config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
-                         relative_feats: frozenset[str] = RELATIVE_FEATS,
-                         demonstrative_feats: frozenset[str] = DEMONSTRATIVE_FEATS
+                         config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
                          ) -> str:
     """Function bucket of a token, person and number agnostic."""
     feats = token.feat_set()
@@ -77,15 +75,15 @@ def grammatical_function(token: Token,
         if config.nominative_feat in feats:
             return "personal_subject"
         return "personal_object"
-    if relative_feats <= feats:
+    if RELATIVE_FEATS <= feats:
         return "relative"
-    if demonstrative_feats <= feats:
+    if DEMONSTRATIVE_FEATS <= feats:
         return "demonstrative"
     return "other"
 
 
-def _count(corpus: Corpus, wanted: tuple[str, ...], config: ClassifierConfig,
-           masculine_forms: frozenset[str]) -> FrequencyReport:
+def _count(corpus: Corpus, wanted: tuple[str, ...],
+           config: ClassifierConfig) -> FrequencyReport:
     """One walk over the corpus: per-form rows for ``wanted`` plus totals."""
     # Lowercased form -> every row that counts it; a form may be asked
     # for twice, in any spelling.
@@ -113,7 +111,7 @@ def _count(corpus: Corpus, wanted: tuple[str, ...], config: ClassifierConfig,
                 form = token.form.lower()
                 if is_third_singular:
                     third_sg += 1
-                    if form in masculine_forms:
+                    if form in MASCULINE_FORMS:
                         masculine += 1
                 rows = index.get(form)
                 if rows is not None:
@@ -138,8 +136,7 @@ def _count(corpus: Corpus, wanted: tuple[str, ...], config: ClassifierConfig,
 
 def pronoun_frequencies(corpus: Corpus,
                         forms: tuple[str, ...] | None = None,
-                        config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
-                        masculine_forms: frozenset[str] = MASCULINE_FORMS
+                        config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
                         ) -> FrequencyReport:
     """Count occurrences of the given forms (case-insensitive) by function.
 
@@ -148,12 +145,11 @@ def pronoun_frequencies(corpus: Corpus,
     that a corpus uses exclusively in other functions.
     """
     wanted = tuple(forms) if forms is not None else DEFAULT_REPORT_FORMS
-    return _count(corpus, wanted, config, masculine_forms)
+    return _count(corpus, wanted, config)
 
 
 def corpus_summary(corpus: Corpus,
-                   config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
-                   masculine_forms: frozenset[str] = MASCULINE_FORMS
+                   config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
                    ) -> FrequencyReport:
     """Corpus totals only; an empty corpus yields an all-zero report."""
-    return _count(corpus, (), config, masculine_forms)
+    return _count(corpus, (), config)

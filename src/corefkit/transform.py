@@ -184,8 +184,7 @@ def _rewrite(document: Document,
              pronoun_forms: dict[PronounRole, str] | None = None,
              delex: bool = False,
              names: dict[str, int] | None = None,
-             lexicon: RewriteLexicon | None = None,
-             nominal_pos: frozenset[str] = NOMINAL_POS) -> Document:
+             lexicon: RewriteLexicon | None = None) -> Document:
     """The one rewrite loop behind every transform.
 
     Each token's ``(form, lemma)`` goes through the enabled steps in
@@ -229,7 +228,7 @@ def _rewrite(document: Document,
                 if index is None:
                     index = names[form] = len(names)
                 form = lemma = f"ANON_{index}"
-            if entries is not None and token.pos in nominal_pos:
+            if entries is not None and token.pos in NOMINAL_POS:
                 entry = entries.get(form.lower())
                 if entry is not None:
                     form = transfer_case(form, entry.replacement)
@@ -282,8 +281,8 @@ def anonymize_names(document: Document) -> tuple[Document, dict[str, int]]:
     return _rewrite(document, names=indices), indices
 
 
-def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None,
-                  nominal_pos: frozenset[str] = NOMINAL_POS) -> Document:
+def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None
+                  ) -> Document:
     """Rewrite gendered nouns using the lexicon.
 
     A token is rewritten when its form matches a lexicon key
@@ -292,7 +291,7 @@ def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None,
     the lowercase replacement.
     """
     lexicon = lexicon if lexicon is not None else builtin_noun_lexicon()
-    return _rewrite(document, lexicon=lexicon, nominal_pos=nominal_pos)
+    return _rewrite(document, lexicon=lexicon)
 
 
 def delexicalize(document: Document,

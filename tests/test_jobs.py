@@ -9,6 +9,7 @@ import io
 import os
 import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 import corpusgen
 from conftest import FIXTURES
 from corefkit import cli
-from corefkit.conll import END_LINE, parse_corpus, serialize_corpus
+from corefkit.builder import build_cda, build_unseen
+from corefkit.conll import (END_LINE, parse_corpus, serialize_corpus,
+                            strip_singletons)
 from corefkit.errors import CorefKitError, EmptyCorpusError
 from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
 from corefkit.model import Corpus, map_documents, validate_corpus
@@ -295,22 +298,40 @@ def corpus_texts(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
+# Each command as the property test runs it; "{dir}" is a fresh directory.
 COMMANDS = {
     "transform": ["transform", "--paradigm", "die", "--anonymize",
                   "--neutralize-nouns", "--lexicon", E2E],
     "delex": ["delex"],
     "resolve-baseline": ["resolve-baseline"],
+    "strip-singletons": ["strip-singletons"],
+    "cda": ["cda", "--seed", "3", "--lexicon", E2E, "-o", "{dir}/out.conll",
+            "--assignments", "-"],
+    "unseen": ["unseen", "--seed", "5", "--no-anonymize", "--lexicon", E2E],
+    "unseen --fixed": ["unseen", "--fixed", "zem", "-o", "{dir}/out.conll"],
 }
+JOBS_COMMANDS = ("transform", "delex", "resolve-baseline")
 
 
 def serial_reference(command, text):
-    """What one serial run reports, built from the library calls."""
+    """What one serial run reports, built from the library calls:
+    (exit code, stdout, the written files by name, stderr)."""
     config = ClassifierConfig()
-    mapping = {
-        "transform": lambda d: pronoun_specific(
-            d, get_paradigm("die"), config, POISON, TransformOptions(True, True)),
-        "delex": lambda d: delexicalize(d, config),
-        "resolve-baseline": lambda d: resolve(d, ResolverConfig(), config),
+    options = TransformOptions(True, True)
+
+    def each(fn):
+        return lambda corpus: (map_documents(corpus, booming(fn)), None)
+
+    build = {
+        "transform": each(lambda d: pronoun_specific(
+            d, get_paradigm("die"), config, POISON, options)),
+        "delex": each(lambda d: delexicalize(d, config)),
+        "resolve-baseline": each(lambda d: resolve(d, ResolverConfig(), config)),
+        "strip-singletons": each(strip_singletons),
+        "cda": lambda corpus: build_cda(corpus, 3, config, POISON, options),
+        "unseen": lambda corpus: build_unseen(
+            corpus, 5, None, config, POISON, TransformOptions(False, True)),
+        "unseen --fixed": lambda corpus: build_unseen(corpus, fixed="zem"),
     }[command]
     try:
         corpus, diagnostics = parse_corpus(text)
@@ -320,33 +341,69 @@ def serial_reference(command, text):
                      for d in diagnostics)
     if corpus is not None:
         try:
-            mapped = map_documents(corpus, booming(mapping))
+            mapped, assignment = build(corpus)
         except CorefKitError as exc:
             failure = str(exc)
         else:
             errors = [i.message for i in validate_corpus(mapped)
                       if i.severity == "error"]
             if not errors:
-                return 0, serialize_corpus(mapped), stderr
+                return (0, *placed(COMMANDS[command], serialize_corpus(mapped),
+                                   assignment), stderr)
             failure = f"corpus failed validation: {errors[0]}"
-    return 2, "", stderr + f"corefkit: error: {failure}\n"
+    return 2, "", {}, stderr + f"corefkit: error: {failure}\n"
+
+
+def placed(argv, corpus_text, assignment):
+    """(stdout, files by name) of a successful run of ``argv``."""
+    if "-o" not in argv:
+        return corpus_text, {}
+    files = {"out.conll": corpus_text}
+    tsv = "".join(f"{doc_id}\t{name}\n" for doc_id, name in assignment.items())
+    if "--assignments" in argv:  # "-", the only value used here
+        return tsv, files
+    files["out.conll.assignments.tsv"] = tsv
+    return "", files
+
+
+def run_in(directory, argv, text):
+    """``run`` with "{dir}" in ``argv`` naming ``directory``:
+    (exit code, stdout, the files left there by name, stderr). The
+    files are removed."""
+    code, out, err = run(*(a.replace("{dir}", directory) for a in argv),
+                         stdin_text=text)
+    files = {}
+    for name in os.listdir(directory):
+        with open(os.path.join(directory, name), encoding="utf-8",
+                  newline="") as handle:
+            files[name] = handle.read()
+        os.remove(os.path.join(directory, name))
+    return code, out, files, err
 
 
 @settings(max_examples=120, deadline=None)
 @given(text=corpus_texts())
 def test_shards_report_what_the_serial_run_reports(text):
+    import corefkit.builder
+    import corefkit.conll
     import corefkit.resolver
     import corefkit.transform
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as directory:
         for module, name in ((corefkit.transform, "pronoun_specific"),
                              (corefkit.transform, "delexicalize"),
-                             (corefkit.resolver, "resolve")):
+                             (corefkit.resolver, "resolve"),
+                             (corefkit.conll, "strip_singletons"),
+                             (corefkit.builder, "pronoun_specific")):
             patch.setattr(module, name, booming(getattr(module, name)))
         patch.setattr(cli, "load_noun_lexicon", lambda handle: POISON)
         for command, argv in COMMANDS.items():
             expected = serial_reference(command, text)
+            if command not in JOBS_COMMANDS:
+                assert run_in(directory, argv, text) == expected, command
+                continue
             for jobs in (1, 2, 3):
-                got = run(*argv, "--jobs", str(jobs), stdin_text=text)
+                got = run_in(directory, [*argv, "--jobs", str(jobs)], text)
                 assert got == expected, (command, jobs)
     assert_no_child_left()

@@ -6,11 +6,10 @@ from dataclasses import MISSING, FrozenInstanceError, astuple, fields, replace
 
 import pytest
 
-from corefkit.errors import ValidationError
 from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
-                            _span, _span_key, antecedents, check_valid,
-                            map_documents, mention_containing,
-                            validate_corpus, validate_document)
+                            _span, _span_key, antecedents, map_documents,
+                            mention_containing, validate_corpus,
+                            validate_document)
 
 import corpusgen
 
@@ -362,13 +361,6 @@ def test_validate_corpus_duplicate_ids():
     doc = corpusgen.build_doc("same", [[corpusgen.tok("x")]])
     issues = validate_corpus(Corpus((doc, doc)))
     assert any("duplicate document id" in m for m in _errors(issues))
-
-
-def test_check_valid_raises_with_issues():
-    bad = Corpus((Document("d", ((Token(0, 0, ""),),)),))
-    with pytest.raises(ValidationError) as excinfo:
-        check_valid(bad)
-    assert excinfo.value.issues
 
 
 def test_generated_documents_are_valid():
