@@ -77,10 +77,13 @@ class _DocumentReader:
     """Accumulates lines of one document and builds it on completion."""
 
     def __init__(self, doc_id: str, begin_line: int,
-                 diagnostics: list[ParseDiagnostic]):
+                 diagnostics: list[ParseDiagnostic], strings: dict[str, str]):
         self.doc_id = doc_id
         self.begin_line = begin_line
         self.diagnostics = diagnostics
+        # The parse's table of text column values: each equal value is
+        # kept once, so its tokens share one string object.
+        self.share = strings.setdefault
         self.broken = False
         self.sentences: list[tuple[Token, ...]] = []
         self.tokens: list[Token] = []
@@ -122,9 +125,13 @@ class _DocumentReader:
                 return
         if head > self.max_head:
             self.max_head = head
-        tokens.append(Token(len(self.sentences), expected - 1, form, lemma, pos,
-                            "" if feats == "_" else feats,
-                            None if head == 0 else head - 1, dep_rel, ner))
+        share = self.share
+        tokens.append(Token(len(self.sentences), expected - 1,
+                            share(form, form), share(lemma, lemma),
+                            share(pos, pos),
+                            "" if feats == "_" else share(feats, feats),
+                            None if head == 0 else head - 1,
+                            share(dep_rel, dep_rel), share(ner, ner)))
         self.token_lines.append(line_number)
         if coref != "-":
             self._coref_entries(line_number, coref, expected - 1)
@@ -225,9 +232,15 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
     range is dropped as a duplicate. Right after an ``#end document``
     line the parser is outside any document, so a range that starts
     there parses exactly as it would within a parse of all the lines.
+
+    Within one call, equal values of a token's text fields (form, lemma,
+    pos, feats, dep_rel and ner) are one shared string object, across
+    all the documents of the range. The table that shares them lives
+    only as long as the call.
     """
     diagnostics: list[ParseDiagnostic] = []
     documents: list[Document] = []
+    strings: dict[str, str] = {}
     seen_ids = set(seen_ids)
     reader: _DocumentReader | None = None
     line_number = start
@@ -253,7 +266,7 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
                 continue
             if line.startswith(BEGIN_PREFIX):
                 reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                         diagnostics)
+                                         diagnostics, strings)
             else:
                 diagnostics.append(ParseDiagnostic(
                     line_number, "error",
@@ -268,7 +281,7 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
             reader.error(line_number, "new document begins before '#end document'")
             finish(line_number)
             reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                     diagnostics)
+                                     diagnostics, strings)
         elif not line:
             reader.end_sentence()
         else:

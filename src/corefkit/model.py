@@ -40,7 +40,9 @@ class Token:
     ``dep_head`` is the 0-based index of the syntactic head within the
     same sentence, or ``None`` for the root. ``feats`` is a
     pipe-separated ``key=value`` list and may be empty. ``ner`` is
-    ``"O"`` when the token carries no named-entity label.
+    ``"O"`` when the token carries no named-entity label. Tokens from one
+    parse share one string object for each equal value of ``form``,
+    ``lemma``, ``pos``, ``feats``, ``dep_rel`` and ``ner``.
     """
 
     sentence_index: int

@@ -208,6 +208,8 @@ def _rewrite(document: Document,
         targets = _ByPosFeats(
             lambda token: pronoun_forms.get(classify_pronoun(token, config)))
     entries = lexicon.entries if lexicon is not None else None
+    # form -> its ``ANON_x``, built once and shared by each repeat.
+    placeholders: dict[str, str] = {}
     sentences = []
     changed = False
     for sentence in document.sentences:
@@ -224,10 +226,13 @@ def _rewrite(document: Document,
                         lemma = target
                         form = transfer_case(form, target)
             if names is not None and token.ner == "PER":
-                index = names.get(form)
-                if index is None:
-                    index = names[form] = len(names)
-                form = lemma = f"ANON_{index}"
+                placeholder = placeholders.get(form)
+                if placeholder is None:
+                    index = names.get(form)
+                    if index is None:
+                        index = names[form] = len(names)
+                    placeholder = placeholders[form] = f"ANON_{index}"
+                form = lemma = placeholder
             if entries is not None and token.pos in NOMINAL_POS:
                 entry = entries.get(form.lower())
                 if entry is not None:

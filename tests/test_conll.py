@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import conll
-from corefkit.conll import (ParseDiagnostic, parse_corpus, serialize_corpus,
-                            strip_singletons)
+from corefkit.conll import (END_LINE, ParseDiagnostic, parse_corpus,
+                            serialize_corpus, strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.model import Cluster, Corpus, Document, MentionSpan
 from corefkit.resolver import resolve
@@ -21,6 +21,18 @@ from conftest import FIXTURES
 def parse_one(text):
     corpus, diagnostics = parse_corpus(text)
     return corpus, diagnostics
+
+
+TEXT_FIELDS = ("form", "lemma", "pos", "feats", "dep_rel", "ner")
+
+
+def assert_equal_fields_shared(documents):
+    """Equal values of each text field are one object across ``documents``."""
+    tokens = [token for document in documents
+              for sentence in document.sentences for token in sentence]
+    for name in TEXT_FIELDS:
+        column = [getattr(token, name) for token in tokens]
+        assert len({id(value) for value in column}) == len(set(column)), name
 
 
 MINIMAL = textwrap.dedent("""\
@@ -58,6 +70,7 @@ def test_fixture_files_round_trip_byte_for_byte(name):
     text = (FIXTURES / name).read_text("utf-8")
     corpus, diagnostics = parse_one(text)
     assert diagnostics == []
+    assert_equal_fields_shared(corpus.documents)
     assert serialize_corpus(corpus) == text
 
 
@@ -508,6 +521,24 @@ def mutate(text, changes):
         else:
             lines[i] = line[:at] + ("\t" if kind == "tab" else char) + line[at:]
     return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_texts, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_parse_and_its_shards_share_equal_field_strings(text, one, other):
+    corpus, diagnostics = parse_corpus(text)
+    assert diagnostics == []
+    assert_equal_fields_shared(corpus.documents)
+    assert serialize_corpus(corpus) == text
+    # A shard starts and stops right after an "#end document" line.
+    lines = text.splitlines()
+    bounds = [0] + [i + 1 for i, line in enumerate(lines) if line == END_LINE]
+    start, stop = sorted((bounds[one % len(bounds)], bounds[other % len(bounds)]))
+    documents, diagnostics = conll._parse_lines(lines, start, stop)
+    assert diagnostics == []
+    assert_equal_fields_shared(documents)
+    assert serialize_corpus(Corpus(tuple(documents))) == "".join(
+        line + "\n" for line in lines[start:stop])
 
 
 @settings(max_examples=400, deadline=None)

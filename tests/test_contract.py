@@ -5,15 +5,22 @@ parse back with no diagnostic, a second run must give the same bytes,
 and a failing run must leave no output and no temp file behind.
 """
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES
+from conftest import FIXTURES, child_env
 from corefkit import cli
 from corefkit.conll import parse_corpus
 from test_jobs import POISON, assert_no_child_left, corpus_texts, run_in
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 E2E = str(FIXTURES / "e2e.conll")
 
@@ -79,3 +86,36 @@ def test_every_subcommand_keeps_the_contract(text):
                            if "-o" in argv else stdout)
                 assert parse_corpus(written)[1] == [], argv
     assert_no_child_left()
+
+
+# Writers whose every output file is larger than ``FILE_SIZE_LIMIT`` bytes.
+LIMITED_RUNS = [
+    ["transform", E2E, "--paradigm", "hen", "-o", "{dir}/t.conll"],
+    ["transform", E2E, "--paradigm", "hen", "--jobs", "2",
+     "-o", "{dir}/t.conll"],
+    ["cda", E2E, "--seed", "7", "-o", "{dir}/c.conll",
+     "--assignments", "{dir}/c.tsv"],
+]
+FILE_SIZE_LIMIT = 32
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+@pytest.mark.parametrize("template", LIMITED_RUNS,
+                         ids=["transform", "transform-jobs2", "cda"])
+def test_write_past_the_file_size_limit_fails_cleanly(template, tmp_path):
+    def limit():  # in the child only, between fork and exec
+        resource.setrlimit(resource.RLIMIT_FSIZE,
+                           (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
+
+    argv = [a.replace("{dir}", str(tmp_path)) for a in template]
+    done = subprocess.run(
+        [sys.executable, "-c", "from corefkit.cli import run; run()", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+        # No bytecode cache writes, which the limit would fail too.
+        env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("corefkit: error: ")]
+    assert len(errors) == 1, done.stderr
+    assert os.listdir(tmp_path) == []
