@@ -88,23 +88,19 @@ def build_cda(corpus: Corpus, seed: int = 0,
     return Corpus(documents, corpus.split_label), assignment
 
 
-def sample_partitions(corpus: Corpus, spec: PartitionSpec,
-                      count: int | None = None) -> list[list[str]]:
+def sample_partitions(corpus: Corpus, spec: PartitionSpec) -> list[list[str]]:
     """Draw ``n_partitions`` document-id samples without replacement.
 
-    The partition size is ``floor(fraction * len(corpus))`` unless
-    ``count`` overrides it explicitly. Partitions are drawn from one
-    seeded stream and may overlap each other; each returned list is in
-    corpus order. A size of zero (or beyond the corpus) is an error.
+    The partition size is ``floor(fraction * len(corpus))``. Partitions
+    are drawn from one seeded stream and may overlap each other; each
+    returned list is in corpus order. A size of zero is an error.
     """
     n = len(corpus.documents)
-    size = count if count is not None else floor(spec.fraction * n)
+    size = floor(spec.fraction * n)
     if size < 1:
         raise ValueError(
             f"partition size {size} is degenerate "
             f"(fraction {spec.fraction} of {n} documents)")
-    if size > n:
-        raise ValueError(f"partition size {size} exceeds the corpus ({n})")
     ids = list(corpus.document_ids())
     position = {doc_id: i for i, doc_id in enumerate(ids)}
     rng = random.Random(spec.seed)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import io
 import marshal
 import os
 import stat
@@ -26,8 +25,7 @@ from typing import TYPE_CHECKING
 # own layers; the top imports only what every command needs.
 from corefkit import __version__
 from corefkit.errors import CorefKitError, EmptyCorpusError
-from corefkit.lexicon import (builtin_paradigms, get_paradigm,
-                              load_noun_lexicon)
+from corefkit.lexicon import builtin_paradigms, get_paradigm
 
 if TYPE_CHECKING:
     from corefkit.model import Corpus
@@ -99,19 +97,11 @@ def _load_lexicon(path: str | None):
     diagnostics."""
     if path is None:
         return None, ""
-    # A lexicon file may log a duplicate-key warning; nothing else logs.
-    import logging
-    logger = logging.getLogger("corefkit.lexicon")
-    handler = logging.StreamHandler(io.StringIO())
-    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
-    logger.addHandler(handler)
-    propagate, logger.propagate = logger.propagate, False
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return load_noun_lexicon(handle), handler.stream.getvalue()
-    finally:
-        logger.removeHandler(handler)
-        logger.propagate = propagate
+    from corefkit.lexicon import _read_lexicon
+
+    with open(path, encoding="utf-8") as handle:
+        lexicon, warnings = _read_lexicon(handle.read())
+    return lexicon, "".join(f"WARNING: {warning}\n" for warning in warnings)
 
 
 def _to_output(args, text: str) -> _Output:
@@ -464,11 +454,11 @@ def _cmd_sample(args) -> _Output:
         if not 1 <= args.count <= n:
             raise CorefKitError(
                 f"partition size {args.count} outside 1..{n}")
-        spec = PartitionSpec(Fraction(args.count, n), args.partitions, args.seed)
-        partitions = sample_partitions(corpus, spec, count=args.count)
+        fraction = Fraction(args.count, n)
     else:
-        spec = PartitionSpec(args.fraction, args.partitions, args.seed)
-        partitions = sample_partitions(corpus, spec)
+        fraction = args.fraction
+    partitions = sample_partitions(
+        corpus, PartitionSpec(fraction, args.partitions, args.seed))
     if args.out_prefix:
         return _Output(files=[(f"{args.out_prefix}{i}.txt",
                                "".join(f"{x}\n" for x in ids))

@@ -247,8 +247,6 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
 
     def finish(at_line: int) -> None:
         nonlocal reader
-        if reader is None:
-            return
         document = reader.finish(at_line)
         if document is not None:
             if document.id in seen_ids:
@@ -293,37 +291,30 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
 
 
 def _coref_fields(document: Document) -> dict[tuple[int, int], str]:
-    """Compute the canonical coref column for every annotated token."""
-    opens: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    singles: dict[tuple[int, int], list[int]] = {}
-    closes: dict[tuple[int, int], list[int]] = {}
+    """Compute the canonical coref column for every annotated token.
+
+    Each token gets one ``(rank, cluster id, -end)`` entry per span it
+    opens (rank 0), holds whole (1) or closes (2). Sorted, the entries
+    give the canonical order: opens, then single-token spans, then
+    closes, ids ascending. Same-id spans sharing a start open longest
+    first, so that the reader's innermost-closes-first matching restores
+    them.
+    """
+    entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for cluster in document.clusters:
+        cid = cluster.id
         for span in cluster.mentions:
+            si = span.sentence_index
             if span.start == span.end:
-                singles.setdefault((span.sentence_index, span.start),
-                                   []).append(cluster.id)
+                entries.setdefault((si, span.start), []).append((1, cid, 0))
             else:
-                opens.setdefault((span.sentence_index, span.start),
-                                 []).append((cluster.id, span.end))
-                closes.setdefault((span.sentence_index, span.end),
-                                  []).append(cluster.id)
-    # Most annotated tokens carry single-token spans only; a token where
-    # a longer span opens or closes is written again in full below.
-    fields: dict[tuple[int, int], str] = {}
-    for key, cids in singles.items():
-        if len(cids) == 1:
-            fields[key] = f"({cids[0]})"
-        else:
-            fields[key] = "|".join([f"({cid})" for cid in sorted(cids)])
-    for key in opens.keys() | closes.keys():
-        # Same-id spans sharing a start must open longest first so that
-        # the reader's innermost-closes-first matching restores them.
-        parts = [f"({cid}" for cid, _ in sorted(opens.get(key, ()),
-                                                key=lambda p: (p[0], -p[1]))]
-        parts += [f"({cid})" for cid in sorted(singles.get(key, ()))]
-        parts += [f"{cid})" for cid in sorted(closes.get(key, ()))]
-        fields[key] = "|".join(parts)
-    return fields
+                entries.setdefault((si, span.start), []).append(
+                    (0, cid, -span.end))
+                entries.setdefault((si, span.end), []).append((2, cid, 0))
+    return {key: "|".join([f"({cid}" if rank == 0 else
+                           f"({cid})" if rank == 1 else f"{cid})"
+                           for rank, cid, _ in sorted(parts)])
+            for key, parts in entries.items()}
 
 
 def _raise_on_errors(issues: list[ValidationIssue]) -> None:

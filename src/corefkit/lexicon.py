@@ -213,8 +213,19 @@ def load_noun_lexicon(source: str | TextIO) -> RewriteLexicon:
     warning and the last occurrence wins. Malformed lines raise
     :class:`LexiconFormatError` with their line number.
     """
-    text = source.read() if hasattr(source, "read") else source
+    lexicon, warnings = _read_lexicon(
+        source.read() if hasattr(source, "read") else source)
+    for warning in warnings:
+        import logging  # only here: the one message this module logs
+        logging.getLogger(__name__).warning(warning)
+    return lexicon
+
+
+def _read_lexicon(text: str) -> tuple[RewriteLexicon, list[str]]:
+    """:func:`load_noun_lexicon` of ``text``, the duplicate-key warnings
+    returned as text instead of logged."""
     entries: dict[str, RewriteEntry] = {}
+    warnings: list[str] = []
     for line_number, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -234,11 +245,10 @@ def load_noun_lexicon(source: str | TextIO) -> RewriteLexicon:
             raise LexiconFormatError(
                 f"line {line_number}: {gendered!r} maps to itself")
         if key in entries:
-            import logging  # only here: the one message this module logs
-            logging.getLogger(__name__).warning(
-                "duplicate lexicon key %r at line %d, last wins", key, line_number)
+            warnings.append(f"duplicate lexicon key {key!r} at line "
+                            f"{line_number}, last wins")
         entries[key] = RewriteEntry(neutral, flag == "1")
-    return RewriteLexicon(entries)
+    return RewriteLexicon(entries), warnings
 
 
 def transfer_case(template: str, replacement: str) -> str:

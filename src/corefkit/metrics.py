@@ -247,38 +247,56 @@ def pronoun_score(gold: Document, pred: Document,
     """
     if is_counted is None:
         is_counted = _third_singular(config)
-    return _pronoun_outcome(gold, _prediction_view(pred), is_counted)
+    return _pronoun_outcome([(gold, _prediction_view(pred))], is_counted)
 
 
-def _pronoun_outcome(gold: Document, pred: _PredictionView,
-                     is_counted: Callable[[Token], bool]) -> PronounScoreResult:
-    """:func:`pronoun_score` against the view ``pred`` of a prediction."""
-    _check_same_grid(gold, pred)
-    counted = [token for sentence in gold.sentences for token in sentence
-               if is_counted(token)]
+def _pronoun_outcome(pairs: Sequence[tuple[Document, _PredictionView]],
+                     is_counted: Callable[[Token], bool],
+                     macro: bool = False) -> PronounScoreResult:
+    """The pronoun score of ``(gold, prediction view)`` pairs, the one
+    tally behind :func:`pronoun_score`, :func:`evaluate` and ``score``.
 
-    hits = _antecedent_hits(gold, pred)
+    Counts are pooled over the pairs. With ``macro`` the score is
+    instead the unweighted mean of the per-pair scores, pairs without
+    counted pronouns left out. Each pair's token grids are checked
+    before its tokens are counted.
+    """
     resolved = 0
     total = 0
     non_mention = 0
     first_mentions = 0
     per_form: dict[str, tuple[int, int]] = {}
-    for token in counted:
-        key = (token.sentence_index, token.token_index, token.token_index)
-        if key not in hits:
-            non_mention += 1
-            continue
-        hit = hits[key]
-        if hit is None:
-            first_mentions += 1
-            continue
-        total += 1
-        resolved += hit
-        form = token.form.lower()
-        old = per_form.get(form, (0, 0))
-        per_form[form] = (old[0] + hit, old[1] + 1)
+    doc_scores: list[float] = []
+    for gold, pred in pairs:
+        _check_same_grid(gold, pred)
+        counted = [token for sentence in gold.sentences for token in sentence
+                   if is_counted(token)]
+        hits = _antecedent_hits(gold, pred)
+        doc_resolved = resolved
+        doc_total = total
+        for token in counted:
+            key = (token.sentence_index, token.token_index, token.token_index)
+            if key not in hits:
+                non_mention += 1
+                continue
+            hit = hits[key]
+            if hit is None:
+                first_mentions += 1
+                continue
+            total += 1
+            resolved += hit
+            form = token.form.lower()
+            old = per_form.get(form, (0, 0))
+            per_form[form] = (old[0] + hit, old[1] + 1)
+        if total > doc_total:
+            doc_scores.append(
+                100.0 * (resolved - doc_resolved) / (total - doc_total))
 
-    score = 100.0 * resolved / total if total else None
+    if macro:
+        # What ``statistics.fmean`` computes for a list.
+        score = math.fsum(doc_scores) / len(doc_scores) if doc_scores else None
+    else:
+        score = 100.0 * resolved / total if total else None
     return PronounScoreResult(score, resolved, total, per_form,
                               non_mention, first_mentions)
 
@@ -325,35 +343,11 @@ def _evaluate(gold: Corpus, pred: Sequence[_PredictionView],
     pairs = _pair_documents(gold, pred)
     if is_counted is None:  # one role table for every document
         is_counted = _third_singular(config)
+    pronouns = _pronoun_outcome(pairs, is_counted, macro_pronouns)
     sums = (0.0, 0, 0.0, 0)
-    resolved = 0
-    total = 0
-    non_mention = 0
-    first_mentions = 0
-    per_form: dict[str, tuple[int, int]] = {}
-    doc_scores: list[float] = []
     for gold_doc, pred_doc in pairs:
-        # ``_pronoun_outcome`` checks the token grids of the pair.
         part = _lea_sums(gold_doc, pred_doc, ignore_singletons)
         sums = tuple(a + b for a, b in zip(sums, part))
-        outcome = _pronoun_outcome(gold_doc, pred_doc, is_counted)
-        resolved += outcome.resolved
-        total += outcome.total
-        non_mention += outcome.non_mention
-        first_mentions += outcome.first_mentions
-        for form, (hits, seen) in outcome.per_form.items():
-            old = per_form.get(form, (0, 0))
-            per_form[form] = (old[0] + hits, old[1] + seen)
-        if outcome.score is not None:
-            doc_scores.append(outcome.score)
-
-    if macro_pronouns:
-        # What ``statistics.fmean`` computes for a list.
-        score = math.fsum(doc_scores) / len(doc_scores) if doc_scores else None
-    else:
-        score = 100.0 * resolved / total if total else None
-    pronouns = PronounScoreResult(score, resolved, total, per_form,
-                                  non_mention, first_mentions)
     return EvalReport(_finish_lea(*sums), pronouns, len(pairs))
 
 

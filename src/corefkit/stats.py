@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from corefkit.model import Corpus, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
-                                _ByPosFeats, classify_pronoun)
+                                PronounRole, _ByPosFeats, _role,
+                                classify_pronoun)
 
 __all__ = [
     "FUNCTIONS",
@@ -69,12 +70,11 @@ def grammatical_function(token: Token,
                          ) -> str:
     """Function bucket of a token, person and number agnostic."""
     feats = token.feat_set()
-    if config.is_possessive(token.pos, feats):
+    role = _role(token.pos, feats, config)
+    if role is PronounRole.POSSESSIVE:
         return "possessive"
-    if config.is_personal(token.pos, feats):
-        if config.nominative_feat in feats:
-            return "personal_subject"
-        return "personal_object"
+    if role is not None:
+        return "personal_" + role.value
     if RELATIVE_FEATS <= feats:
         return "relative"
     if DEMONSTRATIVE_FEATS <= feats:

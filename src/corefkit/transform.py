@@ -71,12 +71,6 @@ class ClassifierConfig:
     nominative_feat: str = "Case=Nom"
     third_singular_feats: frozenset[str] = frozenset({"Person=3", "Number=Sing"})
 
-    def is_possessive(self, pos: str, feats: frozenset[str]) -> bool:
-        return pos in self.possessive_pos and self.possessive_feats <= feats
-
-    def is_personal(self, pos: str, feats: frozenset[str]) -> bool:
-        return pos in self.personal_pos and self.personal_feats <= feats
-
     @classmethod
     def from_text(cls, source: str | TextIO) -> "ClassifierConfig":
         """Parse a ``key = value ...`` config file, defaults filling gaps.
@@ -88,7 +82,7 @@ class ClassifierConfig:
         comment.
         """
         text = source.read() if hasattr(source, "read") else source
-        values: dict[str, list[str]] = {}
+        values: dict[str, object] = {}
         for line_number, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -98,28 +92,22 @@ class ClassifierConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             items = value.split()
-            if key not in ("personal.pos", "personal.feats", "possessive.pos",
-                           "possessive.feats", "nominative.feat",
-                           "third_singular.feats"):
+            name = _CONFIG_FIELDS.get(key)
+            if name is None:
                 raise ConfigFormatError(f"line {line_number}: unknown key {key!r}")
             if not items:
                 raise ConfigFormatError(f"line {line_number}: empty value for {key!r}")
             if key == "nominative.feat" and len(items) != 1:
                 raise ConfigFormatError(
                     f"line {line_number}: nominative.feat takes one value")
-            values[key] = items
-        base = cls()
-        return cls(
-            personal_pos=frozenset(values.get("personal.pos", base.personal_pos)),
-            personal_feats=frozenset(values.get("personal.feats", base.personal_feats)),
-            possessive_pos=frozenset(values.get("possessive.pos", base.possessive_pos)),
-            possessive_feats=frozenset(
-                values.get("possessive.feats", base.possessive_feats)),
-            nominative_feat=values.get("nominative.feat", [base.nominative_feat])[0],
-            third_singular_feats=frozenset(
-                values.get("third_singular.feats", base.third_singular_feats)),
-        )
+            values[name] = items[0] if key == "nominative.feat" else frozenset(items)
+        return cls(**values)
 
+
+# Config file key -> ClassifierConfig field.
+_CONFIG_FIELDS = {key: key.replace(".", "_") for key in (
+    "personal.pos", "personal.feats", "possessive.pos", "possessive.feats",
+    "nominative.feat", "third_singular.feats")}
 
 DEFAULT_CLASSIFIER_CONFIG = ClassifierConfig()
 
@@ -143,9 +131,17 @@ def classify_pronoun(token: Token,
     feats = token.feat_set()
     if not config.third_singular_feats <= feats:
         return None
-    if config.is_possessive(token.pos, feats):
+    return _role(token.pos, feats, config)
+
+
+def _role(pos: str, feats: frozenset[str],
+          config: ClassifierConfig) -> PronounRole | None:
+    """The role ``config`` gives a token of ``pos`` and ``feats``,
+    person and number aside: possessive first, then personal, where
+    ``nominative_feat`` separates subjects from objects."""
+    if pos in config.possessive_pos and config.possessive_feats <= feats:
         return PronounRole.POSSESSIVE
-    if config.is_personal(token.pos, feats):
+    if pos in config.personal_pos and config.personal_feats <= feats:
         if config.nominative_feat in feats:
             return PronounRole.SUBJECT
         return PronounRole.OBJECT

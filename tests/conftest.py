@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import io
 import os
 import pathlib
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import settings
 
-from corefkit.conll import parse_corpus
+from corefkit import cli
+from corefkit.conll import parse_corpus, serialize_corpus
+from corefkit.model import Corpus
 
 # ``HYPOTHESIS_PROFILE=ci`` prints a ``@reproduce_failure`` blob with every
 # property failure and lifts the deadline, which a slow runner may miss.
@@ -24,10 +29,42 @@ def child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def run(*argv, stdin_text=None):
+    """``cli.main(argv)`` in this process: (exit code, stdout, stderr).
+
+    With ``stdin_text`` the run reads that text as its stdin; without it,
+    the real stdin.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def lines_of(document):
+    return serialize_corpus(Corpus((document,)), validate=False).splitlines()
+
+
 def load_corpus(name: str):
     corpus, diagnostics = parse_corpus((FIXTURES / name).read_text("utf-8"))
     assert not diagnostics, diagnostics
     return corpus
+
+
+FIXTURE_DOCUMENTS = [d for name in ("e2e.conll", "herstel.conll",
+                                    "dialogue_gold.conll")
+                     for d in load_corpus(name).documents]
 
 
 @pytest.fixture(scope="session")

@@ -352,6 +352,13 @@ def test_degenerate_sample_fraction_is_a_data_error(cli):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("count", ["0", "4"])
+def test_sample_count_outside_the_corpus_is_a_data_error(cli, count):
+    code, out, err = cli("sample", E2E, "--count", count, "--partitions", "2")
+    assert (code, out) == (2, "")
+    assert err == f"corefkit: error: partition size {count} outside 1..3\n"
+
+
 def test_bad_lexicon_file_is_a_data_error(cli, tmp_path):
     lexicon = tmp_path / "broken.tsv"
     lexicon.write_text("only-one-column\n", "utf-8")

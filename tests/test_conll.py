@@ -103,6 +103,19 @@ def test_multi_entry_coref_column():
     assert serialize_corpus(corpus) == text
 
 
+def test_token_in_two_single_token_clusters_only():
+    text = ("#begin document m\n"
+            "1\ta\ta\tX\t_\t0\tdep\tO\t(2)|(1)\n"
+            "2\tb\tb\tX\t_\t0\tdep\tO\t-\n"
+            "#end document\n")
+    corpus, diagnostics = parse_one(text)
+    assert diagnostics == []
+    assert corpus.documents[0].clusters == (
+        Cluster(1, (MentionSpan(0, 0, 0),)),
+        Cluster(2, (MentionSpan(0, 0, 0),)))
+    assert serialize_corpus(corpus) == text.replace("(2)|(1)", "(1)|(2)")
+
+
 def test_nested_same_cluster_spans_round_trip():
     doc = corpusgen.build_doc(
         "nest", [[corpusgen.tok(c) for c in "abcd"]],

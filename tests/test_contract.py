@@ -12,10 +12,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 
-from conftest import FIXTURES, child_env
+import corefkit.lexicon
+from conftest import FIXTURES, assert_no_child_left, child_env
 from corefkit import cli
 from corefkit.conll import parse_corpus
-from test_jobs import POISON, assert_no_child_left, corpus_texts, run_in
+from test_jobs import POISON, corpus_texts, run_in
 
 try:
     import resource
@@ -64,7 +65,8 @@ def test_every_subcommand_keeps_the_contract(text):
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as directory:
         # A lexicon that fails validation, so that corpus writers fail too.
-        patch.setattr(cli, "load_noun_lexicon", lambda handle: POISON)
+        patch.setattr(corefkit.lexicon, "_read_lexicon",
+                      lambda text: (POISON, []))
         source = os.path.join(directory, "in.conll")
         with open(source, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -5,12 +5,10 @@ The CLI runs in this process, so each ``--jobs 2`` or ``3`` run forks
 this pytest process; the children only ever send their result down a
 pipe and exit.
 """
-import io
+import errno
 import os
 import random
-import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
@@ -18,39 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import FIXTURES
+from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
+                      lines_of, run)
 from corefkit import cli
 from corefkit.builder import build_cda, build_unseen
 from corefkit.conll import (END_LINE, parse_corpus, serialize_corpus,
                             strip_singletons)
 from corefkit.errors import CorefKitError, EmptyCorpusError
 from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
-from corefkit.model import Corpus, map_documents, validate_corpus
+from corefkit.model import map_documents, validate_corpus
 from corefkit.resolver import ResolverConfig, resolve
 from corefkit.transform import (ClassifierConfig, TransformOptions,
                                 delexicalize, pronoun_specific)
 
 E2E = str(FIXTURES / "e2e.conll")
 E2E_TEXT = (FIXTURES / "e2e.conll").read_text("utf-8")
-
-
-def run(*argv, stdin_text=None):
-    """``main(argv)`` in this process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    stdin = sys.stdin
-    if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(list(argv))
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def document_lines(sizes):
@@ -136,6 +116,29 @@ def test_a_failing_worker_fails_the_run(tmp_path, monkeypatch, jobs, death):
         assert err == f"corefkit: error: cannot rewrite {victim}\n"
     else:
         assert "without a result (exit status 3)" in err
+    assert os.listdir(tmp_path) == []  # no output, no .tmp file
+    assert_no_child_left()
+
+
+def test_a_failed_fork_fails_the_run_and_reaps_the_started_child(
+        tmp_path, monkeypatch):
+    fork = os.fork
+    calls = []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    output = tmp_path / "out.conll"
+    code, out, err = run("transform", E2E, "--paradigm", "die",
+                         "--jobs", "3", "-o", str(output))
+    assert len(calls) == 2
+    assert (code, out) == (2, "")
+    assert err == (f"corefkit: error: [Errno {errno.EAGAIN}] "
+                   f"{os.strerror(errno.EAGAIN)}\n")
     assert os.listdir(tmp_path) == []  # no output, no .tmp file
     assert_no_child_left()
 
@@ -241,9 +244,6 @@ def test_output_file_is_the_same_at_every_job_count(tmp_path):
 # one, so the test replaces the loaded lexicon.
 BOOM = "boom"
 POISON = RewriteLexicon({"zeeman": RewriteEntry("zee\nvaarder", False)})
-FIXTURE_DOCUMENTS = [d for name in ("e2e.conll", "herstel.conll",
-                                    "dialogue_gold.conll")
-                     for d in parse_corpus((FIXTURES / name).read_text("utf-8"))[0].documents]
 
 
 def booming(fn):
@@ -252,10 +252,6 @@ def booming(fn):
             raise CorefKitError(f"cannot map {BOOM}")
         return fn(document, *args)
     return mapping
-
-
-def lines_of(document):
-    return serialize_corpus(Corpus((document,)), validate=False).splitlines()
 
 
 @st.composite
@@ -386,6 +382,7 @@ def run_in(directory, argv, text):
 def test_shards_report_what_the_serial_run_reports(text):
     import corefkit.builder
     import corefkit.conll
+    import corefkit.lexicon
     import corefkit.resolver
     import corefkit.transform
 
@@ -397,7 +394,8 @@ def test_shards_report_what_the_serial_run_reports(text):
                              (corefkit.conll, "strip_singletons"),
                              (corefkit.builder, "pronoun_specific")):
             patch.setattr(module, name, booming(getattr(module, name)))
-        patch.setattr(cli, "load_noun_lexicon", lambda handle: POISON)
+        patch.setattr(corefkit.lexicon, "_read_lexicon",
+                      lambda text: (POISON, []))
         for command, argv in COMMANDS.items():
             expected = serial_reference(command, text)
             if command not in JOBS_COMMANDS:

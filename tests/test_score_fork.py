@@ -5,14 +5,11 @@ report exactly what the serial library calls report.
 The CLI runs in this process, so each run forks this pytest process; the
 child only ever sends its result down a pipe and exits.
 """
-import io
 import marshal
 import os
 import random
-import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import FIXTURES
+from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
+                      lines_of, run)
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
 from corefkit.conll import parse_corpus, serialize_corpus
@@ -36,23 +34,6 @@ GOLD = str(FIXTURES / "dialogue_gold.conll")
 PRED = str(FIXTURES / "dialogue_pred.conll")
 HERSTEL = str(FIXTURES / "herstel.conll")
 CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
-
-
-def run(*argv, stdin_text=""):
-    """``main(argv)`` in this process: (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(list(argv))
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # --- the view a child sends ------------------------------------------------
@@ -139,7 +120,7 @@ def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, death):
     monkeypatch.setattr(corefkit.conll, "_parse_lines", parse_lines)
     output = tmp_path / "score.txt"
     code, out, err = run("score", "--gold", GOLD, "--pred", PRED,
-                         "-o", str(output))
+                         "-o", str(output), stdin_text="")
     status = 3 if death == "exits" else 1
     assert (code, out, err) == (
         2, "", f"corefkit: error: the worker for --pred {PRED} ended without "
@@ -167,7 +148,8 @@ def test_a_gold_read_error_starts_no_child(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     missing = tmp_path / "missing.conll"
-    code, out, err = run("score", "--gold", str(missing), "--pred", PRED)
+    code, out, err = run("score", "--gold", str(missing), "--pred", PRED,
+                         stdin_text="")
     assert (code, out) == (2, "")
     assert err == f"corefkit: error: [Errno 2] No such file or directory: " \
                   f"{str(missing)!r}\n"
@@ -190,15 +172,6 @@ def test_without_fork_the_output_is_the_same(monkeypatch, argv, stdin_text):
 
 
 # --- the CLI against the serial library calls, on hostile pairs -------------
-
-FIXTURE_DOCUMENTS = [d for name in ("e2e.conll", "herstel.conll",
-                                    "dialogue_gold.conll")
-                     for d in parse_corpus((FIXTURES / name).read_text("utf-8"))[0].documents]
-
-
-def lines_of(document):
-    return serialize_corpus(Corpus((document,)), validate=False).splitlines()
-
 
 def hostile(draw, rng, lines):
     """``lines`` as they are, or broken in one of the ways the parser

@@ -152,6 +152,14 @@ def test_duplicate_lexicon_key_warning_line(tmp_path):
                            "last wins\n")
 
 
+def test_a_lexicon_warning_loads_no_logging(tmp_path):
+    lexicon = tmp_path / "dup.tsv"
+    lexicon.write_text("x\teerste\t0\nx\ttweede\t1\n", "utf-8")
+    assert "logging" not in loaded_modules(
+        _PROBE, "transform", HERSTEL, "--neutralize-nouns",
+        "--lexicon", str(lexicon))
+
+
 def test_bad_fraction_usage_error_is_unchanged(capsys, monkeypatch):
     usage = _golden_help()["sample"].split("\n\n")[0]
     monkeypatch.setenv("COLUMNS", "80")
