@@ -56,15 +56,12 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _read_corpus(path: str, read=_read_text) -> Corpus:
-    """The corpus in the text ``read(path)`` returns, with the parse
-    diagnostics printed. A caller that has read the text already hands
-    it over through ``read``, so that no reference keeps it alive while
-    it is parsed."""
+def _read_corpus(path: str) -> Corpus:
+    """The corpus at ``path``, with the parse diagnostics printed."""
     from corefkit.conll import parse_corpus
 
     try:
-        corpus, diagnostics = parse_corpus(read(path))
+        corpus, diagnostics = parse_corpus(_read_text(path))
     except EmptyCorpusError as exc:
         _print_diagnostics(path, _triples(exc.diagnostics))
         raise
@@ -492,18 +489,20 @@ def _cmd_resolve_baseline(args) -> _Output:
 
 def _prediction(text: str):
     """What ``score`` reads of the prediction ``text``: the parse
-    diagnostics and the view of each kept document that scoring reads
-    (``metrics._prediction_view``), as plain values ``marshal`` encodes."""
+    diagnostics and, per kept document, its prediction view (id,
+    sentence lengths and cluster span keys; ``metrics._PredictionView``)
+    as plain values ``marshal`` encodes. The text is parsed straight
+    into the views, with the full parse's checks and diagnostics and no
+    token grid."""
     from corefkit.conll import _parse_lines
-    from corefkit.metrics import _prediction_view
 
     # The caller keeps no reference to the text, so each ``del`` frees
     # what the rest of the parse no longer needs.
     lines = text.splitlines()
     del text
-    documents, diagnostics = _parse_lines(lines)
+    views, diagnostics = _parse_lines(lines, 0, None, (), True)
     del lines
-    return _triples(diagnostics), [_prediction_view(d) for d in documents]
+    return _triples(diagnostics), views
 
 
 def _cmd_score(args) -> _Output:
@@ -511,18 +510,22 @@ def _cmd_score(args) -> _Output:
     second process.
 
     Both texts are read here, in argument order, so ``-`` for either or
-    both reads stdin as it would in one process. A child started by
-    :func:`_forked` parses the prediction while this process parses
-    gold, and sends back only the parse diagnostics and, per kept
-    document, its id, sentence lengths and cluster span keys: each
-    process holds one parsed corpus. What is reported is what a serial
-    run reports, in its order: the gold diagnostics, an empty gold
-    corpus (the prediction is then never reported), an error reading the
-    prediction, its diagnostics, an empty prediction, a ``--config``
-    error, then the alignment and grid errors of scoring.
+    both reads stdin as it would in one process. ``--config`` is loaded
+    next, into the role table that picks the counted pronouns. A child
+    started by :func:`_forked` parses the prediction while this process
+    parses gold. Neither builds a token grid: each side is parsed
+    straight into its scoring views (``metrics._GoldView`` and
+    ``_PredictionView``), with the full parse's checks and diagnostics,
+    and the child sends back only its diagnostics and views. What is
+    reported is what a serial run reports, in its order: the gold
+    diagnostics, an empty gold corpus (the prediction is then never
+    reported), an error reading the prediction, its diagnostics, an
+    empty prediction, a ``--config`` error, then the alignment and grid
+    errors of scoring.
     """
     import corefkit.conll  # loaded once, before the fork
-    from corefkit.metrics import _evaluate, format_report, report_keyvalues
+    from corefkit.metrics import _evaluate_views, format_report, report_keyvalues
+    from corefkit.transform import _role_table
 
     texts = [_read_text(args.gold)]
     try:
@@ -532,10 +535,24 @@ def _cmd_score(args) -> _Output:
     else:
         failure = None
         tasks = [(f"for --pred {args.pred}", lambda: _prediction(texts.pop()))]
+    try:
+        roles = _role_table(_load_classifier(args.config))
+    except (CorefKitError, ValueError, OSError) as exc:
+        config_failure, roles = exc, None  # raised after the prediction's report
+    else:
+        config_failure = None
 
     def parse_gold():
         del texts[1:]  # forked, the child holds the prediction
-        return _read_corpus(args.gold, lambda path: texts.pop())
+        lines = texts.pop().splitlines()
+        views, diagnostics = corefkit.conll._parse_lines(lines, 0, None, (),
+                                                         True, roles)
+        del lines
+        _print_diagnostics(args.gold, _triples(diagnostics))
+        if not views:
+            raise EmptyCorpusError("no parseable document in input",
+                                   diagnostics)
+        return views
 
     gold, predictions = _forked(tasks, parse_gold)
     if failure is not None:
@@ -544,9 +561,9 @@ def _cmd_score(args) -> _Output:
     _print_diagnostics(args.pred, diagnostics)
     if not pred:
         raise EmptyCorpusError("no parseable document in input")
-    config = _load_classifier(args.config)
-    report = _evaluate(gold, pred, None, config, args.ignore_singletons,
-                       args.macro)
+    if config_failure is not None:
+        raise config_failure
+    report = _evaluate_views(gold, pred, args.ignore_singletons, args.macro)
     return _to_output(
         args, format_report(report) + "\n\n" + report_keyvalues(report) + "\n")
 
@@ -566,15 +583,27 @@ def _fraction(text: str):
 _fraction.__name__ = "Fraction"
 
 
+def _file_path(path: str) -> str:
+    """``--config`` and ``--lexicon``: a file, never ``-``. Stdin is
+    where a corpus is read from, so reading it again for the option
+    would silently see an empty file."""
+    if path == "-":
+        raise argparse.ArgumentTypeError(
+            "needs a file path; '-' (stdin) is left for the corpus")
+    return path
+
+
 # Options that several subcommands take, each declared once.
 _SHARED_OPTIONS = {
     "input": (("input",), dict(nargs="?", default="-", metavar="INPUT",
                                help="corpus file, or - for stdin (default)")),
     "output": (("-o", "--output"), dict(default=None,
                                         help="output file (default: stdout)")),
-    "config": (("--config",), dict(help="classifier configuration file")),
+    "config": (("--config",), dict(type=_file_path,
+                                   help="classifier configuration file")),
     "lexicon": (("--lexicon",),
-                dict(help="noun lexicon file (default: builtin)")),
+                dict(type=_file_path,
+                     help="noun lexicon file (default: builtin)")),
     "jobs": (("--jobs",), dict(type=int, default=1,
                                help="run in up to JOBS processes, each on a "
                                     "shard of whole documents (default 1)")),

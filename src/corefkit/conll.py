@@ -31,8 +31,8 @@ from itertools import islice
 from typing import Iterable, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
-                            ValidationIssue, _span, _span_key, validate_corpus)
+from corefkit.model import (Cluster, Corpus, Document, Token, ValidationIssue,
+                            _span, validate_corpus)
 
 __all__ = [
     "ParseDiagnostic",
@@ -74,21 +74,37 @@ class ParseDiagnostic:
 
 
 class _DocumentReader:
-    """Accumulates lines of one document and builds it on completion."""
+    """Accumulates lines of one document and builds it on completion.
+
+    With ``views`` the reader runs every check of the full parse but
+    builds no :class:`Token`: a sentence is kept as the 1-based heads of
+    its tokens (for the head check), and :meth:`finish` returns the
+    document's scoring view instead of a :class:`Document`: ``(id,
+    sentence lengths, clusters)``, each cluster the sorted ``(sentence,
+    start, end)`` keys of its mentions. Given ``roles`` as well, a
+    ``(pos, feats)`` table like ``transform._role_table``, the view gains
+    a fourth item: ``(sentence, token, lowercased form)`` of each token
+    whose role is not None, in document order.
+    """
 
     def __init__(self, doc_id: str, begin_line: int,
-                 diagnostics: list[ParseDiagnostic], strings: dict[str, str]):
+                 diagnostics: list[ParseDiagnostic], strings: dict[str, str],
+                 views: bool = False, roles=None):
         self.doc_id = doc_id
         self.begin_line = begin_line
         self.diagnostics = diagnostics
         # The parse's table of text column values: each equal value is
         # kept once, so its tokens share one string object.
         self.share = strings.setdefault
+        self.views = views
+        self.roles = roles
+        self.counted: list[tuple[int, int, str]] = []
         self.broken = False
-        self.sentences: list[tuple[Token, ...]] = []
-        self.tokens: list[Token] = []
+        self.sentences: list = []  # token tuples, or lengths with ``views``
+        self.tokens: list = []  # tokens, or 1-based heads with ``views``
         self.token_lines: list[int] = []
-        self.spans: dict[int, list[MentionSpan]] = {}
+        # cluster id -> ``(sentence, start, end)`` of its mentions
+        self.spans: dict[int, list[tuple[int, int, int]]] = {}
         self.open_spans: dict[int, list[tuple[int, int]]] = {}
         self.max_head = 0  # largest 1-based head of the current sentence
 
@@ -125,13 +141,21 @@ class _DocumentReader:
                 return
         if head > self.max_head:
             self.max_head = head
-        share = self.share
-        tokens.append(Token(len(self.sentences), expected - 1,
-                            share(form, form), share(lemma, lemma),
-                            share(pos, pos),
-                            "" if feats == "_" else share(feats, feats),
-                            None if head == 0 else head - 1,
-                            share(dep_rel, dep_rel), share(ner, ner)))
+        if self.views:
+            tokens.append(head)
+            roles = self.roles
+            if roles is not None and roles[
+                    pos, "" if feats == "_" else feats] is not None:
+                self.counted.append((len(self.sentences), expected - 1,
+                                     form.lower()))
+        else:
+            share = self.share
+            tokens.append(Token(len(self.sentences), expected - 1,
+                                share(form, form), share(lemma, lemma),
+                                share(pos, pos),
+                                "" if feats == "_" else share(feats, feats),
+                                None if head == 0 else head - 1,
+                                share(dep_rel, dep_rel), share(ner, ner)))
         self.token_lines.append(line_number)
         if coref != "-":
             self._coref_entries(line_number, coref, expected - 1)
@@ -152,7 +176,7 @@ class _DocumentReader:
                 self.error(line_number, f"malformed coreference entry {entry!r}")
                 continue
             if opens and closes:
-                span = _span(sent, tok, tok)
+                span = (sent, tok, tok)
             elif opens:
                 self.open_spans.setdefault(cid, []).append((tok, line_number))
                 continue
@@ -163,7 +187,7 @@ class _DocumentReader:
                                f"'{entry}' closes cluster {cid} that is not open")
                     continue
                 start, _ = stack.pop()
-                span = _span(sent, start, tok)
+                span = (sent, start, tok)
             # ``get`` first: ``setdefault`` would allocate a list per entry.
             mentions = spans.get(cid)
             if mentions is None:
@@ -172,39 +196,50 @@ class _DocumentReader:
                 mentions.append(span)
 
     def end_sentence(self) -> None:
-        if not self.tokens:
+        tokens = self.tokens
+        if not tokens:
             return
-        size = len(self.tokens)
+        size = len(tokens)
         if self.max_head > size:
-            for token, line_number in zip(self.tokens, self.token_lines):
-                if token.dep_head is not None and token.dep_head >= size:
-                    self.error(line_number,
-                               f"dependency head {token.dep_head + 1} beyond "
-                               f"sentence of {size} tokens")
+            heads = tokens if self.views else [
+                0 if t.dep_head is None else t.dep_head + 1 for t in tokens]
+            for head, line_number in zip(heads, self.token_lines):
+                if head > size:
+                    self.error(line_number, f"dependency head {head} beyond "
+                                            f"sentence of {size} tokens")
         if self.open_spans:
             for cid, stack in self.open_spans.items():
                 for _, line_number in stack:
                     self.error(line_number,
                                f"coreference bracket '({cid}' is never closed")
             self.open_spans = {}
-        self.sentences.append(tuple(self.tokens))
+        self.sentences.append(size if self.views else tuple(tokens))
         self.tokens = []
         self.token_lines = []
         self.max_head = 0
 
-    def finish(self, line_number: int) -> Document | None:
+    def finish(self, line_number: int):
+        """The document, its view with ``views``, or None if broken."""
         self.end_sentence()
         clusters = []
         for cid in sorted(self.spans):
-            mentions = sorted(self.spans[cid], key=_span_key)
+            mentions = sorted(self.spans[cid])
             for a, b in zip(mentions, mentions[1:]):
-                if _span_key(a) == _span_key(b):
+                if a == b:
                     self.error(line_number,
-                               f"cluster {cid} contains span {a} twice")
-            clusters.append(Cluster(cid, tuple(mentions)))
+                               f"cluster {cid} contains span {_span(*a)} twice")
+            clusters.append((cid, mentions))
         if self.broken:
             return None
-        return Document(self.doc_id, tuple(self.sentences), tuple(clusters))
+        if self.views:
+            view = (self.doc_id, tuple(self.sentences),
+                    tuple([tuple(mentions) for _, mentions in clusters]))
+            if self.roles is None:
+                return view
+            return view + (tuple(self.counted),)
+        return Document(self.doc_id, tuple(self.sentences), tuple([
+            Cluster(cid, tuple([_span(s, a, b) for s, a, b in mentions]))
+            for cid, mentions in clusters]))
 
 
 def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
@@ -223,8 +258,8 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
 
 
 def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
-                 seen_ids: Iterable[str] = ()
-                 ) -> tuple[list[Document], list[ParseDiagnostic]]:
+                 seen_ids: Iterable[str] = (), views: bool = False, roles=None
+                 ) -> tuple[list, list[ParseDiagnostic]]:
     """The documents and diagnostics of ``lines[start:stop]``, each line
     numbered by its place in ``lines``.
 
@@ -237,9 +272,14 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
     pos, feats, dep_rel and ner) are one shared string object, across
     all the documents of the range. The table that shares them lives
     only as long as the call.
+
+    With ``views`` each kept document comes back as its scoring view,
+    and ``roles`` adds its counted pronouns (see :class:`_DocumentReader`).
+    The checks, diagnostics and kept documents are those of the full
+    parse; no :class:`Token` is built and no string is shared.
     """
     diagnostics: list[ParseDiagnostic] = []
-    documents: list[Document] = []
+    documents: list = []
     strings: dict[str, str] = {}
     seen_ids = set(seen_ids)
     reader: _DocumentReader | None = None
@@ -249,12 +289,12 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
         nonlocal reader
         document = reader.finish(at_line)
         if document is not None:
-            if document.id in seen_ids:
+            if reader.doc_id in seen_ids:
                 diagnostics.append(ParseDiagnostic(
                     reader.begin_line, "error",
-                    f"duplicate document id {document.id!r}; keeping the first"))
+                    f"duplicate document id {reader.doc_id!r}; keeping the first"))
             else:
-                seen_ids.add(document.id)
+                seen_ids.add(reader.doc_id)
                 documents.append(document)
         reader = None
 
@@ -264,7 +304,7 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
                 continue
             if line.startswith(BEGIN_PREFIX):
                 reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                         diagnostics, strings)
+                                         diagnostics, strings, views, roles)
             else:
                 diagnostics.append(ParseDiagnostic(
                     line_number, "error",
@@ -279,7 +319,7 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
             reader.error(line_number, "new document begins before '#end document'")
             finish(line_number)
             reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                     diagnostics, strings)
+                                     diagnostics, strings, views, roles)
         elif not line:
             reader.end_sentence()
         else:

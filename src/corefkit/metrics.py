@@ -85,18 +85,35 @@ class AggregateReport:
     pronoun_score: MetricSummary | None
 
 
-# What scoring reads of a predicted document: ``(id, sentence lengths,
-# clusters)``, each cluster a tuple of its mentions' ``_span_key`` tuples.
-# Plain tuples of ints and strings, so ``marshal`` carries it between
-# processes.
+# What scoring reads of a document, as plain tuples of ints and strings
+# that ``marshal`` carries between processes. A prediction view is
+# ``(id, sentence lengths, clusters)``, each cluster a tuple of its
+# mentions' ``_span_key`` tuples in document order. A gold view adds a
+# fourth item: ``(sentence, token, lowercased form)`` of each counted
+# pronoun, in document order. ``score`` parses both sides straight into
+# views (``conll._parse_lines`` with ``views``); the library functions
+# build them from documents.
 _PredictionView = tuple[str, tuple[int, ...],
                        tuple[tuple[tuple[int, int, int], ...], ...]]
+_GoldView = tuple[str, tuple[int, ...],
+                  tuple[tuple[tuple[int, int, int], ...], ...],
+                  tuple[tuple[int, int, str], ...]]
 
 
 def _prediction_view(document: Document) -> _PredictionView:
     """What scoring reads of ``document`` as a prediction."""
     return (document.id, tuple(map(len, document.sentences)),
             tuple(tuple(map(_span_key, c.mentions)) for c in document.clusters))
+
+
+def _gold_view(document: Document,
+               is_counted: Callable[[Token], bool]) -> _GoldView:
+    """What scoring reads of ``document`` as gold, ``is_counted``
+    picking the pronouns."""
+    return (*_prediction_view(document), tuple(
+        (token.sentence_index, token.token_index, token.form.lower())
+        for sentence in document.sentences for token in sentence
+        if is_counted(token)))
 
 
 def _resolution_sums(entities_a: list[list[int]],
@@ -135,11 +152,10 @@ def _resolution_sums(entities_a: list[list[int]],
     return numerator, denominator
 
 
-def _lea_sums(gold: Document, pred: _PredictionView,
+def _lea_sums(gold: _PredictionView, pred: _PredictionView,
               ignore_singletons: bool) -> tuple[float, int, float, int]:
-    # Mentions are keyed by ``_span_key`` tuples, which hash in C, unlike
-    # the generated ``MentionSpan.__hash__``.
-    gold_sets = [tuple(map(_span_key, c.mentions)) for c in gold.clusters]
+    """LEA's recall and precision sums of one document's views; a gold
+    view serves as well."""
     ids: dict[tuple[int, int, int], int] = {}
 
     def interned(sets) -> list[list[int]]:
@@ -147,7 +163,7 @@ def _lea_sums(gold: Document, pred: _PredictionView,
                 for entity in sets
                 if len(entity) >= 2 or not ignore_singletons]
 
-    gold_ids = interned(gold_sets)
+    gold_ids = interned(gold[2])
     pred_ids = interned(pred[2])
     recall_num, recall_den = _resolution_sums(gold_ids, pred_ids)
     prec_num, prec_den = _resolution_sums(pred_ids, gold_ids)
@@ -169,20 +185,18 @@ def _finish_lea(recall_num: float, recall_den: int,
 def lea(gold: Document, pred: Document,
         ignore_singletons: bool = False) -> LeaScore:
     """LEA precision, recall and F1 of one predicted document."""
-    return _finish_lea(*_lea_sums(gold, _prediction_view(pred),
-                                  ignore_singletons))
+    return _finish_lea(*_lea_sums(_prediction_view(gold),
+                                  _prediction_view(pred), ignore_singletons))
 
 
-def _check_same_grid(gold: Document, pred: _PredictionView) -> None:
-    gold_shape = tuple(map(len, gold.sentences))
-    pred_shape = pred[1]
-    if gold_shape != pred_shape:
+def _check_same_grid(gold: _GoldView, pred: _PredictionView) -> None:
+    if gold[1] != pred[1]:
         raise AlignmentError(
-            f"document {gold.id!r}: gold and prediction disagree on the "
-            f"token grid ({gold_shape} vs {pred_shape})")
+            f"document {gold[0]!r}: gold and prediction disagree on the "
+            f"token grid ({gold[1]} vs {pred[1]})")
 
 
-def _antecedent_hits(gold: Document, pred: _PredictionView
+def _antecedent_hits(gold: _GoldView, pred: _PredictionView
                      ) -> dict[tuple[int, int, int], bool | None]:
     """Pronoun-score outcome of every gold mention, in linear time.
 
@@ -203,11 +217,11 @@ def _antecedent_hits(gold: Document, pred: _PredictionView
                 positions.append((q, k))
 
     hits: dict[tuple[int, int, int], bool | None] = {}
-    for cluster in gold.clusters:
+    for cluster in gold[2]:
         # predicted cluster -> smallest position in it of a gold mention
         # seen so far in this gold cluster, i.e. of an antecedent
         lowest: dict[int, int] = {}
-        for i, span in enumerate(map(_span_key, cluster.mentions)):
+        for i, span in enumerate(cluster):
             positions = pred_positions.get(span, ())
             if span not in hits:
                 if i == 0:
@@ -247,19 +261,19 @@ def pronoun_score(gold: Document, pred: Document,
     """
     if is_counted is None:
         is_counted = _third_singular(config)
-    return _pronoun_outcome([(gold, _prediction_view(pred))], is_counted)
+    return _pronoun_outcome([(_gold_view(gold, is_counted),
+                              _prediction_view(pred))])
 
 
-def _pronoun_outcome(pairs: Sequence[tuple[Document, _PredictionView]],
-                     is_counted: Callable[[Token], bool],
+def _pronoun_outcome(pairs: Sequence[tuple[_GoldView, _PredictionView]],
                      macro: bool = False) -> PronounScoreResult:
-    """The pronoun score of ``(gold, prediction view)`` pairs, the one
-    tally behind :func:`pronoun_score`, :func:`evaluate` and ``score``.
+    """The pronoun score of ``(gold view, prediction view)`` pairs, the
+    one tally behind :func:`pronoun_score`, :func:`evaluate` and ``score``.
 
     Counts are pooled over the pairs. With ``macro`` the score is
     instead the unweighted mean of the per-pair scores, pairs without
     counted pronouns left out. Each pair's token grids are checked
-    before its tokens are counted.
+    before its pronouns are counted.
     """
     resolved = 0
     total = 0
@@ -269,13 +283,11 @@ def _pronoun_outcome(pairs: Sequence[tuple[Document, _PredictionView]],
     doc_scores: list[float] = []
     for gold, pred in pairs:
         _check_same_grid(gold, pred)
-        counted = [token for sentence in gold.sentences for token in sentence
-                   if is_counted(token)]
         hits = _antecedent_hits(gold, pred)
         doc_resolved = resolved
         doc_total = total
-        for token in counted:
-            key = (token.sentence_index, token.token_index, token.token_index)
+        for sentence, token, form in gold[3]:
+            key = (sentence, token, token)
             if key not in hits:
                 non_mention += 1
                 continue
@@ -285,7 +297,6 @@ def _pronoun_outcome(pairs: Sequence[tuple[Document, _PredictionView]],
                 continue
             total += 1
             resolved += hit
-            form = token.form.lower()
             old = per_form.get(form, (0, 0))
             per_form[form] = (old[0] + hit, old[1] + 1)
         if total > doc_total:
@@ -301,11 +312,11 @@ def _pronoun_outcome(pairs: Sequence[tuple[Document, _PredictionView]],
                               non_mention, first_mentions)
 
 
-def _pair_documents(gold: Corpus, pred: Sequence[_PredictionView]
-                    ) -> list[tuple[Document, _PredictionView]]:
-    gold_ids = {d.id for d in gold.documents}
+def _pair_documents(gold: Sequence[_GoldView], pred: Sequence[_PredictionView]
+                    ) -> list[tuple[_GoldView, _PredictionView]]:
+    gold_ids = {view[0] for view in gold}
     pred_index = {view[0]: view for view in pred}
-    missing = [d.id for d in gold.documents if d.id not in pred_index]
+    missing = [view[0] for view in gold if view[0] not in pred_index]
     extra = [i for i in pred_index if i not in gold_ids]
     if missing or extra:
         parts = []
@@ -314,7 +325,7 @@ def _pair_documents(gold: Corpus, pred: Sequence[_PredictionView]
         if extra:
             parts.append(f"unexpected in prediction: {', '.join(extra)}")
         raise AlignmentError("document ids do not align; " + "; ".join(parts))
-    return [(d, pred_index[d.id]) for d in gold.documents]
+    return [(view, pred_index[view[0]]) for view in gold]
 
 
 def evaluate(gold: Corpus, pred: Corpus,
@@ -338,15 +349,23 @@ def _evaluate(gold: Corpus, pred: Sequence[_PredictionView],
               config: ClassifierConfig, ignore_singletons: bool,
               macro_pronouns: bool) -> EvalReport:
     """:func:`evaluate` against ``pred``, the views of the predicted
-    documents in corpus order. ``score`` receives them from the process
-    that parsed the prediction."""
-    pairs = _pair_documents(gold, pred)
+    documents in corpus order."""
     if is_counted is None:  # one role table for every document
         is_counted = _third_singular(config)
-    pronouns = _pronoun_outcome(pairs, is_counted, macro_pronouns)
+    return _evaluate_views([_gold_view(d, is_counted) for d in gold.documents],
+                           pred, ignore_singletons, macro_pronouns)
+
+
+def _evaluate_views(gold: Sequence[_GoldView], pred: Sequence[_PredictionView],
+                    ignore_singletons: bool, macro_pronouns: bool
+                    ) -> EvalReport:
+    """:func:`evaluate` of views, in corpus order on each side. ``score``
+    parses both corpora straight into them."""
+    pairs = _pair_documents(gold, pred)
+    pronouns = _pronoun_outcome(pairs, macro_pronouns)
     sums = (0.0, 0, 0.0, 0)
-    for gold_doc, pred_doc in pairs:
-        part = _lea_sums(gold_doc, pred_doc, ignore_singletons)
+    for gold_view, pred_view in pairs:
+        part = _lea_sums(gold_view, pred_view, ignore_singletons)
         sums = tuple(a + b for a, b in zip(sums, part))
     return EvalReport(_finish_lea(*sums), pronouns, len(pairs))
 

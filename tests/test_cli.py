@@ -307,6 +307,21 @@ def test_unknown_paradigm_is_a_usage_error(cli):
     assert "invalid choice" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", HERSTEL, "--config", "-"],
+    ["transform", HERSTEL, "--neutralize-nouns", "--lexicon", "-"],
+    ["score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED, "--config", "-"],
+])
+def test_stdin_for_config_or_lexicon_is_a_usage_error(cli, argv):
+    # Stdin is the corpus input; read for the option it would be empty.
+    code, out, err = cli(*argv, stdin_text="")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+    (error,) = [line for line in err.splitlines() if "error:" in line]
+    assert error == (f"corefkit {argv[0]}: error: argument {argv[-2]}: needs "
+                     f"a file path; '-' (stdin) is left for the corpus")
+
+
 def test_sample_flag_exclusivity(cli):
     code, _, _ = cli("sample", E2E, "--fraction", "1/2", "--count", "3",
                      "--partitions", "2")

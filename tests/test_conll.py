@@ -394,7 +394,7 @@ def reference_coref_entries(self, line_number, field, tok):
             self.error(line_number, f"malformed coreference entry {entry!r}")
             continue
         if match.group(1) and match.group(3):
-            self.spans.setdefault(cid, []).append(MentionSpan(sent, tok, tok))
+            self.spans.setdefault(cid, []).append((sent, tok, tok))
         elif match.group(1):
             self.open_spans.setdefault(cid, []).append((tok, line_number))
         else:
@@ -404,7 +404,7 @@ def reference_coref_entries(self, line_number, field, tok):
                            f"'{entry}' closes cluster {cid} that is not open")
                 continue
             start, _ = stack.pop()
-            self.spans.setdefault(cid, []).append(MentionSpan(sent, start, tok))
+            self.spans.setdefault(cid, []).append((sent, start, tok))
 
 
 def parse_outcome(text):

@@ -20,15 +20,17 @@ from hypothesis import strategies as st
 import corpusgen
 from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
                       lines_of, run)
+from test_jobs import corpus_texts
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
-from corefkit.conll import parse_corpus, serialize_corpus
+from corefkit.conll import _parse_lines, parse_corpus, serialize_corpus
 from corefkit.errors import CorefKitError, EmptyCorpusError
-from corefkit.metrics import (_evaluate, evaluate, format_report,
+from corefkit.metrics import (_evaluate, _gold_view, _prediction_view,
+                              _third_singular, evaluate, format_report,
                               report_keyvalues)
-from corefkit.model import Corpus
+from corefkit.model import Corpus, Token
 from corefkit.resolver import resolve
-from corefkit.transform import ClassifierConfig
+from corefkit.transform import ClassifierConfig, _role_table
 
 GOLD = str(FIXTURES / "dialogue_gold.conll")
 PRED = str(FIXTURES / "dialogue_pred.conll")
@@ -99,6 +101,68 @@ def test_the_view_holds_ids_lengths_and_span_keys_only():
     assert clusters == tuple(
         tuple((m.sentence_index, m.start, m.end) for m in c.mentions)
         for c in pred.clusters)
+
+
+# --- the scoring-mode parse --------------------------------------------------
+
+def views_of_the_full_parse(lines, start, stop, seen_ids, config):
+    """Assert that both scoring modes of ``_parse_lines`` report the full
+    parse's diagnostics and keep its documents, as their views; return
+    the kept ids."""
+    documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
+    is_counted = _third_singular(config)
+    for roles, view in ((None, _prediction_view),
+                        (_role_table(config),
+                         lambda document: _gold_view(document, is_counted))):
+        views, view_diagnostics = _parse_lines(lines, start, stop, seen_ids,
+                                               True, roles)
+        assert view_diagnostics == diagnostics
+        assert views == [view(d) for d in documents]
+    return [d.id for d in documents]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=corpus_texts(), config=st.sampled_from(["default", "good"]),
+       jobs=st.integers(2, 4))
+def test_the_scoring_parse_is_the_full_parse_seen_through_views(text, config,
+                                                                 jobs):
+    config = (ClassifierConfig() if config == "default"
+              else ClassifierConfig.from_text(CONFIGS[config]))
+    lines = text.splitlines()
+    views_of_the_full_parse(lines, 0, None, (), config)
+    # Shards cut right after "#end document", each knowing the ids
+    # kept before it.
+    bounds = cli._shard_bounds(lines, jobs)
+    seen = set()
+    for start, stop in zip(bounds, bounds[1:]):
+        seen.update(views_of_the_full_parse(lines, start, stop, set(seen),
+                                            config))
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_score_builds_no_token_grid(monkeypatch, fork):
+    """Only the role table builds tokens, one probe per distinct
+    ``(pos, feats)`` pair; without a fork that covers the prediction's
+    parse too."""
+    e2e = str(FIXTURES / "e2e.conll")
+    corpus = parse_corpus(Path(e2e).read_text("utf-8"))[0]
+    pairs = {(t.pos, t.feats) for d in corpus.documents for t in d.tokens()}
+    expected = run("score", "--gold", e2e, "--pred", e2e)
+    built = []
+    init = Token.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    assert run("score", "--gold", e2e, "--pred", e2e) == expected
+    assert expected[0] == 0
+    tokens = sum(d.token_count for d in corpus.documents)
+    assert 0 < len(built) <= len(pairs) < tokens
+    assert_no_child_left()
 
 
 # --- failure modes -----------------------------------------------------------
