@@ -88,20 +88,15 @@ def build_cda(corpus: Corpus, seed: int = 0,
     return Corpus(documents, corpus.split_label), assignment
 
 
-def sample_partitions(corpus: Corpus, spec: PartitionSpec) -> list[list[str]]:
-    """Draw ``n_partitions`` document-id samples without replacement.
-
-    The partition size is ``floor(fraction * len(corpus))``. Partitions
-    are drawn from one seeded stream and may overlap each other; each
-    returned list is in corpus order. A size of zero is an error.
-    """
-    n = len(corpus.documents)
+def _sample_ids(ids: Sequence[str], spec: PartitionSpec) -> list[list[str]]:
+    """:func:`sample_partitions` of a corpus whose document ids are
+    ``ids``, in corpus order."""
+    n = len(ids)
     size = floor(spec.fraction * n)
     if size < 1:
         raise ValueError(
             f"partition size {size} is degenerate "
             f"(fraction {spec.fraction} of {n} documents)")
-    ids = list(corpus.document_ids())
     position = {doc_id: i for i, doc_id in enumerate(ids)}
     rng = random.Random(spec.seed)
     partitions = []
@@ -109,6 +104,16 @@ def sample_partitions(corpus: Corpus, spec: PartitionSpec) -> list[list[str]]:
         chosen = rng.sample(ids, size)
         partitions.append(sorted(chosen, key=position.__getitem__))
     return partitions
+
+
+def sample_partitions(corpus: Corpus, spec: PartitionSpec) -> list[list[str]]:
+    """Draw ``n_partitions`` document-id samples without replacement.
+
+    The partition size is ``floor(fraction * len(corpus))``. Partitions
+    are drawn from one seeded stream and may overlap each other; each
+    returned list is in corpus order. A size of zero is an error.
+    """
+    return _sample_ids(corpus.document_ids(), spec)
 
 
 def _unseen_assignment(ids: Sequence[str], seed: int,

@@ -28,7 +28,6 @@ from corefkit.errors import CorefKitError, EmptyCorpusError
 from corefkit.lexicon import builtin_paradigms, get_paradigm
 
 if TYPE_CHECKING:
-    from corefkit.model import Corpus
     from corefkit.stats import FrequencyReport
     from corefkit.transform import ClassifierConfig
 
@@ -56,17 +55,24 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _read_corpus(path: str) -> Corpus:
-    """The corpus at ``path``, with the parse diagnostics printed."""
-    from corefkit.conll import parse_corpus
+def _parsed_views(path: str, text: str, roles=None, tally=None) -> list:
+    """The views of the documents kept from ``text``, read from ``path``,
+    with the parse diagnostics printed. ``text`` goes through
+    ``_parse_lines`` in views mode, given ``roles`` and ``tally``, so no
+    token grid is built. Raises :class:`EmptyCorpusError` when no
+    document is kept."""
+    from corefkit.conll import _parse_lines
 
-    try:
-        corpus, diagnostics = parse_corpus(_read_text(path))
-    except EmptyCorpusError as exc:
-        _print_diagnostics(path, _triples(exc.diagnostics))
-        raise
+    # The caller keeps no reference to the text, so each ``del`` frees
+    # what the rest of the parse no longer needs.
+    lines = text.splitlines()
+    del text
+    views, diagnostics = _parse_lines(lines, 0, None, (), True, roles, tally)
+    del lines
     _print_diagnostics(path, _triples(diagnostics))
-    return corpus
+    if not views:
+        raise EmptyCorpusError("no parseable document in input", diagnostics)
+    return views
 
 
 def _triples(diagnostics) -> list[tuple[int, str, str]]:
@@ -371,16 +377,19 @@ def _render_stats(report: FrequencyReport) -> str:
 
 
 def _cmd_stats(args) -> _Output:
-    from corefkit.stats import corpus_summary, pronoun_frequencies
+    """Count straight from the parse: the text is read into a ``(pos,
+    feats, form)`` tally of the kept documents' tokens, and no token
+    grid is built."""
+    from corefkit.stats import DEFAULT_REPORT_FORMS, _count
 
-    corpus = _read_corpus(args.input)
+    tally: dict[tuple[str, str, str], int] = {}
+    _parsed_views(args.input, _read_text(args.input), tally=tally)
     config = _load_classifier(args.config)
     if args.summary_only:
-        report = corpus_summary(corpus, config)
+        wanted = ()
     else:
-        forms = tuple(args.forms) if args.forms else None
-        report = pronoun_frequencies(corpus, forms, config)
-    return _Output(stdout=_render_stats(report))
+        wanted = tuple(args.forms) if args.forms else DEFAULT_REPORT_FORMS
+    return _Output(stdout=_render_stats(_count(tally, wanted, config)))
 
 
 def _cmd_strip_singletons(args) -> _Output:
@@ -443,10 +452,11 @@ def _cmd_cda(args) -> _Output:
 def _cmd_sample(args) -> _Output:
     from fractions import Fraction
 
-    from corefkit.builder import PartitionSpec, sample_partitions
+    from corefkit.builder import PartitionSpec, _sample_ids
 
-    corpus = _read_corpus(args.input)
-    n = len(corpus.documents)
+    ids = [view[0] for view in _parsed_views(args.input,
+                                             _read_text(args.input))]
+    n = len(ids)
     if args.count is not None:
         if not 1 <= args.count <= n:
             raise CorefKitError(
@@ -454,8 +464,8 @@ def _cmd_sample(args) -> _Output:
         fraction = Fraction(args.count, n)
     else:
         fraction = args.fraction
-    partitions = sample_partitions(
-        corpus, PartitionSpec(fraction, args.partitions, args.seed))
+    partitions = _sample_ids(
+        ids, PartitionSpec(fraction, args.partitions, args.seed))
     if args.out_prefix:
         return _Output(files=[(f"{args.out_prefix}{i}.txt",
                                "".join(f"{x}\n" for x in ids))
@@ -544,15 +554,7 @@ def _cmd_score(args) -> _Output:
 
     def parse_gold():
         del texts[1:]  # forked, the child holds the prediction
-        lines = texts.pop().splitlines()
-        views, diagnostics = corefkit.conll._parse_lines(lines, 0, None, (),
-                                                         True, roles)
-        del lines
-        _print_diagnostics(args.gold, _triples(diagnostics))
-        if not views:
-            raise EmptyCorpusError("no parseable document in input",
-                                   diagnostics)
-        return views
+        return _parsed_views(args.gold, texts.pop(), roles)
 
     gold, predictions = _forked(tasks, parse_gold)
     if failure is not None:

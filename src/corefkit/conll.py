@@ -84,12 +84,14 @@ class _DocumentReader:
     start, end)`` keys of its mentions. Given ``roles`` as well, a
     ``(pos, feats)`` table like ``transform._role_table``, the view gains
     a fourth item: ``(sentence, token, lowercased form)`` of each token
-    whose role is not None, in document order.
+    whose role is not None, in document order. With ``tally`` it counts
+    the tokens of the document by ``(pos, feats, form)`` as read, feats
+    ``_`` included, in :attr:`tally`.
     """
 
     def __init__(self, doc_id: str, begin_line: int,
                  diagnostics: list[ParseDiagnostic], strings: dict[str, str],
-                 views: bool = False, roles=None):
+                 views: bool = False, roles=None, tally: bool = False):
         self.doc_id = doc_id
         self.begin_line = begin_line
         self.diagnostics = diagnostics
@@ -99,6 +101,8 @@ class _DocumentReader:
         self.views = views
         self.roles = roles
         self.counted: list[tuple[int, int, str]] = []
+        # (pos, feats, form) -> tokens, with ``tally``
+        self.tally: dict | None = {} if tally else None
         self.broken = False
         self.sentences: list = []  # token tuples, or lengths with ``views``
         self.tokens: list = []  # tokens, or 1-based heads with ``views``
@@ -148,6 +152,10 @@ class _DocumentReader:
                     pos, "" if feats == "_" else feats] is not None:
                 self.counted.append((len(self.sentences), expected - 1,
                                      form.lower()))
+            tally = self.tally
+            if tally is not None:
+                key = pos, feats, form
+                tally[key] = tally.get(key, 0) + 1
         else:
             share = self.share
             tokens.append(Token(len(self.sentences), expected - 1,
@@ -258,7 +266,8 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
 
 
 def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
-                 seen_ids: Iterable[str] = (), views: bool = False, roles=None
+                 seen_ids: Iterable[str] = (), views: bool = False, roles=None,
+                 tally: dict[tuple[str, str, str], int] | None = None
                  ) -> tuple[list, list[ParseDiagnostic]]:
     """The documents and diagnostics of ``lines[start:stop]``, each line
     numbered by its place in ``lines``.
@@ -275,8 +284,10 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
 
     With ``views`` each kept document comes back as its scoring view,
     and ``roles`` adds its counted pronouns (see :class:`_DocumentReader`).
-    The checks, diagnostics and kept documents are those of the full
-    parse; no :class:`Token` is built and no string is shared.
+    Given ``tally`` as well, each kept document's tokens are added to it,
+    counted by ``(pos, feats, form)`` as read. The checks, diagnostics and
+    kept documents are those of the full parse; no :class:`Token` is
+    built and no string is shared.
     """
     diagnostics: list[ParseDiagnostic] = []
     documents: list = []
@@ -296,6 +307,9 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
             else:
                 seen_ids.add(reader.doc_id)
                 documents.append(document)
+                if tally is not None:
+                    for key, count in reader.tally.items():
+                        tally[key] = tally.get(key, 0) + count
         reader = None
 
     for line_number, line in enumerate(islice(lines, start, stop), start + 1):
@@ -304,7 +318,8 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
                 continue
             if line.startswith(BEGIN_PREFIX):
                 reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                         diagnostics, strings, views, roles)
+                                         diagnostics, strings, views, roles,
+                                         tally is not None)
             else:
                 diagnostics.append(ParseDiagnostic(
                     line_number, "error",
@@ -319,7 +334,8 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
             reader.error(line_number, "new document begins before '#end document'")
             finish(line_number)
             reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                     diagnostics, strings, views, roles)
+                                     diagnostics, strings, views, roles,
+                                     tally is not None)
         elif not line:
             reader.end_sentence()
         else:

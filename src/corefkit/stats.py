@@ -82,9 +82,23 @@ def grammatical_function(token: Token,
     return "other"
 
 
-def _count(corpus: Corpus, wanted: tuple[str, ...],
+def _tally(corpus: Corpus) -> dict[tuple[str, str, str], int]:
+    """The tokens of ``corpus`` counted by ``(pos, feats, form)``: the
+    tally that a views parse of its text keeps (see
+    :func:`corefkit.conll._parse_lines`)."""
+    tally: dict[tuple[str, str, str], int] = {}
+    for document in corpus.documents:
+        for sentence in document.sentences:
+            for token in sentence:
+                key = token.pos, token.feats, token.form
+                tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def _count(tally: dict[tuple[str, str, str], int], wanted: tuple[str, ...],
            config: ClassifierConfig) -> FrequencyReport:
-    """One walk over the corpus: per-form rows for ``wanted`` plus totals."""
+    """Per-form rows for ``wanted`` plus totals, from a ``(pos, feats,
+    form)`` tally (see :func:`_tally`); feats ``_`` count as empty."""
     # Lowercased form -> every row that counts it; a form may be asked
     # for twice, in any spelling.
     index: dict[str, list[int]] = {}
@@ -101,24 +115,23 @@ def _count(corpus: Corpus, wanted: tuple[str, ...],
     pronouns = 0
     third_sg = 0
     masculine = 0
-    for document in corpus.documents:
-        for sentence in document.sentences:
-            tokens += len(sentence)
-            for token in sentence:
-                function, is_third_singular = kinds[token.pos, token.feats]
-                if function in _PRONOUN_FUNCTIONS:
-                    pronouns += 1
-                form = token.form.lower()
+    for (pos, feats, form), n in tally.items():
+        function, is_third_singular = kinds[pos, "" if feats == "_" else feats]
+        tokens += n
+        if function in _PRONOUN_FUNCTIONS:
+            pronouns += n
+        form = form.lower()
+        if is_third_singular:
+            third_sg += n
+            if form in MASCULINE_FORMS:
+                masculine += n
+        rows = index.get(form)
+        if rows is not None:
+            for i in rows:
+                totals[i] += n
+                by_function[i][function] += n
                 if is_third_singular:
-                    third_sg += 1
-                    if form in MASCULINE_FORMS:
-                        masculine += 1
-                rows = index.get(form)
-                if rows is not None:
-                    for i in rows:
-                        totals[i] += 1
-                        by_function[i][function] += 1
-                        third_singular[i] += is_third_singular
+                    third_singular[i] += n
     rows = tuple(
         FormFrequency(form.lower(), totals[i], by_function[i], third_singular[i])
         for i, form in enumerate(wanted))
@@ -145,11 +158,11 @@ def pronoun_frequencies(corpus: Corpus,
     that a corpus uses exclusively in other functions.
     """
     wanted = tuple(forms) if forms is not None else DEFAULT_REPORT_FORMS
-    return _count(corpus, wanted, config)
+    return _count(_tally(corpus), wanted, config)
 
 
 def corpus_summary(corpus: Corpus,
                    config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
                    ) -> FrequencyReport:
     """Corpus totals only; an empty corpus yields an all-zero report."""
-    return _count(corpus, (), config)
+    return _count(_tally(corpus), (), config)

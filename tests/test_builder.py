@@ -3,15 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from corefkit.builder import (PartitionSpec, build_cda, build_unseen,
                               sample_partitions)
+from corefkit.conll import parse_corpus
 from corefkit.errors import EmptyCorpusError, UnknownParadigmError
 from corefkit.lexicon import GENDER_NEUTRAL_NAMES, NEOPRONOUN_NAMES
-from corefkit.model import Corpus
+from corefkit.model import Corpus, Token
 from corefkit.transform import classify_pronoun
 
 import corpusgen
+from conftest import FIXTURES, run
+from test_jobs import corpus_texts
 
 
 def tiny_corpus(n_docs):
@@ -192,3 +196,54 @@ def test_unseen_is_seed_deterministic():
 def test_unseen_rejects_empty_corpus():
     with pytest.raises(EmptyCorpusError):
         build_unseen(Corpus(()))
+
+
+# --- the sample command against the library call ---------------------------
+
+def sample_reference(text, fraction, partitions, seed):
+    """What ``sample --fraction`` reports for ``text``, built from the
+    serial library calls: (exit code, stdout, stderr)."""
+    try:
+        corpus, diagnostics = parse_corpus(text)
+    except EmptyCorpusError as exc:
+        corpus, diagnostics, failure = None, exc.diagnostics, str(exc)
+    stderr = "".join(f"-:{d.line_number}: {d.severity}: {d.message}\n"
+                     for d in diagnostics)
+    if corpus is not None:
+        try:
+            drawn = sample_partitions(
+                corpus, PartitionSpec(Fraction(fraction), partitions, seed))
+        except ValueError as exc:
+            failure = str(exc)
+        else:
+            return 0, "\n".join(
+                f"# partition {i}\n" + "".join(f"{x}\n" for x in ids)
+                for i, ids in enumerate(drawn)), stderr
+    return 2, "", stderr + f"corefkit: error: {failure}\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=corpus_texts())
+def test_sample_reports_what_the_serial_call_reports(text):
+    for fraction, partitions, seed in (("1/2", 3, 4), ("1", 1, 0),
+                                       ("1/3", 2, 9)):
+        got = run("sample", "--fraction", fraction, "--partitions",
+                  str(partitions), "--seed", str(seed), stdin_text=text)
+        assert got == sample_reference(text, fraction, partitions, seed)
+
+
+def test_sample_builds_no_token_grid(monkeypatch):
+    e2e = str(FIXTURES / "e2e.conll")
+    argv = ("sample", e2e, "--fraction", "1/2", "--partitions", "3")
+    expected = run(*argv)
+    built = []
+    init = Token.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting)
+    assert run(*argv) == expected
+    assert expected[0] == 0 and expected[1]
+    assert built == []

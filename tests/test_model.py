@@ -5,13 +5,17 @@ import random
 from dataclasses import MISSING, FrozenInstanceError, astuple, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corefkit.model
 from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
                             _span, _span_key, antecedents, map_documents,
                             mention_containing, validate_corpus,
                             validate_document)
 
 import corpusgen
+from conftest import run
 
 
 def test_token_feat_set():
@@ -345,6 +349,69 @@ def test_crossing_messages_follow_mention_order():
     messages = _errors(validate_document(doc))
     assert messages[-len(expected):] == expected
     assert [m for m in messages if m.endswith(" cross")] == expected
+
+
+def pairwise_crossings(document):
+    """The crossing messages of the pairwise rule: every pair of spans of
+    one cluster in one sentence, in mention order."""
+    return [f"document {document.id!r}: cluster {c.id}: "
+            f"spans {a} and {b} cross"
+            for c in document.clusters
+            for i, a in enumerate(c.mentions) for b in c.mentions[i + 1:]
+            if a.sentence_index == b.sentence_index
+            and a.start < b.start <= a.end < b.end]
+
+
+@st.composite
+def span_sets(draw):
+    """Spans of one cluster over three sentences of six tokens, some
+    outside the document or their sentence, in any order; with
+    ``nested`` each span that would cross an earlier one is left out."""
+    spans = []
+    for _ in range(draw(st.integers(0, 12))):
+        start = draw(st.integers(0, 7))
+        spans.append(MentionSpan(draw(st.integers(0, 3)), start,
+                                 start + draw(st.integers(0, 5))))
+    if draw(st.booleans()):
+        kept = []
+        for a in spans:
+            if not any(a.sentence_index == b.sentence_index and (
+                    a.start < b.start <= a.end < b.end
+                    or b.start < a.start <= b.end < a.end) for b in kept):
+                kept.append(a)
+        spans = kept
+    return tuple(spans)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spans=span_sets())
+def test_crossings_are_those_of_the_pairwise_rule(spans):
+    sentences = tuple(tuple(Token(si, ti, "w") for ti in range(6))
+                      for si in range(3))
+    document = Document("d", sentences, (Cluster(4, spans),))
+    expected = pairwise_crossings(document)
+    messages = _errors(validate_document(document))
+    assert [m for m in messages if m.endswith(" cross")] == expected
+    if expected:
+        assert messages[-len(expected):] == expected
+
+
+def test_nested_spans_of_one_cluster_are_checked_without_listing_pairs(
+        tmp_path, monkeypatch):
+    """10k spans of one cluster nest in one sentence of 20k tokens. The
+    check never falls back to testing every pair of them, 50M pairs."""
+    n = 20_000
+    text = "".join(
+        ["#begin document deep\n"]
+        + [f"{i + 1}\tw\tw\tNOUN\t_\t0\troot\tO\t{coref}\n"
+           for i, coref in enumerate(["(2"] * (n // 2) + ["2)"] * (n // 2))]
+        + ["#end document\n"])
+
+    def no_listing(spans):
+        raise AssertionError("pairs listed for a valid cluster")
+
+    monkeypatch.setattr(corefkit.model, "_crossing_pairs", no_listing)
+    assert run("strip-singletons", stdin_text=text) == (0, text, "")
 
 
 def test_span_in_two_clusters_is_only_a_warning():

@@ -30,6 +30,7 @@ from corefkit.metrics import (_evaluate, _gold_view, _prediction_view,
                               report_keyvalues)
 from corefkit.model import Corpus, Token
 from corefkit.resolver import resolve
+from corefkit.stats import _tally
 from corefkit.transform import ClassifierConfig, _role_table
 
 GOLD = str(FIXTURES / "dialogue_gold.conll")
@@ -107,10 +108,12 @@ def test_the_view_holds_ids_lengths_and_span_keys_only():
 
 def views_of_the_full_parse(lines, start, stop, seen_ids, config):
     """Assert that both scoring modes of ``_parse_lines`` report the full
-    parse's diagnostics and keep its documents, as their views; return
-    the kept ids."""
+    parse's diagnostics and keep its documents, as their views, and that
+    the tally of the views parse counts the kept documents' tokens;
+    return the kept ids."""
     documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
     is_counted = _third_singular(config)
+    expected = _tally(Corpus(tuple(documents)))
     for roles, view in ((None, _prediction_view),
                         (_role_table(config),
                          lambda document: _gold_view(document, is_counted))):
@@ -118,6 +121,15 @@ def views_of_the_full_parse(lines, start, stop, seen_ids, config):
                                                True, roles)
         assert view_diagnostics == diagnostics
         assert views == [view(d) for d in documents]
+        tally = {}
+        assert _parse_lines(lines, start, stop, seen_ids, True, roles,
+                            tally) == (views, diagnostics)
+        # The full parse reads feats "_" as empty.
+        read = {}
+        for (pos, feats, form), count in tally.items():
+            key = pos, "" if feats == "_" else feats, form
+            read[key] = read.get(key, 0) + count
+        assert read == expected
     return [d.id for d in documents]
 
 

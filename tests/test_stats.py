@@ -1,12 +1,22 @@
+import os
 import random
+import tempfile
+from pathlib import Path
 
-from corefkit.model import Corpus
+from hypothesis import given, settings
+
+from corefkit.cli import _render_stats
+from corefkit.conll import parse_corpus
+from corefkit.errors import EmptyCorpusError
+from corefkit.model import Corpus, Token
 from corefkit.stats import (DEFAULT_REPORT_FORMS, FUNCTIONS, MASCULINE_FORMS,
                             corpus_summary, grammatical_function,
                             pronoun_frequencies)
-from corefkit.transform import classify_pronoun
+from corefkit.transform import ClassifierConfig, classify_pronoun
 
 import corpusgen
+from conftest import FIXTURES, run
+from test_jobs import corpus_texts
 
 PRS_3SG = "Number=Sing|Person=3|PronType=Prs"
 
@@ -172,3 +182,71 @@ def test_document_order_never_matters():
     shuffled = Corpus(tuple(reversed(corpus.documents)))
     assert pronoun_frequencies(corpus) == pronoun_frequencies(shuffled)
     assert corpus_summary(corpus) == corpus_summary(shuffled)
+
+
+# --- the stats command against the library calls ---------------------------
+
+PRS = "third_singular.feats = PronType=Prs\n"
+# Argument sets of the property test; "{config}" names a file holding PRS.
+STATS_ARGUMENTS = ([], ["--summary-only"], ["--forms", "hen", "HEN", "die"],
+                   ["--config", "{config}"])
+
+
+def stats_reference(text, argv):
+    """What ``stats`` reports for ``text``, built from the serial library
+    calls: (exit code, stdout, stderr)."""
+    try:
+        corpus, diagnostics = parse_corpus(text)
+    except EmptyCorpusError as exc:
+        corpus, diagnostics = None, exc.diagnostics
+    stderr = "".join(f"-:{d.line_number}: {d.severity}: {d.message}\n"
+                     for d in diagnostics)
+    if corpus is None:
+        return 2, "", (stderr + "corefkit: error: "
+                       "no parseable document in input\n")
+    config = (ClassifierConfig.from_text(PRS) if "--config" in argv
+              else ClassifierConfig())
+    if "--summary-only" in argv:
+        report = corpus_summary(corpus, config)
+    else:
+        forms = tuple(argv[1:]) if "--forms" in argv else None
+        report = pronoun_frequencies(corpus, forms, config)
+    return 0, _render_stats(report), stderr
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=corpus_texts())
+def test_stats_reports_what_the_serial_calls_report(text):
+    with tempfile.TemporaryDirectory() as directory:
+        config = os.path.join(directory, "prs.cfg")
+        Path(config).write_text(PRS, encoding="utf-8")
+        for argv in STATS_ARGUMENTS:
+            got = run("stats", *(a.replace("{config}", config) for a in argv),
+                      stdin_text=text)
+            assert got == stats_reference(text, argv), argv
+
+
+def test_the_configuration_changes_what_stats_counts():
+    text = (FIXTURES / "dialogue_gold.conll").read_text("utf-8")
+    assert stats_reference(text, ["--config"]) != stats_reference(text, [])
+
+
+def test_stats_builds_no_token_grid(monkeypatch):
+    """Only the ``(pos, feats)`` classification builds tokens, one probe
+    per distinct pair."""
+    e2e = str(FIXTURES / "e2e.conll")
+    corpus = parse_corpus(Path(e2e).read_text("utf-8"))[0]
+    pairs = {(t.pos, t.feats) for d in corpus.documents for t in d.tokens()}
+    expected = run("stats", e2e)
+    built = []
+    init = Token.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting)
+    assert run("stats", e2e) == expected
+    assert expected[0] == 0
+    tokens = sum(d.token_count for d in corpus.documents)
+    assert 0 < len(built) <= len(pairs) < tokens
