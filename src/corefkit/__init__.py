@@ -18,16 +18,15 @@ __version__ = "0.1.0"
 # The home module of every public name, in the order of ``__all__``.
 _HOMES = {
     "model": ("Cluster", "Corpus", "Document", "MentionSpan", "Token",
-              "antecedents", "map_documents", "mention_containing"),
+              "map_documents"),
     "conll": ("parse_corpus", "serialize_corpus", "strip_singletons"),
     "lexicon": ("PronounParadigm", "RewriteLexicon", "builtin_noun_lexicon",
-                "builtin_paradigms", "get_paradigm", "load_noun_lexicon",
-                "lookup_noun"),
+                "builtin_paradigms", "get_paradigm", "load_noun_lexicon"),
     "transform": ("ClassifierConfig", "PronounRole", "TransformOptions",
                   "anonymize_names", "classify_pronoun", "delexicalize",
                   "pronoun_specific", "replace_nouns", "swap_pronouns"),
     "metrics": ("EvalReport", "LeaScore", "PronounScoreResult",
-                "aggregate", "evaluate", "lea", "pronoun_score"),
+                "evaluate", "lea", "pronoun_score"),
     "resolver": ("ResolverConfig", "resolve"),
     "builder": ("PartitionSpec", "build_cda", "build_unseen",
                 "sample_partitions"),

@@ -85,7 +85,7 @@ def build_cda(corpus: Corpus, seed: int = 0,
         raise EmptyCorpusError("cannot augment an empty corpus")
     assignment = _cda_assignment(corpus.document_ids(), seed)
     documents = _rewrite(corpus.documents, assignment, config, lexicon, options)
-    return Corpus(documents, corpus.split_label), assignment
+    return Corpus(documents), assignment
 
 
 def _sample_ids(ids: Sequence[str], spec: PartitionSpec) -> list[list[str]]:
@@ -142,4 +142,4 @@ def build_unseen(corpus: Corpus, seed: int = 0, fixed: str | None = None,
         raise EmptyCorpusError("cannot rewrite an empty corpus")
     assignment = _unseen_assignment(corpus.document_ids(), seed, fixed)
     documents = _rewrite(corpus.documents, assignment, config, lexicon, options)
-    return Corpus(documents, corpus.split_label), assignment
+    return Corpus(documents), assignment

@@ -55,12 +55,11 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _parsed_views(path: str, text: str, roles=None, tally=None) -> list:
-    """The views of the documents kept from ``text``, read from ``path``,
-    with the parse diagnostics printed. ``text`` goes through
-    ``_parse_lines`` in views mode, given ``roles`` and ``tally``, so no
-    token grid is built. Raises :class:`EmptyCorpusError` when no
-    document is kept."""
+def _parsed_views(text: str, roles=None, tally=None):
+    """The parse diagnostics of ``text`` and the views of its kept
+    documents (see :func:`corefkit.conll._view`), as plain values that
+    ``marshal`` encodes. ``text`` goes through ``_parse_lines`` in views
+    mode, given ``roles`` and ``tally``, so no token grid is built."""
     from corefkit.conll import _parse_lines
 
     # The caller keeps no reference to the text, so each ``del`` frees
@@ -69,9 +68,17 @@ def _parsed_views(path: str, text: str, roles=None, tally=None) -> list:
     del text
     views, diagnostics = _parse_lines(lines, 0, None, (), True, roles, tally)
     del lines
-    _print_diagnostics(path, _triples(diagnostics))
+    return _triples(diagnostics), views
+
+
+def _reported(path: str, parsed) -> list:
+    """The views of ``parsed``, what :func:`_parsed_views` returned for
+    the input at ``path``, once its diagnostics are printed. Raises
+    :class:`EmptyCorpusError` when no document was kept."""
+    diagnostics, views = parsed
+    _print_diagnostics(path, diagnostics)
     if not views:
-        raise EmptyCorpusError("no parseable document in input", diagnostics)
+        raise EmptyCorpusError("no parseable document in input")
     return views
 
 
@@ -383,7 +390,7 @@ def _cmd_stats(args) -> _Output:
     from corefkit.stats import DEFAULT_REPORT_FORMS, _count
 
     tally: dict[tuple[str, str, str], int] = {}
-    _parsed_views(args.input, _read_text(args.input), tally=tally)
+    _reported(args.input, _parsed_views(_read_text(args.input), tally=tally))
     config = _load_classifier(args.config)
     if args.summary_only:
         wanted = ()
@@ -454,8 +461,8 @@ def _cmd_sample(args) -> _Output:
 
     from corefkit.builder import PartitionSpec, _sample_ids
 
-    ids = [view[0] for view in _parsed_views(args.input,
-                                             _read_text(args.input))]
+    ids = [view[0] for view in _reported(
+        args.input, _parsed_views(_read_text(args.input)))]
     n = len(ids)
     if args.count is not None:
         if not 1 <= args.count <= n:
@@ -497,24 +504,6 @@ def _cmd_resolve_baseline(args) -> _Output:
     return _mapped_output(args, prepare)[0]
 
 
-def _prediction(text: str):
-    """What ``score`` reads of the prediction ``text``: the parse
-    diagnostics and, per kept document, its prediction view (id,
-    sentence lengths and cluster span keys; ``metrics._PredictionView``)
-    as plain values ``marshal`` encodes. The text is parsed straight
-    into the views, with the full parse's checks and diagnostics and no
-    token grid."""
-    from corefkit.conll import _parse_lines
-
-    # The caller keeps no reference to the text, so each ``del`` frees
-    # what the rest of the parse no longer needs.
-    lines = text.splitlines()
-    del text
-    views, diagnostics = _parse_lines(lines, 0, None, (), True)
-    del lines
-    return _triples(diagnostics), views
-
-
 def _cmd_score(args) -> _Output:
     """Score ``--pred`` against ``--gold``, the prediction parsed in a
     second process.
@@ -524,16 +513,16 @@ def _cmd_score(args) -> _Output:
     next, into the role table that picks the counted pronouns. A child
     started by :func:`_forked` parses the prediction while this process
     parses gold. Neither builds a token grid: each side is parsed
-    straight into its scoring views (``metrics._GoldView`` and
-    ``_PredictionView``), with the full parse's checks and diagnostics,
-    and the child sends back only its diagnostics and views. What is
-    reported is what a serial run reports, in its order: the gold
+    straight into its scoring views (:func:`_parsed_views`), with the
+    full parse's checks and diagnostics, and the child sends back only
+    its diagnostics and views. What is reported is what a serial run
+    reports, in its order: the gold
     diagnostics, an empty gold corpus (the prediction is then never
     reported), an error reading the prediction, its diagnostics, an
     empty prediction, a ``--config`` error, then the alignment and grid
     errors of scoring.
     """
-    import corefkit.conll  # loaded once, before the fork
+    # Loads corefkit.conll too, once, before the fork.
     from corefkit.metrics import _evaluate_views, format_report, report_keyvalues
     from corefkit.transform import _role_table
 
@@ -544,7 +533,8 @@ def _cmd_score(args) -> _Output:
         failure, tasks = exc, []
     else:
         failure = None
-        tasks = [(f"for --pred {args.pred}", lambda: _prediction(texts.pop()))]
+        tasks = [(f"for --pred {args.pred}",
+                  lambda: _parsed_views(texts.pop()))]
     try:
         roles = _role_table(_load_classifier(args.config))
     except (CorefKitError, ValueError, OSError) as exc:
@@ -554,15 +544,12 @@ def _cmd_score(args) -> _Output:
 
     def parse_gold():
         del texts[1:]  # forked, the child holds the prediction
-        return _parsed_views(args.gold, texts.pop(), roles)
+        return _reported(args.gold, _parsed_views(texts.pop(), roles))
 
     gold, predictions = _forked(tasks, parse_gold)
     if failure is not None:
         raise failure
-    diagnostics, pred = predictions[0]
-    _print_diagnostics(args.pred, diagnostics)
-    if not pred:
-        raise EmptyCorpusError("no parseable document in input")
+    pred = _reported(args.pred, predictions[0])
     if config_failure is not None:
         raise config_failure
     report = _evaluate_views(gold, pred, args.ignore_singletons, args.macro)
@@ -595,6 +582,20 @@ def _file_path(path: str) -> str:
     return path
 
 
+def _at_least(low: int):
+    """An argparse type: an ``int`` no smaller than ``low``."""
+    def number(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+
+    # argparse names the type in its usage error: "invalid int value: 'x'".
+    number.__name__ = "int"
+    return number
+
+
 # Options that several subcommands take, each declared once.
 _SHARED_OPTIONS = {
     "input": (("input",), dict(nargs="?", default="-", metavar="INPUT",
@@ -606,7 +607,7 @@ _SHARED_OPTIONS = {
     "lexicon": (("--lexicon",),
                 dict(type=_file_path,
                      help="noun lexicon file (default: builtin)")),
-    "jobs": (("--jobs",), dict(type=int, default=1,
+    "jobs": (("--jobs",), dict(type=_at_least(1), default=1,
                                help="run in up to JOBS processes, each on a "
                                     "shard of whole documents (default 1)")),
     "seed": (("--seed",), dict(type=int, default=0)),
@@ -698,7 +699,7 @@ def build_parser() -> _ArgumentParser:
     p = commands.add_parser("resolve-baseline",
                             help="run the two-sieve baseline resolver")
     _add_shared(p, "input", "output")
-    p.add_argument("--window", type=int, default=2,
+    p.add_argument("--window", type=_at_least(0), default=2,
                    help="pronoun antecedent window in sentences (default 2)")
     p.add_argument("--no-string-match", action="store_true",
                    help="disable the exact-match sieve")
@@ -824,8 +825,14 @@ def run() -> None:
     no reference cycles, so reference counting frees it, and the few
     cycles of the argument parser last until the process exits right
     after ``main`` returns. ``main`` itself leaves the collector alone.
+
+    Stdin and stdout are read and written as strict UTF-8, as files are,
+    whatever the locale or ``PYTHONIOENCODING`` say.
     """
     gc.disable()
+    for stream in (sys.stdin, sys.stdout):
+        if stream is not None:  # None when the descriptor is closed
+            stream.reconfigure(encoding="utf-8", errors="strict")
     sys.exit(main())
 
 

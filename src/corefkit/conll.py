@@ -22,17 +22,19 @@ fine; their ids disambiguate).
 Parsing recovers per document: a malformed document is dropped with
 diagnostics and the rest of the corpus still loads. Serialization
 produces canonical bytes, so ``serialize -> parse`` is the identity and
-``parse -> serialize`` canonicalises lenient input.
+``parse -> serialize`` canonicalises lenient input. What scoring and
+``stats`` read of a document, its view and its token tally, is built
+here only, straight from the text or from documents.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.model import (Cluster, Corpus, Document, Token, ValidationIssue,
-                            _span, validate_corpus)
+                            _span, _span_key, validate_corpus)
 
 __all__ = [
     "ParseDiagnostic",
@@ -73,20 +75,60 @@ class ParseDiagnostic:
     message: str
 
 
+# What scoring reads of a document, as plain tuples of ints and strings
+# that ``marshal`` carries between processes. A prediction view is
+# ``(id, sentence lengths, clusters)``, each cluster a tuple of its
+# mentions' ``_span_key`` tuples in document order. A gold view adds a
+# fourth item: ``(sentence, token, lowercased form)`` of each counted
+# pronoun, in document order. ``score`` parses both sides straight into
+# views (:class:`_DocumentReader` with ``views``); the library functions
+# build them from documents with :func:`_view`.
+_PredictionView = tuple[str, tuple[int, ...],
+                        tuple[tuple[tuple[int, int, int], ...], ...]]
+_GoldView = tuple[str, tuple[int, ...],
+                  tuple[tuple[tuple[int, int, int], ...], ...],
+                  tuple[tuple[int, int, str], ...]]
+
+
+def _view(document: Document, is_counted: Callable[[Token], bool] | None = None
+          ) -> _PredictionView | _GoldView:
+    """What scoring reads of ``document``: its gold view, ``is_counted``
+    picking the pronouns, or its prediction view without one."""
+    view = (document.id, tuple(map(len, document.sentences)),
+            tuple(tuple(map(_span_key, c.mentions)) for c in document.clusters))
+    if is_counted is None:
+        return view
+    return view + (tuple(
+        (token.sentence_index, token.token_index, token.form.lower())
+        for sentence in document.sentences for token in sentence
+        if is_counted(token)),)
+
+
+def _tally(documents: Iterable[Document]) -> dict[tuple[str, str, str], int]:
+    """The tokens of ``documents`` counted by ``(pos, feats, form)``: the
+    tally that a views parse of their text keeps, but with feats ``_`` as
+    the empty string that a :class:`Token` holds."""
+    tally: dict[tuple[str, str, str], int] = {}
+    for document in documents:
+        for sentence in document.sentences:
+            for token in sentence:
+                key = token.pos, token.feats, token.form
+                tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
 class _DocumentReader:
     """Accumulates lines of one document and builds it on completion.
 
     With ``views`` the reader runs every check of the full parse but
     builds no :class:`Token`: a sentence is kept as the 1-based heads of
     its tokens (for the head check), and :meth:`finish` returns the
-    document's scoring view instead of a :class:`Document`: ``(id,
-    sentence lengths, clusters)``, each cluster the sorted ``(sentence,
-    start, end)`` keys of its mentions. Given ``roles`` as well, a
-    ``(pos, feats)`` table like ``transform._role_table``, the view gains
-    a fourth item: ``(sentence, token, lowercased form)`` of each token
-    whose role is not None, in document order. With ``tally`` it counts
-    the tokens of the document by ``(pos, feats, form)`` as read, feats
-    ``_`` included, in :attr:`tally`.
+    document's prediction view instead of a :class:`Document`. Given
+    ``roles`` as well, a ``(pos, feats)`` table like
+    ``transform._role_table``, it returns the gold view, counting each
+    token whose role is not None. With ``tally`` it counts the tokens of
+    the document by ``(pos, feats, form)`` as read, feats ``_``
+    included, in :attr:`tally`.
     """
 
     def __init__(self, doc_id: str, begin_line: int,

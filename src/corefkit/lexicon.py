@@ -22,7 +22,6 @@ __all__ = [
     "get_paradigm",
     "builtin_noun_lexicon",
     "load_noun_lexicon",
-    "lookup_noun",
     "transfer_case",
     "NEOPRONOUN_NAMES",
     "GENDER_NEUTRAL_NAMES",
@@ -44,9 +43,6 @@ class PronounParadigm:
             if not value:
                 raise ValueError(f"paradigm {attr} must be non-empty")
             object.__setattr__(self, attr, value.lower())
-
-    def forms(self) -> tuple[str, str, str]:
-        return (self.subject_form, self.object_form, self.possessive_form)
 
 
 _PARADIGMS = (
@@ -265,15 +261,3 @@ def transfer_case(template: str, replacement: str) -> str:
     if template[0].isupper() and (len(template) == 1 or template[1:].islower()):
         return replacement[0].upper() + replacement[1:]
     return replacement
-
-
-def lookup_noun(lexicon: RewriteLexicon, form: str) -> str | None:
-    """The rewritten form for ``form``, or None when it has no entry.
-
-    Matching is case-insensitive and the query's capitalization pattern
-    is transferred onto the replacement.
-    """
-    entry = lexicon.get(form.lower())
-    if entry is None:
-        return None
-    return transfer_case(form, entry.replacement)

@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from corefkit.conll import _GoldView, _PredictionView, _view
 from corefkit.errors import AlignmentError
-from corefkit.model import Corpus, Document, Token, _span_key
+from corefkit.model import Corpus, Document, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 _role_table)
 
@@ -27,12 +28,9 @@ __all__ = [
     "LeaScore",
     "PronounScoreResult",
     "EvalReport",
-    "MetricSummary",
-    "AggregateReport",
     "lea",
     "pronoun_score",
     "evaluate",
-    "aggregate",
     "format_report",
     "report_keyvalues",
 ]
@@ -67,53 +65,6 @@ class EvalReport:
     lea: LeaScore
     pronouns: PronounScoreResult
     documents: int
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    mean: float
-    std: float
-    n: int
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    runs: int
-    lea_precision: MetricSummary
-    lea_recall: MetricSummary
-    lea_f1: MetricSummary
-    pronoun_score: MetricSummary | None
-
-
-# What scoring reads of a document, as plain tuples of ints and strings
-# that ``marshal`` carries between processes. A prediction view is
-# ``(id, sentence lengths, clusters)``, each cluster a tuple of its
-# mentions' ``_span_key`` tuples in document order. A gold view adds a
-# fourth item: ``(sentence, token, lowercased form)`` of each counted
-# pronoun, in document order. ``score`` parses both sides straight into
-# views (``conll._parse_lines`` with ``views``); the library functions
-# build them from documents.
-_PredictionView = tuple[str, tuple[int, ...],
-                       tuple[tuple[tuple[int, int, int], ...], ...]]
-_GoldView = tuple[str, tuple[int, ...],
-                  tuple[tuple[tuple[int, int, int], ...], ...],
-                  tuple[tuple[int, int, str], ...]]
-
-
-def _prediction_view(document: Document) -> _PredictionView:
-    """What scoring reads of ``document`` as a prediction."""
-    return (document.id, tuple(map(len, document.sentences)),
-            tuple(tuple(map(_span_key, c.mentions)) for c in document.clusters))
-
-
-def _gold_view(document: Document,
-               is_counted: Callable[[Token], bool]) -> _GoldView:
-    """What scoring reads of ``document`` as gold, ``is_counted``
-    picking the pronouns."""
-    return (*_prediction_view(document), tuple(
-        (token.sentence_index, token.token_index, token.form.lower())
-        for sentence in document.sentences for token in sentence
-        if is_counted(token)))
 
 
 def _resolution_sums(entities_a: list[list[int]],
@@ -185,8 +136,7 @@ def _finish_lea(recall_num: float, recall_den: int,
 def lea(gold: Document, pred: Document,
         ignore_singletons: bool = False) -> LeaScore:
     """LEA precision, recall and F1 of one predicted document."""
-    return _finish_lea(*_lea_sums(_prediction_view(gold),
-                                  _prediction_view(pred), ignore_singletons))
+    return _finish_lea(*_lea_sums(_view(gold), _view(pred), ignore_singletons))
 
 
 def _check_same_grid(gold: _GoldView, pred: _PredictionView) -> None:
@@ -261,8 +211,7 @@ def pronoun_score(gold: Document, pred: Document,
     """
     if is_counted is None:
         is_counted = _third_singular(config)
-    return _pronoun_outcome([(_gold_view(gold, is_counted),
-                              _prediction_view(pred))])
+    return _pronoun_outcome([(_view(gold, is_counted), _view(pred))])
 
 
 def _pronoun_outcome(pairs: Sequence[tuple[_GoldView, _PredictionView]],
@@ -340,20 +289,11 @@ def evaluate(gold: Corpus, pred: Corpus,
     the reported score is instead the unweighted mean of per-document
     scores (documents without counted pronouns are left out).
     """
-    return _evaluate(gold, list(map(_prediction_view, pred.documents)),
-                     is_counted, config, ignore_singletons, macro_pronouns)
-
-
-def _evaluate(gold: Corpus, pred: Sequence[_PredictionView],
-              is_counted: Callable[[Token], bool] | None,
-              config: ClassifierConfig, ignore_singletons: bool,
-              macro_pronouns: bool) -> EvalReport:
-    """:func:`evaluate` against ``pred``, the views of the predicted
-    documents in corpus order."""
     if is_counted is None:  # one role table for every document
         is_counted = _third_singular(config)
-    return _evaluate_views([_gold_view(d, is_counted) for d in gold.documents],
-                           pred, ignore_singletons, macro_pronouns)
+    return _evaluate_views([_view(d, is_counted) for d in gold.documents],
+                           list(map(_view, pred.documents)),
+                           ignore_singletons, macro_pronouns)
 
 
 def _evaluate_views(gold: Sequence[_GoldView], pred: Sequence[_PredictionView],
@@ -368,27 +308,6 @@ def _evaluate_views(gold: Sequence[_GoldView], pred: Sequence[_PredictionView],
         part = _lea_sums(gold_view, pred_view, ignore_singletons)
         sums = tuple(a + b for a, b in zip(sums, part))
     return EvalReport(_finish_lea(*sums), pronouns, len(pairs))
-
-
-def aggregate(reports: Sequence[EvalReport]) -> AggregateReport:
-    """Mean and population standard deviation of scores across runs."""
-    if not reports:
-        raise ValueError("aggregate needs at least one report")
-    import statistics  # only here: no command aggregates
-
-    def summary(values: list[float]) -> MetricSummary:
-        return MetricSummary(statistics.fmean(values),
-                             statistics.pstdev(values), len(values))
-
-    pronoun_values = [r.pronouns.score for r in reports
-                      if r.pronouns.score is not None]
-    return AggregateReport(
-        runs=len(reports),
-        lea_precision=summary([r.lea.precision for r in reports]),
-        lea_recall=summary([r.lea.recall for r in reports]),
-        lea_f1=summary([r.lea.f1 for r in reports]),
-        pronoun_score=summary(pronoun_values) if pronoun_values else None,
-    )
 
 
 def format_report(report: EvalReport) -> str:

@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterator
@@ -19,8 +20,6 @@ __all__ = [
     "Document",
     "Corpus",
     "ValidationIssue",
-    "antecedents",
-    "mention_containing",
     "validate_document",
     "validate_corpus",
     "map_documents",
@@ -31,6 +30,9 @@ __all__ = [
 # survive serialization.
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 _FIELD_BREAKS = _LINE_BREAKS | {"\t"}
+# A lone surrogate in either cannot be written as UTF-8. Surrogates are
+# unprintable too, so only a token or id failing ``isprintable`` is searched.
+_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -95,10 +97,6 @@ class MentionSpan:
         if self.start > self.end:
             raise ValueError(f"span start {self.start} after end {self.end}")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 # The slot descriptors' setters, bound once for ``Token.__init__`` and
 # ``_span``.
@@ -130,10 +128,6 @@ class Cluster:
     id: int
     mentions: tuple[MentionSpan, ...]
 
-    @classmethod
-    def sorted(cls, id: int, mentions) -> "Cluster":
-        return cls(id, tuple(sorted(mentions)))
-
 
 @dataclass(frozen=True)
 class Document:
@@ -147,9 +141,6 @@ class Document:
         for sentence in self.sentences:
             yield from sentence
 
-    def token_at(self, sentence_index: int, token_index: int) -> Token:
-        return self.sentences[sentence_index][token_index]
-
     def span_forms(self, span: MentionSpan) -> tuple[str, ...]:
         sentence = self.sentences[span.sentence_index]
         return tuple(t.form for t in sentence[span.start:span.end + 1])
@@ -161,10 +152,9 @@ class Document:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of documents, optionally labelled by split."""
+    """An ordered collection of documents."""
 
     documents: tuple[Document, ...]
-    split_label: str | None = None
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -177,42 +167,6 @@ class Corpus:
 class ValidationIssue:
     severity: str  # "error" or "warning"
     message: str
-
-
-def antecedents(cluster: Cluster, of: MentionSpan) -> tuple[MentionSpan, ...]:
-    """All mentions of ``cluster`` strictly before ``of`` in document order.
-
-    Raises ValueError when ``of`` is not a mention of the cluster.
-    """
-    try:
-        index = cluster.mentions.index(of)
-    except ValueError:
-        raise ValueError(
-            f"span {of} is not a mention of cluster {cluster.id}") from None
-    return cluster.mentions[:index]
-
-
-def mention_containing(document: Document, sentence_index: int,
-                       token_index: int) -> list[tuple[int, MentionSpan]]:
-    """All ``(cluster_id, span)`` pairs covering the given token.
-
-    Results are ordered innermost first (shortest span first, then by
-    start offset, then by cluster id). Raises IndexError for coordinates
-    outside the token grid.
-    """
-    if not 0 <= sentence_index < len(document.sentences):
-        raise IndexError(f"sentence index {sentence_index} out of range")
-    if not 0 <= token_index < len(document.sentences[sentence_index]):
-        raise IndexError(f"token index {token_index} out of range")
-    hits = [
-        (cluster.id, span)
-        for cluster in document.clusters
-        for span in cluster.mentions
-        if span.sentence_index == sentence_index
-        and span.start <= token_index <= span.end
-    ]
-    hits.sort(key=lambda hit: (hit[1].length, hit[1].start, hit[0]))
-    return hits
 
 
 def validate_document(document: Document) -> list[ValidationIssue]:
@@ -245,9 +199,12 @@ def _document_issues(document: Document,
 
     sentences = document.sentences
     known = source.sentences if source is not None else ()
-    if ((source is None or document.id != source.id)
-            and not _LINE_BREAKS.isdisjoint(document.id)):
-        error("id contains a newline")
+    doc_id = document.id
+    if (source is None or doc_id != source.id) and not doc_id.isprintable():
+        if not _LINE_BREAKS.isdisjoint(doc_id):
+            error("id contains a newline")
+        if _SURROGATE(doc_id):
+            error("id contains a lone surrogate")
     _check_sentences(error, sentences, known)
     if (source is None or document.clusters is not source.clusters
             or len(known) != len(sentences)
@@ -296,8 +253,11 @@ def _check_sentences(error: Callable[[str], None],
             if token.feats == "_":
                 error(f"{where}: feats is the literal '_', use an empty string")
             for name in ("form", "lemma", "pos", "feats", "dep_rel", "ner"):
-                if not _FIELD_BREAKS.isdisjoint(getattr(token, name)):
+                value = getattr(token, name)
+                if not _FIELD_BREAKS.isdisjoint(value):
                     error(f"{where}: {name} contains a tab or newline")
+                if _SURROGATE(value):
+                    error(f"{where}: {name} contains a lone surrogate")
             if head is not None and not 0 <= head < size:
                 error(f"{where}: dep head {head} out of range")
 

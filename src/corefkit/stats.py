@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from corefkit.conll import _tally
 from corefkit.model import Corpus, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 PronounRole, _ByPosFeats, _role,
@@ -82,23 +83,11 @@ def grammatical_function(token: Token,
     return "other"
 
 
-def _tally(corpus: Corpus) -> dict[tuple[str, str, str], int]:
-    """The tokens of ``corpus`` counted by ``(pos, feats, form)``: the
-    tally that a views parse of its text keeps (see
-    :func:`corefkit.conll._parse_lines`)."""
-    tally: dict[tuple[str, str, str], int] = {}
-    for document in corpus.documents:
-        for sentence in document.sentences:
-            for token in sentence:
-                key = token.pos, token.feats, token.form
-                tally[key] = tally.get(key, 0) + 1
-    return tally
-
-
 def _count(tally: dict[tuple[str, str, str], int], wanted: tuple[str, ...],
            config: ClassifierConfig) -> FrequencyReport:
     """Per-form rows for ``wanted`` plus totals, from a ``(pos, feats,
-    form)`` tally (see :func:`_tally`); feats ``_`` count as empty."""
+    form)`` tally (see :func:`corefkit.conll._tally`); feats ``_`` count
+    as empty."""
     # Lowercased form -> every row that counts it; a form may be asked
     # for twice, in any spelling.
     index: dict[str, list[int]] = {}
@@ -158,11 +147,11 @@ def pronoun_frequencies(corpus: Corpus,
     that a corpus uses exclusively in other functions.
     """
     wanted = tuple(forms) if forms is not None else DEFAULT_REPORT_FORMS
-    return _count(_tally(corpus), wanted, config)
+    return _count(_tally(corpus.documents), wanted, config)
 
 
 def corpus_summary(corpus: Corpus,
                    config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
                    ) -> FrequencyReport:
     """Corpus totals only; an empty corpus yields an all-zero report."""
-    return _count(_tally(corpus), (), config)
+    return _count(_tally(corpus.documents), (), config)

@@ -58,7 +58,6 @@ def test_cda_keeps_corpus_order_and_ids():
     augmented, assignment = build_cda(corpus, seed=3)
     assert augmented.document_ids() == corpus.document_ids()
     assert list(assignment) == list(corpus.document_ids())
-    assert augmented.split_label == corpus.split_label
 
 
 def test_cda_documents_are_rewritten_per_assignment():

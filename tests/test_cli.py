@@ -322,6 +322,30 @@ def test_stdin_for_config_or_lexicon_is_a_usage_error(cli, argv):
                      f"a file path; '-' (stdin) is left for the corpus")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["transform", HERSTEL, "--jobs", "0"], "--jobs: must be at least 1, not 0"),
+    (["delex", HERSTEL, "--jobs", "-2"], "--jobs: must be at least 1, not -2"),
+    (["resolve-baseline", HERSTEL, "--jobs", "0"],
+     "--jobs: must be at least 1, not 0"),
+    (["resolve-baseline", HERSTEL, "--window", "-1"],
+     "--window: must be at least 0, not -1"),
+    (["transform", HERSTEL, "--jobs", "x"], "--jobs: invalid int value: 'x'"),
+    (["resolve-baseline", HERSTEL, "--window", "1.5"],
+     "--window: invalid int value: '1.5'"),
+])
+def test_jobs_below_one_or_window_below_zero_is_a_usage_error(cli, argv,
+                                                              message):
+    code, out, err = cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+    assert err.endswith(f"corefkit {argv[0]}: error: argument {message}\n")
+
+
+def test_window_zero_is_accepted(cli):
+    code, out, _ = cli("resolve-baseline", HERSTEL, "--window", "0")
+    assert code == 0 and out.startswith("#begin document")
+
+
 def test_sample_flag_exclusivity(cli):
     code, _, _ = cli("sample", E2E, "--fraction", "1/2", "--count", "3",
                      "--partitions", "2")
@@ -464,6 +488,49 @@ def test_closed_pipe_is_an_io_error_with_one_line():
     assert done.returncode == 2
     assert done.stderr.decode("utf-8") == (
         f"corefkit: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+
+def process_run(*argv, stdin=b"", encoding="utf-8:surrogateescape"):
+    """A ``corefkit`` process fed ``stdin`` bytes, with ``encoding`` as
+    its ``PYTHONIOENCODING``."""
+    return subprocess.run(
+        [sys.executable, "-c", "from corefkit.cli import run; run()", *argv],
+        input=stdin, capture_output=True, timeout=120,
+        env={**child_env(), "PYTHONIOENCODING": encoding})
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:surrogateescape", "latin-1"])
+def test_stdin_that_is_not_utf8_is_a_data_error_as_a_file_is(tmp_path,
+                                                             encoding):
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes((FIXTURES / "herstel.conll").read_bytes() + b"\xff\n")
+    from_file = process_run("strip-singletons", str(bad), encoding=encoding)
+    from_stdin = process_run("strip-singletons", "-", stdin=bad.read_bytes(),
+                             encoding=encoding)
+    assert from_file.returncode == from_stdin.returncode == 2
+    assert from_file.stdout == from_stdin.stdout == b""
+    assert from_stdin.stderr == from_file.stderr
+    assert from_stdin.stderr.startswith(
+        b"corefkit: error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("source, output", [
+    ("stdin", "file"), ("file", "stdout"), ("stdin", "stdout")])
+def test_stdin_and_stdout_are_utf8_whatever_the_locale(tmp_path, source,
+                                                       output):
+    text = (FIXTURES / "herstel.conll").read_text("utf-8")
+    data = text.replace("Folkestone", "Zo\u00eb").encode("utf-8")
+    assert b"Zo\xc3\xab" in data
+    source_path = tmp_path / "in.conll"
+    source_path.write_bytes(data)
+    target = tmp_path / "out.conll"
+    argv = ["strip-singletons", "-" if source == "stdin" else str(source_path)]
+    if output == "file":
+        argv += ["-o", str(target)]
+    done = process_run(*argv, stdin=data, encoding="latin-1")
+    assert (done.returncode, done.stderr) == (0, b"")
+    written = target.read_bytes() if output == "file" else done.stdout
+    assert written == data
 
 
 # --- -o targets that are not plain new files --------------------------------

@@ -207,15 +207,15 @@ def test_a_load_error_follows_the_parse_report(tmp_path, jobs):
                "'stray'\ncorefkit: error: no parseable document in input\n")
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3", "1"])
-def test_jobs_of_one_or_less_run_in_this_process(monkeypatch, jobs):
+def test_one_job_runs_in_this_process(monkeypatch):
+    # Fewer jobs are a usage error (see tests/test_cli.py).
     expected = run("transform", E2E, "--paradigm", "hen", "--jobs", "2")
 
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run("transform", E2E, "--paradigm", "hen", "--jobs", jobs) == expected
+    assert run("transform", E2E, "--paradigm", "hen", "--jobs", "1") == expected
 
 
 def test_without_fork_the_run_is_one_shard(monkeypatch):

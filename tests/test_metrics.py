@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from corefkit.errors import AlignmentError
-from corefkit.metrics import (aggregate, evaluate, format_report, lea,
-                              pronoun_score, report_keyvalues)
+from corefkit.metrics import (evaluate, format_report, lea, pronoun_score,
+                              report_keyvalues)
 from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token
 from corefkit.transform import classify_pronoun
 
@@ -476,47 +476,6 @@ def test_evaluate_alignment_error_lists_ids():
         evaluate(Corpus((a, b)), Corpus((a, c)))
     assert "b" in str(excinfo.value)
     assert "c" in str(excinfo.value)
-
-
-def test_aggregate_two_point_formula():
-    rng = random.Random(404)
-    reports = []
-    while len(reports) < 2:
-        gold, pred = random_pair(rng)
-        report = evaluate(Corpus((gold,)), Corpus((pred,)))
-        reports.append(report)
-    summary = aggregate(reports)
-    values = [r.lea.f1 for r in reports]
-    mean = sum(values) / 2
-    sigma = math.sqrt(sum((v - mean) ** 2 for v in values) / 2)
-    assert summary.runs == 2
-    assert summary.lea_f1.mean == pytest.approx(mean, abs=1e-12)
-    assert summary.lea_f1.std == pytest.approx(sigma, abs=1e-12)
-
-
-def test_aggregate_anchor_pair(dialogue_gold, dialogue_pred):
-    full = evaluate(Corpus((dialogue_gold,)), Corpus((dialogue_pred,)))
-    perfect = evaluate(Corpus((dialogue_gold,)), Corpus((dialogue_gold,)))
-    summary = aggregate([full, perfect])
-    # f1 values are 6/7 and 1; the two-point sigma is half their gap
-    assert summary.lea_f1.mean == pytest.approx((6 / 7 + 1) / 2, abs=1e-12)
-    assert summary.lea_f1.std == pytest.approx((1 - 6 / 7) / 2, abs=1e-12)
-    assert summary.pronoun_score.mean == pytest.approx(75.0)
-    assert summary.pronoun_score.std == pytest.approx(25.0)
-
-
-def test_aggregate_point_values():
-    gold, pred = _doc_with_pronouns("x", 2, 1)
-    report = evaluate(Corpus((gold,)), Corpus((pred,)))
-    single = aggregate([report])
-    assert single.runs == 1
-    assert single.lea_f1.std == 0.0
-    assert single.pronoun_score.mean == report.pronouns.score
-
-
-def test_aggregate_rejects_empty_input():
-    with pytest.raises(ValueError):
-        aggregate([])
 
 
 # --- rendering -------------------------------------------------------------

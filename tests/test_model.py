@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corefkit.model
+from corefkit.conll import serialize_corpus
+from corefkit.errors import ValidationError
 from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
-                            _span, _span_key, antecedents, map_documents,
-                            mention_containing, validate_corpus,
+                            _span, _span_key, map_documents, validate_corpus,
                             validate_document)
 
 import corpusgen
@@ -100,22 +101,10 @@ def test_span_rejects_reversed_offsets():
         MentionSpan(0, 4, 2)
 
 
-def test_span_length():
-    assert MentionSpan(0, 2, 2).length == 1
-    assert MentionSpan(3, 1, 4).length == 4
-
-
-def test_cluster_sorted_constructor():
-    cluster = Cluster.sorted(7, [MentionSpan(1, 0, 0), MentionSpan(0, 1, 2)])
-    assert cluster.id == 7
-    assert cluster.mentions == (MentionSpan(0, 1, 2), MentionSpan(1, 0, 0))
-
-
 def test_document_accessors():
     doc = corpusgen.build_doc("d", [[corpusgen.tok("Een"), corpusgen.tok("huis")],
                                     [corpusgen.tok("Ja")]])
     assert doc.token_count == 3
-    assert doc.token_at(0, 1).form == "huis"
     assert [t.form for t in doc.tokens()] == ["Een", "huis", "Ja"]
     assert doc.span_forms(MentionSpan(0, 0, 1)) == ("Een", "huis")
 
@@ -125,57 +114,6 @@ def test_corpus_len_and_ids():
                      corpusgen.build_doc("b", [[corpusgen.tok("y")]])))
     assert len(corpus) == 2
     assert corpus.document_ids() == ("a", "b")
-
-
-def test_antecedents_on_fixture(dialogue_gold):
-    # cluster 0: Raven (s0), they (s1), Raven (s2), their (s2)
-    raven = dialogue_gold.clusters[0]
-    their = raven.mentions[3]
-    assert antecedents(raven, their) == raven.mentions[:3]
-    assert antecedents(raven, raven.mentions[0]) == ()
-
-
-def test_antecedents_rejects_non_member(dialogue_gold):
-    with pytest.raises(ValueError):
-        antecedents(dialogue_gold.clusters[0], MentionSpan(0, 0, 1))
-
-
-def test_antecedents_are_the_prefix_everywhere():
-    rng = random.Random(11)
-    for _ in range(50):
-        doc = corpusgen.random_document(rng, "d")
-        for cluster in doc.clusters:
-            for i, span in enumerate(cluster.mentions):
-                before = antecedents(cluster, span)
-                assert len(before) == i
-                assert all(other < span for other in before)
-
-
-def test_mention_containing_innermost_first(dialogue_gold):
-    # token (1, 10) sits in the single-token mention of cluster 0 and in
-    # the two-token mention of cluster 1.
-    hits = mention_containing(dialogue_gold, 1, 10)
-    assert hits == [(0, MentionSpan(1, 10, 10)), (1, MentionSpan(1, 10, 11))]
-
-
-def test_mention_containing_bounds(dialogue_gold):
-    with pytest.raises(IndexError):
-        mention_containing(dialogue_gold, 99, 0)
-    with pytest.raises(IndexError):
-        mention_containing(dialogue_gold, 0, 99)
-
-
-def test_mention_containing_matches_plain_scan():
-    rng = random.Random(23)
-    for _ in range(40):
-        doc = corpusgen.random_document(rng, "d")
-        for si, sentence in enumerate(doc.sentences):
-            for ti in range(len(sentence)):
-                expected = sorted(
-                    ((c.id, m) for c in doc.clusters for m in c.mentions
-                     if m.sentence_index == si and m.start <= ti <= m.end),
-                    key=lambda hit: (hit[1].length, hit[1].start, hit[0]))
-                assert mention_containing(doc, si, ti) == expected
 
 
 def _errors(issues):
@@ -231,6 +169,24 @@ def test_validate_line_break_in_document_id(char):
         f"document {bad.id!r}: id contains a newline"]
 
 
+@pytest.mark.parametrize("field", corpusgen.TEXT_FIELDS)
+def test_validate_lone_surrogate_in_token_field(field):
+    # Such text cannot be written as UTF-8, so it must not get past
+    # the serializer's validation.
+    bad = Document("d", ((replace(Token(0, 0, "x"), **{field: "a\udcffb"}),),))
+    assert _errors(validate_document(bad)) == [
+        f"document 'd': sentence 0 token 0: {field} contains a lone surrogate"]
+    with pytest.raises(ValidationError):
+        serialize_corpus(Corpus((bad,)))
+
+
+@pytest.mark.parametrize("char", ["\ud800", "\udfff"], ids=ascii)
+def test_validate_lone_surrogate_in_document_id(char):
+    bad = Document(f"a{char}", ((Token(0, 0, "x"),),))
+    assert _errors(validate_document(bad)) == [
+        f"document {bad.id!r}: id contains a lone surrogate"]
+
+
 def test_tab_in_document_id_is_fine():
     assert validate_document(Document("a\tb", ((Token(0, 0, "x"),),))) == []
 
@@ -252,9 +208,9 @@ def test_token_messages_keep_their_order():
     tokens = [
         Token(0, 0, "ok"),
         Token(0, 0, "", feats="_", dep_head=7),
-        Token(3, 2, "a\u2028b", lemma="c\td", ner="\x85", dep_head=-1),
+        Token(3, 2, "a\u2028b", lemma="c\td", ner="\x85\udcff", dep_head=-1),
         Token(0, 3, "\xa0\xad\x00", lemma="\u200b", pos="\x7f",
-              feats="\x1f", dep_rel="\ud800", ner="\ue000"),
+              feats="\x1f", dep_rel="\u0378", ner="\ue000"),
         Token(0, 4, "ok", dep_head=4),
     ]
     doc = Document("d", (tuple(tokens),))
@@ -271,11 +227,13 @@ def test_token_messages_keep_their_order():
         for name in corpusgen.TEXT_FIELDS:
             if any(c in getattr(token, name) for c in "\t" + corpusgen.LINE_BREAKS):
                 yield f"{where}: {name} contains a tab or newline"
+            if any("\ud800" <= c <= "\udfff" for c in getattr(token, name)):
+                yield f"{where}: {name} contains a lone surrogate"
         if token.dep_head is not None and not 0 <= token.dep_head < len(tokens):
             yield f"{where}: dep head {token.dep_head} out of range"
 
     expected = [m for ti, token in enumerate(tokens) for m in full_rule(ti, token)]
-    assert len(expected) == 9
+    assert len(expected) == 10
     assert _errors(validate_document(doc)) == expected
 
 

@@ -23,14 +23,13 @@ from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
 from test_jobs import corpus_texts
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
-from corefkit.conll import _parse_lines, parse_corpus, serialize_corpus
+from corefkit.conll import (_parse_lines, _tally, _view, parse_corpus,
+                            serialize_corpus)
 from corefkit.errors import CorefKitError, EmptyCorpusError
-from corefkit.metrics import (_evaluate, _gold_view, _prediction_view,
-                              _third_singular, evaluate, format_report,
-                              report_keyvalues)
+from corefkit.metrics import (_evaluate_views, _third_singular, evaluate,
+                              format_report, report_keyvalues)
 from corefkit.model import Corpus, Token
 from corefkit.resolver import resolve
-from corefkit.stats import _tally
 from corefkit.transform import ClassifierConfig, _role_table
 
 GOLD = str(FIXTURES / "dialogue_gold.conll")
@@ -42,9 +41,17 @@ CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
 # --- the view a child sends ------------------------------------------------
 
 def round_tripped(text):
-    """:func:`cli._prediction` of ``text``, through ``marshal`` as a
+    """:func:`cli._parsed_views` of ``text``, through ``marshal`` as a
     child sends it."""
-    return marshal.loads(marshal.dumps(cli._prediction(text)))
+    return marshal.loads(marshal.dumps(cli._parsed_views(text)))
+
+
+def scored(gold, views, config, ignore_singletons, macro):
+    """The report of ``gold`` against the prediction ``views``, as
+    ``score`` computes it."""
+    is_counted = _third_singular(config)
+    return _evaluate_views([_view(d, is_counted) for d in gold.documents],
+                           views, ignore_singletons, macro)
 
 
 def corpus_pairs():
@@ -72,10 +79,10 @@ def test_the_sent_view_scores_what_the_parsed_corpus_scores(ignore_singletons,
     for gold, pred in corpus_pairs():
         diagnostics, views = round_tripped(serialize_corpus(pred))
         assert diagnostics == []
-        assert _evaluate(gold, views, None, config, ignore_singletons,
-                         macro) == evaluate(gold, pred, config=config,
-                                            ignore_singletons=ignore_singletons,
-                                            macro_pronouns=macro)
+        assert scored(gold, views, config, ignore_singletons,
+                      macro) == evaluate(gold, pred, config=config,
+                                         ignore_singletons=ignore_singletons,
+                                         macro_pronouns=macro)
 
 
 def test_the_sent_view_agrees_with_the_oracles():
@@ -83,8 +90,8 @@ def test_the_sent_view_agrees_with_the_oracles():
     for k in range(40):
         gold, pred = random_pair(rng, f"d{k}")
         views = round_tripped(serialize_corpus(Corpus((pred,)), validate=False))[1]
-        report = _evaluate(Corpus((gold,)), views, None, ClassifierConfig(),
-                           False, False)
+        report = scored(Corpus((gold,)), views, ClassifierConfig(), False,
+                        False)
         assert (report.lea.precision, report.lea.recall,
                 report.lea.f1) == pytest.approx(lea_oracle(gold, pred))
         pronouns = report.pronouns
@@ -113,10 +120,10 @@ def views_of_the_full_parse(lines, start, stop, seen_ids, config):
     return the kept ids."""
     documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
     is_counted = _third_singular(config)
-    expected = _tally(Corpus(tuple(documents)))
-    for roles, view in ((None, _prediction_view),
+    expected = _tally(documents)
+    for roles, view in ((None, _view),
                         (_role_table(config),
-                         lambda document: _gold_view(document, is_counted))):
+                         lambda document: _view(document, is_counted))):
         views, view_diagnostics = _parse_lines(lines, start, stop, seen_ids,
                                                True, roles)
         assert view_diagnostics == diagnostics
@@ -206,10 +213,15 @@ def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, death):
 
 
 def test_an_empty_gold_corpus_kills_and_reaps_the_child(monkeypatch):
-    def parse_slowly(text):
-        time.sleep(60)
+    parent = os.getpid()
+    parsed_views = cli._parsed_views
 
-    monkeypatch.setattr(cli, "_prediction", parse_slowly)
+    def parse_slowly(*args, **kwargs):
+        if os.getpid() != parent:  # the child's parse, not the gold one
+            time.sleep(60)
+        return parsed_views(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parsed_views", parse_slowly)
     started = time.monotonic()
     assert run("score", "--gold", "-", "--pred", PRED, stdin_text="stray\n") == (
         2, "", "-:1: error: unexpected content outside a document: 'stray'\n"

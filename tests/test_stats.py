@@ -37,7 +37,7 @@ def test_function_buckets():
         (corpusgen.tok("huis", pos="NOUN"), "other"),
     ]
     for spec, expected in cases:
-        token = corpusgen.build_doc("x", [[spec]]).token_at(0, 0)
+        token = corpusgen.build_doc("x", [[spec]]).sentences[0][0]
         assert grammatical_function(token) == expected, spec["form"]
 
 

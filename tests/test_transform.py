@@ -84,7 +84,7 @@ def test_swap_pronouns_forms_and_lemmas(herstel_doc, name):
     paradigm = get_paradigm(name)
     swapped = swap_pronouns(herstel_doc, paradigm)
     forms = [t.form for t in swapped.tokens()]
-    subject, obj, poss = paradigm.forms()
+    subject, poss = paradigm.subject_form, paradigm.possessive_form
     assert forms[4] == subject
     assert forms[1] == forms[5] == forms[8] == poss
     # everything else untouched, including the nouns
@@ -137,7 +137,7 @@ def test_anonymize_names_example():
     assert " ".join(t.form for t in rewritten.tokens()) == \
         "ANON_0 ANON_1 is op vrijdag vrij omdat ANON_0 dan voetbalt"
     assert mapping == {"Jan": 0, "Jansen": 1}
-    anon0 = rewritten.token_at(0, 0)
+    anon0 = rewritten.sentences[0][0]
     assert anon0.lemma == "ANON_0" and anon0.ner == "PER"
 
 
@@ -172,7 +172,7 @@ def test_replace_nouns_on_herstel(herstel_doc):
     rewritten = replace_nouns(herstel_doc)
     forms = [t.form for t in rewritten.tokens()]
     assert forms[6] == "persoon" and forms[9] == "ouder"
-    assert rewritten.token_at(0, 6).lemma == "persoon"
+    assert rewritten.sentences[0][6].lemma == "persoon"
     # pronouns and names are untouched
     assert forms[4] == "hij" and forms[12] == "Folkestone"
 
@@ -190,9 +190,9 @@ def test_replace_nouns_needs_nominal_pos():
 def test_replace_nouns_with_custom_lexicon():
     doc = corpusgen.build_doc("c", [[corpusgen.tok("bakker", pos="NOUN")]])
     lexicon = load_noun_lexicon("bakker\tbroodmaker\t0\n")
-    assert replace_nouns(doc, lexicon).token_at(0, 0).form == "broodmaker"
+    assert replace_nouns(doc, lexicon).sentences[0][0].form == "broodmaker"
     # the builtin table has no such key, so the default leaves it alone
-    assert replace_nouns(doc).token_at(0, 0).form == "bakker"
+    assert replace_nouns(doc).sentences[0][0].form == "bakker"
 
 
 def test_delexicalize(herstel_doc):
@@ -202,13 +202,13 @@ def test_delexicalize(herstel_doc):
     assert forms[4] == "<SUBJ>"
     assert forms[6] == "vrouw"
     # lemma stays, unlike swapping
-    assert tagged.token_at(0, 4).lemma == "hij"
+    assert tagged.sentences[0][4].lemma == "hij"
 
 
 def test_delexicalize_ignores_capitalization():
     doc = corpusgen.build_doc("d", [[
         corpusgen.tok("Hij", pos="PRON", feats="Case=Nom|" + PRS_3SG)]])
-    assert delexicalize(doc).token_at(0, 0).form == "<SUBJ>"
+    assert delexicalize(doc).sentences[0][0].form == "<SUBJ>"
 
 
 def test_delex_tags_cover_all_roles():
@@ -251,7 +251,7 @@ def test_pronoun_specific_anonymizes_before_noun_rewrite():
     doc = corpusgen.build_doc("order", [[
         corpusgen.tok("Heer", pos="NOUN", ner="PER")]])
     rewritten = pronoun_specific(doc, None)
-    assert rewritten.token_at(0, 0).form == "ANON_0"
+    assert rewritten.sentences[0][0].form == "ANON_0"
 
 
 def test_anon_form_pattern():
