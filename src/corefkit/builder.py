@@ -29,14 +29,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How to draw training partitions: size fraction, count and seed."""
+    """How to draw training partitions: size fraction, count and seed. A
+    float fraction means its shortest repr, as in ``sample --fraction``."""
 
     fraction: Fraction
     n_partitions: int
     seed: int = 0
 
     def __post_init__(self):
-        fraction = Fraction(self.fraction)
+        fraction = self.fraction
+        if isinstance(fraction, float):  # 0.3 is 3/10, not the binary value
+            fraction = repr(float(fraction))
+        fraction = Fraction(fraction)
         object.__setattr__(self, "fraction", fraction)
         if not 0 < fraction <= 1:
             raise ValueError(f"fraction {fraction} not in (0, 1]")

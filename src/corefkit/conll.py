@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Callable, Iterable, TextIO
+from typing import Collection, Iterable, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.model import (Cluster, Corpus, Document, Token, ValidationIssue,
-                            _span, _span_key, validate_corpus)
+from corefkit.model import (_SURROGATE, Cluster, Corpus, Document, Token,
+                            ValidationIssue, _span, _span_key, validate_corpus)
 
 __all__ = [
     "ParseDiagnostic",
@@ -90,24 +90,24 @@ _GoldView = tuple[str, tuple[int, ...],
                   tuple[tuple[int, int, str], ...]]
 
 
-def _view(document: Document, is_counted: Callable[[Token], bool] | None = None
-          ) -> _PredictionView | _GoldView:
-    """What scoring reads of ``document``: its gold view, ``is_counted``
-    picking the pronouns, or its prediction view without one."""
+def _view(document: Document, roles=None) -> _PredictionView | _GoldView:
+    """What scoring reads of ``document``: its prediction view, or its
+    gold view given ``roles``, a ``(pos, feats)`` table as the reader
+    takes."""
     view = (document.id, tuple(map(len, document.sentences)),
             tuple(tuple(map(_span_key, c.mentions)) for c in document.clusters))
-    if is_counted is None:
+    if roles is None:
         return view
     return view + (tuple(
         (token.sentence_index, token.token_index, token.form.lower())
         for sentence in document.sentences for token in sentence
-        if is_counted(token)),)
+        if roles[token.pos, token.feats] is not None),)
 
 
 def _tally(documents: Iterable[Document]) -> dict[tuple[str, str, str], int]:
     """The tokens of ``documents`` counted by ``(pos, feats, form)``: the
-    tally that a views parse of their text keeps, but with feats ``_`` as
-    the empty string that a :class:`Token` holds."""
+    tally that a views parse of their text keeps, but with empty feats
+    as a :class:`Token` holds them, not ``_``."""
     tally: dict[tuple[str, str, str], int] = {}
     for document in documents:
         for sentence in document.sentences:
@@ -190,8 +190,7 @@ class _DocumentReader:
         if self.views:
             tokens.append(head)
             roles = self.roles
-            if roles is not None and roles[
-                    pos, "" if feats == "_" else feats] is not None:
+            if roles is not None and roles[pos, feats] is not None:
                 self.counted.append((len(self.sentences), expected - 1,
                                      form.lower()))
             tally = self.tally
@@ -295,13 +294,18 @@ class _DocumentReader:
 def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     """Parse the corpus format from a string or text stream.
 
-    Returns the corpus plus diagnostics for anything recovered from.
+    Returns the corpus plus diagnostics for anything recovered from; a
+    line with a lone surrogate, which UTF-8 cannot encode, is an error.
     Raises :class:`EmptyCorpusError` when no document parses; I/O errors
     from the stream propagate unchanged.
     """
-    lines = (source.read() if hasattr(source, "read") else source).splitlines()
-    del source  # a text passed by nobody else can go before the parse
-    documents, diagnostics = _parse_lines(lines)
+    text = source.read() if hasattr(source, "read") else source
+    lines = text.splitlines()
+    # Strictly decoded UTF-8 has none, so a line is rarely searched.
+    surrogates = {n for n, line in enumerate(lines, 1)
+                  if _SURROGATE(line)} if _SURROGATE(text) else ()
+    del source, text  # a text passed by nobody else can go before the parse
+    documents, diagnostics = _parse_lines(lines, surrogates=surrogates)
     if not documents:
         raise EmptyCorpusError("no parseable document in input", diagnostics)
     return Corpus(tuple(documents)), diagnostics
@@ -309,7 +313,8 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
 
 def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
                  seen_ids: Iterable[str] = (), views: bool = False, roles=None,
-                 tally: dict[tuple[str, str, str], int] | None = None
+                 tally: dict[tuple[str, str, str], int] | None = None,
+                 surrogates: Collection[int] = ()
                  ) -> tuple[list, list[ParseDiagnostic]]:
     """The documents and diagnostics of ``lines[start:stop]``, each line
     numbered by its place in ``lines``.
@@ -330,6 +335,8 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
     counted by ``(pos, feats, form)`` as read. The checks, diagnostics and
     kept documents are those of the full parse; no :class:`Token` is
     built and no string is shared.
+    ``surrogates`` holds the numbers of lines with a lone surrogate;
+    each breaks its document.
     """
     diagnostics: list[ParseDiagnostic] = []
     documents: list = []
@@ -340,6 +347,10 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
 
     def finish(at_line: int) -> None:
         nonlocal reader
+        if surrogates:  # the document's lines run up to ``at_line``
+            for n in range(reader.begin_line, at_line):
+                if n in surrogates:
+                    reader.error(n, "line contains a lone surrogate")
         document = reader.finish(at_line)
         if document is not None:
             if reader.doc_id in seen_ids:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from corefkit.conll import _GoldView, _PredictionView, _view
 from corefkit.errors import AlignmentError
-from corefkit.model import Corpus, Document, Token
+from corefkit.model import Corpus, Document
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 _role_table)
 
@@ -187,31 +187,19 @@ def _antecedent_hits(gold: _GoldView, pred: _PredictionView
     return hits
 
 
-def _third_singular(config: ClassifierConfig) -> Callable[[Token], bool]:
-    """Whether the classifier counts a token as a third-person singular
-    pronoun, decided once per ``(pos, feats)`` pair for as long as the
-    returned predicate lives."""
-    roles = _role_table(config)
-    return lambda token: roles[token.pos, token.feats] is not None
-
-
 def pronoun_score(gold: Document, pred: Document,
-                  is_counted: Callable[[Token], bool] | None = None,
                   config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
                   ) -> PronounScoreResult:
     """Score pronoun resolution of ``pred`` against ``gold``.
 
-    ``is_counted`` decides which tokens are scored; the default counts
-    every token the classifier recognises as a third-person singular
-    pronoun. A counted pronoun is resolved when the predicted
+    Every token that ``config`` classifies as a third-person singular
+    pronoun is counted. A counted pronoun is resolved when the predicted
     antecedents of its single-token mention share at least one span with
     its gold antecedents. Nesting is ignored: only the single-token
     mention of the pronoun itself is consulted. A span listed by several
     clusters is judged in the first of them.
     """
-    if is_counted is None:
-        is_counted = _third_singular(config)
-    return _pronoun_outcome([(_view(gold, is_counted), _view(pred))])
+    return _pronoun_outcome([(_view(gold, _role_table(config)), _view(pred))])
 
 
 def _pronoun_outcome(pairs: Sequence[tuple[_GoldView, _PredictionView]],
@@ -278,7 +266,6 @@ def _pair_documents(gold: Sequence[_GoldView], pred: Sequence[_PredictionView]
 
 
 def evaluate(gold: Corpus, pred: Corpus,
-             is_counted: Callable[[Token], bool] | None = None,
              config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
              ignore_singletons: bool = False,
              macro_pronouns: bool = False) -> EvalReport:
@@ -289,9 +276,8 @@ def evaluate(gold: Corpus, pred: Corpus,
     the reported score is instead the unweighted mean of per-document
     scores (documents without counted pronouns are left out).
     """
-    if is_counted is None:  # one role table for every document
-        is_counted = _third_singular(config)
-    return _evaluate_views([_view(d, is_counted) for d in gold.documents],
+    roles = _role_table(config)  # one table for every document
+    return _evaluate_views([_view(d, roles) for d in gold.documents],
                            list(map(_view, pred.documents)),
                            ignore_singletons, macro_pronouns)
 

@@ -24,7 +24,6 @@ __all__ = [
     "FrequencyReport",
     "grammatical_function",
     "pronoun_frequencies",
-    "corpus_summary",
 ]
 
 FUNCTIONS = ("personal_subject", "personal_object", "possessive",
@@ -86,8 +85,7 @@ def grammatical_function(token: Token,
 def _count(tally: dict[tuple[str, str, str], int], wanted: tuple[str, ...],
            config: ClassifierConfig) -> FrequencyReport:
     """Per-form rows for ``wanted`` plus totals, from a ``(pos, feats,
-    form)`` tally (see :func:`corefkit.conll._tally`); feats ``_`` count
-    as empty."""
+    form)`` tally (see :func:`corefkit.conll._tally`)."""
     # Lowercased form -> every row that counts it; a form may be asked
     # for twice, in any spelling.
     index: dict[str, list[int]] = {}
@@ -105,12 +103,12 @@ def _count(tally: dict[tuple[str, str, str], int], wanted: tuple[str, ...],
     third_sg = 0
     masculine = 0
     for (pos, feats, form), n in tally.items():
-        function, is_third_singular = kinds[pos, "" if feats == "_" else feats]
+        function, counted = kinds[pos, feats]
         tokens += n
         if function in _PRONOUN_FUNCTIONS:
             pronouns += n
         form = form.lower()
-        if is_third_singular:
+        if counted:
             third_sg += n
             if form in MASCULINE_FORMS:
                 masculine += n
@@ -119,7 +117,7 @@ def _count(tally: dict[tuple[str, str, str], int], wanted: tuple[str, ...],
             for i in rows:
                 totals[i] += n
                 by_function[i][function] += n
-                if is_third_singular:
+                if counted:
                     third_singular[i] += n
     rows = tuple(
         FormFrequency(form.lower(), totals[i], by_function[i], third_singular[i])
@@ -149,9 +147,3 @@ def pronoun_frequencies(corpus: Corpus,
     wanted = tuple(forms) if forms is not None else DEFAULT_REPORT_FORMS
     return _count(_tally(corpus.documents), wanted, config)
 
-
-def corpus_summary(corpus: Corpus,
-                   config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG
-                   ) -> FrequencyReport:
-    """Corpus totals only; an empty corpus yields an all-zero report."""
-    return _count(_tally(corpus.documents), (), config)

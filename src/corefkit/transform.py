@@ -152,10 +152,10 @@ class _ByPosFeats(dict):
     """A per-token decision that reads only ``pos`` and ``feats``, made
     once per distinct ``(pos, feats)`` pair.
 
-    Index it with ``table[token.pos, token.feats]``. A pair seen for the
-    first time runs ``decide`` on a token carrying just those two
-    columns. A document holds a handful of distinct pairs, so a table
-    lives for one call and is never shared between calls.
+    Index it with ``table[pos, feats]``, feats ``_`` read as empty. A
+    pair seen for the first time runs ``decide`` on a token carrying just
+    those two columns. A document holds a handful of distinct pairs, so
+    a table lives for one call and is never shared between calls.
     """
 
     __slots__ = ("decide",)
@@ -166,7 +166,8 @@ class _ByPosFeats(dict):
 
     def __missing__(self, key: tuple[str, str]) -> object:
         pos, feats = key
-        value = self[key] = self.decide(Token(0, 0, "_", "_", pos, feats))
+        value = self[key] = self.decide(
+            Token(0, 0, "_", "_", pos, "" if feats == "_" else feats))
         return value
 
 

@@ -231,6 +231,20 @@ def test_sample_reports_what_the_serial_call_reports(text):
         assert got == sample_reference(text, fraction, partitions, seed)
 
 
+@pytest.mark.parametrize("fraction,documents,size", [(0.3, 10, 3),
+                                                      (0.29, 100, 29)])
+def test_a_float_fraction_draws_what_sample_draws(fraction, documents, size):
+    text = "".join(f"#begin document d{i}\n1\tx\tx\tX\t_\t0\troot\tO\t-\n"
+                   "#end document\n" for i in range(documents))
+    drawn = sample_partitions(parse_corpus(text)[0],
+                              PartitionSpec(fraction, 2, seed=5))
+    assert [len(ids) for ids in drawn] == [size, size]
+    assert run("sample", "--fraction", repr(fraction), "--partitions", "2",
+               "--seed", "5", stdin_text=text) == (0, "\n".join(
+                   f"# partition {i}\n" + "".join(f"{x}\n" for x in ids)
+                   for i, ids in enumerate(drawn)), "")
+
+
 def test_sample_builds_no_token_grid(monkeypatch):
     e2e = str(FIXTURES / "e2e.conll")
     argv = ("sample", e2e, "--fraction", "1/2", "--partitions", "3")

@@ -184,6 +184,9 @@ def test_close_without_open():
                  "malformed coreference entry", id="overlong-open-cluster-id"),
     pytest.param("1\ta\ta\tX\t_\t0\tdep\tO\t(3|" + "3" * 5000 + ")",
                  "malformed coreference entry", id="overlong-close-cluster-id"),
+    # UTF-8 cannot encode it, so the document would not serialize
+    pytest.param("1\ta\udcff\ta\tX\t_\t0\troot\tO\t-",
+                 "line contains a lone surrogate", id="lone-surrogate"),
 ])
 def test_bad_token_lines_drop_only_their_document(line, fragment):
     text = (f"#begin document broken\n{line}\n#end document\n"
@@ -276,6 +279,18 @@ def test_eof_before_end_marker():
     with pytest.raises(EmptyCorpusError) as excinfo:
         parse_corpus(text)
     assert any("ends before" in d.message for d in excinfo.value.diagnostics)
+
+
+@pytest.mark.parametrize("char", ["\ud800", "\udcff", "\udfff"])
+def test_lone_surrogate_in_a_document_id_drops_that_document(char):
+    bad = MINIMAL.replace("mini", f"bad{char}")
+    corpus, diagnostics = parse_one(bad + MINIMAL + bad)
+    assert corpus.document_ids() == ("mini",)
+    message = f"document {'bad' + char!r}: line contains a lone surrogate"
+    assert diagnostics == [ParseDiagnostic(line, "error", message)
+                           for line in (1, 9)]
+    # what is kept serializes, and parses back to itself
+    assert parse_one(serialize_corpus(corpus)) == (corpus, [])
 
 
 def test_content_outside_documents_is_reported():

@@ -168,12 +168,22 @@ def test_pronoun_score_first_mention_excluded():
     assert outcome.first_mentions == 1
 
 
-def test_pronoun_score_non_mention_pronoun_is_flagged(dialogue_gold, dialogue_pred):
-    # widen the predicate to a token that is no gold mention
-    counted = lambda tk: classify_pronoun(tk) is not None or tk.form == "entered"
-    outcome = pronoun_score(dialogue_gold, dialogue_pred, is_counted=counted)
+def test_pronoun_score_non_mention_pronoun_is_flagged():
+    prs = "Number=Sing|Person=3|PronType=Prs"
+    # "hem" classifies as a pronoun but lies outside every gold cluster
+    words = [corpusgen.tok("Anna", ner="PER"), corpusgen.tok("ziet"),
+             corpusgen.tok("hem", pos="PRON", feats="Case=Acc|" + prs),
+             corpusgen.tok("en"),
+             corpusgen.tok("zij", pos="PRON", feats="Case=Nom|" + prs),
+             corpusgen.tok("lacht")]
+    gold = corpusgen.build_doc("outside", [words],
+                               clusters=[[(0, 0, 0), (0, 4, 4)]])
+    pred = corpusgen.build_doc("outside", [words],
+                               clusters=[[(0, 0, 0), (0, 2, 2), (0, 4, 4)]])
+    outcome = pronoun_score(gold, pred)
     assert outcome.non_mention == 1
-    assert (outcome.resolved, outcome.total) == (1, 2)
+    assert (outcome.resolved, outcome.total) == (1, 1)
+    assert outcome.per_form == {"zij": (1, 1)}
 
 
 def test_pronoun_scored_through_its_single_token_mention_only():

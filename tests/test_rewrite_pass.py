@@ -10,7 +10,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefkit.lexicon import (builtin_noun_lexicon, builtin_paradigms,
@@ -169,19 +169,24 @@ configs = st.one_of(
     st.just(DEFAULT_CLASSIFIER_CONFIG),
     st.builds(ClassifierConfig, personal_pos=pos_sets, personal_feats=feat_sets,
               possessive_pos=pos_sets, possessive_feats=feat_sets,
-              nominative_feat=st.sampled_from(FEAT_ENTRIES),
+              nominative_feat=st.sampled_from([*FEAT_ENTRIES, "_"]),
               third_singular_feats=st.frozensets(
                   st.sampled_from(["Person=3", "Number=Sing", ""]))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(configs, st.lists(st.tuples(st.sampled_from(POS_VALUES), feats_strings),
+@given(configs, st.lists(st.tuples(st.sampled_from(POS_VALUES),
+                                   st.one_of(st.just("_"), feats_strings)),
                          min_size=1, max_size=12))
+# A config asking for the feat "_" shows whether "_" reads as empty.
+@example(ClassifierConfig(personal_feats=frozenset(), nominative_feat="_",
+                          third_singular_feats=frozenset()), [("PRON", "_")])
 def test_role_table_equals_classify_pronoun(config, pairs):
     table = _role_table(config)
     for _ in range(2):  # the second round reads what the first one stored
         for pos, feats in pairs:
-            token = Token(0, 0, "x", "x", pos, feats)
+            # The text writes empty feats as "_"; a token holds "".
+            token = Token(0, 0, "x", "x", pos, "" if feats == "_" else feats)
             assert table[pos, feats] == classify_pronoun(token, config), (pos, feats)
 
 

@@ -26,8 +26,8 @@ from corefkit import cli
 from corefkit.conll import (_parse_lines, _tally, _view, parse_corpus,
                             serialize_corpus)
 from corefkit.errors import CorefKitError, EmptyCorpusError
-from corefkit.metrics import (_evaluate_views, _third_singular, evaluate,
-                              format_report, report_keyvalues)
+from corefkit.metrics import (_evaluate_views, evaluate, format_report,
+                              report_keyvalues)
 from corefkit.model import Corpus, Token
 from corefkit.resolver import resolve
 from corefkit.transform import ClassifierConfig, _role_table
@@ -49,8 +49,8 @@ def round_tripped(text):
 def scored(gold, views, config, ignore_singletons, macro):
     """The report of ``gold`` against the prediction ``views``, as
     ``score`` computes it."""
-    is_counted = _third_singular(config)
-    return _evaluate_views([_view(d, is_counted) for d in gold.documents],
+    roles = _role_table(config)
+    return _evaluate_views([_view(d, roles) for d in gold.documents],
                            views, ignore_singletons, macro)
 
 
@@ -119,15 +119,12 @@ def views_of_the_full_parse(lines, start, stop, seen_ids, config):
     the tally of the views parse counts the kept documents' tokens;
     return the kept ids."""
     documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
-    is_counted = _third_singular(config)
     expected = _tally(documents)
-    for roles, view in ((None, _view),
-                        (_role_table(config),
-                         lambda document: _view(document, is_counted))):
+    for roles in (None, _role_table(config)):
         views, view_diagnostics = _parse_lines(lines, start, stop, seen_ids,
                                                True, roles)
         assert view_diagnostics == diagnostics
-        assert views == [view(d) for d in documents]
+        assert views == [_view(d, roles) for d in documents]
         tally = {}
         assert _parse_lines(lines, start, stop, seen_ids, True, roles,
                             tally) == (views, diagnostics)

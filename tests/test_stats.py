@@ -10,8 +10,7 @@ from corefkit.conll import parse_corpus
 from corefkit.errors import EmptyCorpusError
 from corefkit.model import Corpus, Token
 from corefkit.stats import (DEFAULT_REPORT_FORMS, FUNCTIONS, MASCULINE_FORMS,
-                            corpus_summary, grammatical_function,
-                            pronoun_frequencies)
+                            grammatical_function, pronoun_frequencies)
 from corefkit.transform import ClassifierConfig, classify_pronoun
 
 import corpusgen
@@ -90,7 +89,8 @@ def test_masculine_share_example():
     specs = [pron("hij", "Case=Nom|" + PRS_3SG)] * 2 \
         + [pron("zijn", "Number=Sing|Person=3|Poss=Yes|PronType=Prs")] \
         + [pron("zij", "Case=Nom|" + PRS_3SG)]
-    report = corpus_summary(Corpus((corpusgen.build_doc("d", [specs]),)))
+    corpus = Corpus((corpusgen.build_doc("d", [specs]),))
+    report = pronoun_frequencies(corpus, ())
     assert report.third_singular_count == 4
     assert report.masculine_count == 3
     assert report.masculine_share == 0.75
@@ -100,14 +100,15 @@ def test_pronoun_proportion():
     specs = [pron("hij", "Case=Nom|" + PRS_3SG),
              pron("haar", "Number=Sing|Person=3|Poss=Yes|PronType=Prs")] \
         + [corpusgen.tok(f"w{i}") for i in range(98)]
-    report = corpus_summary(Corpus((corpusgen.build_doc("d", [specs]),)))
+    corpus = Corpus((corpusgen.build_doc("d", [specs]),))
+    report = pronoun_frequencies(corpus, ())
     assert report.token_count == 100
     assert report.pronoun_count == 2
     assert report.pronoun_proportion == 0.02
 
 
 def test_empty_corpus_is_all_zero():
-    report = corpus_summary(Corpus(()))
+    report = pronoun_frequencies(Corpus(()), ())
     assert report.token_count == 0
     assert report.pronoun_proportion == 0.0
     assert report.third_singular_share == 0.0
@@ -156,7 +157,7 @@ def test_frequencies_match_a_naive_recount():
         assert report.pronoun_count == pronouns
         assert report.third_singular_count == third
         assert report.masculine_count == masculine
-        summary = corpus_summary(corpus)
+        summary = pronoun_frequencies(corpus, ())
         assert (summary.forms, summary.token_count, summary.pronoun_count,
                 summary.third_singular_count, summary.masculine_count) \
             == ((), tokens, pronouns, third, masculine)
@@ -181,7 +182,8 @@ def test_document_order_never_matters():
     corpus = corpusgen.random_corpus(rng, 5)
     shuffled = Corpus(tuple(reversed(corpus.documents)))
     assert pronoun_frequencies(corpus) == pronoun_frequencies(shuffled)
-    assert corpus_summary(corpus) == corpus_summary(shuffled)
+    assert (pronoun_frequencies(corpus, ())
+            == pronoun_frequencies(shuffled, ()))
 
 
 # --- the stats command against the library calls ---------------------------
@@ -207,7 +209,7 @@ def stats_reference(text, argv):
     config = (ClassifierConfig.from_text(PRS) if "--config" in argv
               else ClassifierConfig())
     if "--summary-only" in argv:
-        report = corpus_summary(corpus, config)
+        report = pronoun_frequencies(corpus, (), config)
     else:
         forms = tuple(argv[1:]) if "--forms" in argv else None
         report = pronoun_frequencies(corpus, forms, config)
