@@ -6,7 +6,9 @@ stdin) and writes to stdout unless ``-o`` names a file. Exit codes:
 before anything is written, and output files are moved into place only
 once every one of them is written, so a failing run produces no partial
 output.
-Identical arguments and inputs give byte-identical outputs.
+Identical arguments and inputs give byte-identical outputs. Each command
+runs in this process, except that ``score`` parses ``--pred`` in one
+forked child.
 """
 from __future__ import annotations
 
@@ -66,7 +68,8 @@ def _parsed_views(text: str, roles=None, tally=None):
     # what the rest of the parse no longer needs.
     lines = text.splitlines()
     del text
-    views, diagnostics = _parse_lines(lines, 0, None, (), True, roles, tally)
+    views, diagnostics = _parse_lines(lines, views=True, roles=roles,
+                                      tally=tally)
     del lines
     return _triples(diagnostics), views
 
@@ -139,79 +142,6 @@ def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Out
     return result
 
 
-# At most this many shards, whatever ``--jobs`` asks for.
-_MAX_SHARDS = 32
-
-
-def _shard_bounds(lines: list[str], jobs: int) -> list[int]:
-    """Where ``--jobs`` cuts ``lines``: ``0 = b[0] < ... < b[-1] = len(lines)``.
-
-    Each inner bound is right after an ``#end document`` line, the one
-    nearest to an equal split; bounds that coincide merge. So there are
-    at most ``jobs`` shards, at most ``_MAX_SHARDS``, and at most one more
-    than the ``#end document`` lines before the last line.
-    """
-    from corefkit.conll import END_LINE
-
-    n = len(lines)
-    shards = min(jobs, _MAX_SHARDS)
-    ends: list[int] = []
-    position = 0
-    while shards > 1:
-        try:
-            position = lines.index(END_LINE, position) + 1
-        except ValueError:
-            break
-        if position < n:
-            ends.append(position)
-    bounds = [0]
-    for k in range(1, shards):
-        target = k * n / shards
-        cut = min(ends, key=lambda end: abs(end - target), default=0)
-        if cut > bounds[-1]:
-            bounds.append(cut)
-    bounds.append(n)
-    return bounds
-
-
-def _shard(lines: list[str], start: int, stop: int, mapping, seen_ids=()):
-    """Parse ``lines[start:stop]``, map the kept documents with
-    ``mapping``, check what the mapping changed and serialize.
-
-    Returns ``(diagnostics, kept ids, failure, text)`` as plain values
-    that ``marshal`` encodes. ``failure`` is ``(0, message)`` for the
-    first error the mapping raised, ``(1, message)`` for the first
-    validation error (the one ``serialize_corpus`` would raise, since
-    the parser keeps only valid documents), or None; a failed shard has
-    no text. ``mapping`` takes the list of kept documents and returns
-    them mapped, in order, each keeping its id, so ids kept in different
-    shards cannot collide in validation; without one the shard only
-    parses. ``seen_ids`` are ids kept before the range (see
-    :func:`corefkit.conll._parse_lines`).
-    """
-    from corefkit.conll import _parse_lines, _raise_on_errors, serialize_corpus
-    from corefkit.model import Corpus, _validate_mapped
-
-    documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
-    if stop - start == len(lines):
-        # A shard of every line is never redone, so the lines can go
-        # before the mapped corpus is built, as after a serial parse.
-        lines.clear()
-    parsed = (_triples(diagnostics), [d.id for d in documents])
-    if mapping is None:
-        return (*parsed, None, "")
-    source = Corpus(tuple(documents))
-    try:
-        mapped = Corpus(tuple(mapping(documents)))
-    except (CorefKitError, ValueError, OSError) as exc:
-        return (*parsed, (0, str(exc)), "")
-    try:
-        _raise_on_errors(_validate_mapped(mapped, source))
-    except CorefKitError as exc:
-        return (*parsed, (1, str(exc)), "")
-    return (*parsed, None, serialize_corpus(mapped, validate=False))
-
-
 def _work(function, pipe: int):
     """A forked child's life: run ``function``, send its result down
     ``pipe`` and exit without unwinding into the parent's stack."""
@@ -229,125 +159,91 @@ def _work(function, pipe: int):
         os._exit(code)
 
 
-def _forked(tasks, here):
-    """``here()`` in this process while each of ``tasks`` runs in a child
-    started by ``os.fork``: ``(here's result, [each task's result])``.
+def _forked(task, here):
+    """``here()`` in this process while ``task``, a ``(label, function)``
+    pair or None, runs in a child started by ``os.fork``: ``(here's
+    result, the function's result)``, None without a task.
 
-    ``tasks`` are ``(label, function)`` pairs. A function returns plain
-    values that ``marshal`` encodes, and its child sends them back
-    through a pipe. Forking is safe because the CLI starts no thread,
-    and cheap because a child shares what this process has read instead
-    of receiving it. A child that ends without a result is an error
-    naming its label. On any error, here or in reading a result, every
-    child left is killed and reaped. Without ``os.fork`` each function
-    runs in this process, in order, before ``here``.
+    The function returns plain values that ``marshal`` encodes, and the
+    child sends them back through a pipe. Forking is safe because the
+    CLI starts no thread, and cheap because the child shares what this
+    process has read instead of receiving it. A child that ends without
+    a result is an error naming the label. On any error, here or in
+    reading the result, the child is killed and reaped. Without
+    ``os.fork`` the function runs in this process, before ``here``.
     """
+    if task is None:
+        return here(), None
+    label, function = task
     if not hasattr(os, "fork"):
-        results = [function() for _, function in tasks]
-        return here(), results
-    workers = []  # (pid, read end of its pipe), one per task
-    reaped = set()
+        result = function()
+        return here(), result
+    read, write = os.pipe()
     try:
-        for _, function in tasks:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _work(function, write)
-            os.close(write)
-            workers.append((pid, open(read, "rb")))
-        value = here()
-        results = []
-        for (pid, pipe), (label, _) in zip(workers, tasks):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
-            try:
-                result = marshal.loads(data) if status == 0 else None
-            except (EOFError, ValueError, TypeError):
-                result = None
-            if result is None:
-                raise CorefKitError(
-                    f"the worker {label} ended without a result (exit "
-                    f"status {os.waitstatus_to_exitcode(status)})")
-            results.append(result)
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if pid not in reaped:
-                import signal
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return value, results
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        _work(function, write)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        try:
+            value = here()
+            data = pipe.read()
+        except BaseException:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitpid(pid, 0)[1]
+    try:
+        result = marshal.loads(data) if status == 0 else None
+    except (EOFError, ValueError, TypeError):
+        result = None
+    if result is None:
+        raise CorefKitError(
+            f"the worker {label} ended without a result (exit "
+            f"status {os.waitstatus_to_exitcode(status)})")
+    return value, result
 
 
-def _run_shards(lines: list[str], mapping, jobs: int) -> list[tuple]:
-    """:func:`_shard` over the shards of ``lines``, in shard order.
-
-    :func:`_shard_bounds` cuts the lines into at most ``jobs`` shards of
-    whole documents, so one document is never split; without
-    ``os.fork`` there is one shard. This process runs the first shard
-    and a forked child each other one (see :func:`_forked`), which
-    shares the read lines and sends back its diagnostics, kept ids and
-    text. Several documents of similar size and a free core per job are
-    what make this faster than one shard. A shard that
-    kept an id kept by an earlier shard is redone here knowing the
-    earlier ids, so each result is what one parse of all the lines gives
-    for its range.
-    """
-    bounds = _shard_bounds(lines, jobs) if hasattr(os, "fork") else [0, len(lines)]
-    shards = list(zip(bounds, bounds[1:]))
-    first, rest = _forked(
-        [(f"for input lines {start + 1}-{stop}",
-          partial(_shard, lines, start, stop, mapping))
-         for start, stop in shards[1:]],
-        partial(_shard, lines, *shards[0], mapping))
-    results = [first, *rest]
-    seen: set[str] = set()
-    for k, (start, stop) in enumerate(shards):
-        if k and not seen.isdisjoint(results[k][1]):
-            results[k] = _shard(lines, start, stop, mapping, seen)
-        seen.update(results[k][1])
-    return results
-
-
-def _mapped_output(args, prepare) -> tuple[_Output, list[str]]:
-    """The input parsed, mapped, checked and serialized in up to
-    ``--jobs`` shards (see :func:`_run_shards`), and the kept ids in order.
+def _mapped_output(args, prepare) -> tuple[_Output, tuple[str, ...]]:
+    """The input parsed, mapped, checked and serialized, and the kept ids
+    in order.
 
     ``prepare()`` loads what the mapping needs and returns the mapping
-    (see :func:`_shard`) and any warnings to print. A mapping that reads
-    all of a shard's documents at once, not one at a time, serves only
-    commands without ``--jobs``, which always run one shard. What is
-    reported is what one serial run reports: the parse diagnostics in
-    line order, then the first of an empty corpus, an error of
-    ``prepare``, the first error a mapping raised and the first
-    validation error.
+    and any warnings to print. The mapping takes the list of kept
+    documents and returns them mapped, in order, each keeping its id.
+    What is reported comes in this order: the parse diagnostics, then
+    the first of an empty corpus, an error of ``prepare``, an error the
+    mapping raised and the first validation error (the one
+    ``serialize_corpus`` would raise, since the parser keeps only valid
+    documents).
     """
+    from corefkit.conll import _parse_lines, _raise_on_errors, serialize_corpus
+    from corefkit.model import Corpus, _validate_mapped
+
     lines = _read_text(args.input).splitlines()
     try:
         mapping, warnings = prepare()
         failure = None
     except (CorefKitError, ValueError, OSError) as exc:
         mapping, warnings, failure = None, "", exc
-    results = _run_shards(lines, mapping, getattr(args, "jobs", 1))
-    for diagnostics, _, _, _ in results:
-        _print_diagnostics(args.input, diagnostics)
-    kept = [doc_id for _, ids, _, _ in results for doc_id in ids]
-    if not kept:
+    documents, diagnostics = _parse_lines(lines)
+    del lines  # the parsed documents hold all that is needed of them
+    _print_diagnostics(args.input, _triples(diagnostics))
+    if not documents:
         raise EmptyCorpusError("no parseable document in input")
     sys.stderr.write(warnings)
     if failure is not None:
         raise failure
-    failures = [failed for _, _, failed, _ in results if failed is not None]
-    if failures:  # the first of the lowest rank
-        raise CorefKitError(min(failures, key=lambda f: f[0])[1])
-    return _to_output(args, "".join(text for _, _, _, text in results)), kept
+    source = Corpus(tuple(documents))
+    mapped = Corpus(tuple(mapping(documents)))
+    _raise_on_errors(_validate_mapped(mapped, source))
+    return (_to_output(args, serialize_corpus(mapped, validate=False)),
+            source.document_ids())
 
 
 def _render_stats(report: FrequencyReport) -> str:
@@ -530,11 +426,10 @@ def _cmd_score(args) -> _Output:
     try:
         texts.append(_read_text(args.pred))
     except (ValueError, OSError) as exc:
-        failure, tasks = exc, []
+        failure, task = exc, None
     else:
         failure = None
-        tasks = [(f"for --pred {args.pred}",
-                  lambda: _parsed_views(texts.pop()))]
+        task = (f"for --pred {args.pred}", lambda: _parsed_views(texts.pop()))
     try:
         roles = _role_table(_load_classifier(args.config))
     except (CorefKitError, ValueError, OSError) as exc:
@@ -546,10 +441,10 @@ def _cmd_score(args) -> _Output:
         del texts[1:]  # forked, the child holds the prediction
         return _reported(args.gold, _parsed_views(texts.pop(), roles))
 
-    gold, predictions = _forked(tasks, parse_gold)
+    gold, prediction = _forked(task, parse_gold)
     if failure is not None:
         raise failure
-    pred = _reported(args.pred, predictions[0])
+    pred = _reported(args.pred, prediction)
     if config_failure is not None:
         raise config_failure
     report = _evaluate_views(gold, pred, args.ignore_singletons, args.macro)
@@ -558,14 +453,17 @@ def _cmd_score(args) -> _Output:
 
 
 def _fraction(text: str):
-    """``--fraction`` as a ``Fraction``, importing ``fractions`` only
-    when the option is given."""
+    """``--fraction`` as a ``Fraction`` in (0, 1], importing ``fractions``
+    only when the option is given."""
     from fractions import Fraction
 
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError as exc:  # "1/0": a usage error, not a crash
         raise ValueError(str(exc)) from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], not {text}")
+    return value
 
 
 # argparse names the type in its usage error: "invalid Fraction value: 'x'".
@@ -608,8 +506,8 @@ _SHARED_OPTIONS = {
                 dict(type=_file_path,
                      help="noun lexicon file (default: builtin)")),
     "jobs": (("--jobs",), dict(type=_at_least(1), default=1,
-                               help="run in up to JOBS processes, each on a "
-                                    "shard of whole documents (default 1)")),
+                               help="accepted and ignored: the command runs "
+                                    "in one process")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "assignments": (("--assignments",),
                     dict(help="write the document-to-paradigm TSV here "
@@ -680,7 +578,7 @@ def build_parser() -> _ArgumentParser:
                             "for example 0.1 or 1/8 (floor rounding)")
     group.add_argument("--count", type=int,
                        help="exact partition size in documents")
-    p.add_argument("--partitions", type=int, required=True,
+    p.add_argument("--partitions", type=_at_least(1), required=True,
                    help="number of partitions to draw")
     _add_shared(p, "seed")
     p.add_argument("--out-prefix",

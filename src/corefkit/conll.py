@@ -29,7 +29,6 @@ here only, straight from the text or from documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Collection, Iterable, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
@@ -311,23 +310,18 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     return Corpus(tuple(documents)), diagnostics
 
 
-def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
-                 seen_ids: Iterable[str] = (), views: bool = False, roles=None,
+def _parse_lines(lines: list[str], *, views: bool = False, roles=None,
                  tally: dict[tuple[str, str, str], int] | None = None,
                  surrogates: Collection[int] = ()
                  ) -> tuple[list, list[ParseDiagnostic]]:
-    """The documents and diagnostics of ``lines[start:stop]``, each line
-    numbered by its place in ``lines``.
+    """The documents and diagnostics of ``lines``, numbered from 1.
 
-    A document whose id is in ``seen_ids`` or was kept earlier in the
-    range is dropped as a duplicate. Right after an ``#end document``
-    line the parser is outside any document, so a range that starts
-    there parses exactly as it would within a parse of all the lines.
+    A document whose id was kept earlier is dropped as a duplicate.
 
     Within one call, equal values of a token's text fields (form, lemma,
     pos, feats, dep_rel and ner) are one shared string object, across
-    all the documents of the range. The table that shares them lives
-    only as long as the call.
+    all the documents. The table that shares them lives only as long as
+    the call.
 
     With ``views`` each kept document comes back as its scoring view,
     and ``roles`` adds its counted pronouns (see :class:`_DocumentReader`).
@@ -341,9 +335,9 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
     diagnostics: list[ParseDiagnostic] = []
     documents: list = []
     strings: dict[str, str] = {}
-    seen_ids = set(seen_ids)
+    kept_ids: set[str] = set()
     reader: _DocumentReader | None = None
-    line_number = start
+    line_number = 0
 
     def finish(at_line: int) -> None:
         nonlocal reader
@@ -353,19 +347,19 @@ def _parse_lines(lines: list[str], start: int = 0, stop: int | None = None,
                     reader.error(n, "line contains a lone surrogate")
         document = reader.finish(at_line)
         if document is not None:
-            if reader.doc_id in seen_ids:
+            if reader.doc_id in kept_ids:
                 diagnostics.append(ParseDiagnostic(
                     reader.begin_line, "error",
                     f"duplicate document id {reader.doc_id!r}; keeping the first"))
             else:
-                seen_ids.add(reader.doc_id)
+                kept_ids.add(reader.doc_id)
                 documents.append(document)
                 if tally is not None:
                     for key, count in reader.tally.items():
                         tally[key] = tally.get(key, 0) + count
         reader = None
 
-    for line_number, line in enumerate(islice(lines, start, stop), start + 1):
+    for line_number, line in enumerate(lines, 1):
         if reader is None:
             if not line.strip():
                 continue

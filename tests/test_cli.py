@@ -341,6 +341,27 @@ def test_jobs_below_one_or_window_below_zero_is_a_usage_error(cli, argv,
     assert err.endswith(f"corefkit {argv[0]}: error: argument {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--count", "2", "--partitions", "0"],
+     "--partitions: must be at least 1, not 0"),
+    (["--count", "2", "--partitions", "-2"],
+     "--partitions: must be at least 1, not -2"),
+    (["--fraction", "0", "--partitions", "2"],
+     "--fraction: must be in (0, 1], not 0"),
+    (["--fraction", "3/2", "--partitions", "2"],
+     "--fraction: must be in (0, 1], not 3/2"),
+    (["--fraction", "-0.5", "--partitions", "2"],
+     "--fraction: must be in (0, 1], not -0.5"),
+])
+def test_sample_partitions_or_fraction_out_of_range_is_a_usage_error(
+        cli, tmp_path, argv, message):
+    # Caught before the input is read: the file does not even exist.
+    code, out, err = cli("sample", str(tmp_path / "missing.conll"), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+    assert err.endswith(f"corefkit sample: error: argument {message}\n")
+
+
 def test_window_zero_is_accepted(cli):
     code, out, _ = cli("resolve-baseline", HERSTEL, "--window", "0")
     assert code == 0 and out.startswith("#begin document")

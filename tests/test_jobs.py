@@ -1,9 +1,8 @@
-"""``--jobs N``: document shards parsed, mapped and serialized in forked
-processes must report exactly what one serial run reports.
+"""``--jobs N`` is accepted and has no effect: every job count must
+report exactly what one serial run reports, and no run forks.
 
-The CLI runs in this process, so each ``--jobs 2`` or ``3`` run forks
-this pytest process; the children only ever send their result down a
-pipe and exit.
+The property test checks each corpus-writing command against the serial
+library calls, on hostile corpora, at every job count it takes.
 """
 import errno
 import os
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 import corpusgen
 from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
                       lines_of, run)
-from corefkit import cli
 from corefkit.builder import build_cda, build_unseen
 from corefkit.conll import (END_LINE, parse_corpus, serialize_corpus,
                             strip_singletons)
@@ -33,115 +31,7 @@ E2E = str(FIXTURES / "e2e.conll")
 E2E_TEXT = (FIXTURES / "e2e.conll").read_text("utf-8")
 
 
-def document_lines(sizes):
-    """One document per size, each with that many token lines."""
-    lines = []
-    for i, size in enumerate(sizes):
-        lines.append(f"#begin document d{i}")
-        lines += [f"{t + 1}\tw\tw\tX\t_\t0\troot\tO\t-" for t in range(size)]
-        lines.append(END_LINE)
-    return lines
-
-
-# --- the shard planner -----------------------------------------------------
-
-def test_cuts_go_after_the_end_line_nearest_an_equal_split():
-    lines = document_lines([1, 2, 7])  # ends after lines 3, 7 and 16
-    assert cli._shard_bounds(lines, 2) == [0, 7, 16]
-    # Both targets (5.3 and 10.7) are nearest to line 7: the cuts merge.
-    assert cli._shard_bounds(lines, 3) == [0, 7, 16]
-    assert cli._shard_bounds(lines, 4) == [0, 3, 7, 16]
-    lines = document_lines([10, 10, 10, 10])
-    assert cli._shard_bounds(lines, 2) == [0, 24, 48]
-    assert cli._shard_bounds(lines, 4) == [0, 12, 24, 36, 48]
-
-
-@pytest.mark.parametrize("lines", [[], ["stray"], ["#begin document a", "x"]])
-def test_no_end_line_means_one_shard(lines):
-    assert cli._shard_bounds(lines, 4) == [0, len(lines)]
-
-
-@pytest.mark.parametrize("documents", [1, 2, 5, 40, 200])
-@pytest.mark.parametrize("jobs", [-3, 0, 1, 2, 3, 7, 64, 10**9])
-@pytest.mark.parametrize("tail", [[], ["stray"]])
-def test_shards_are_bounded_by_documents_and_a_fixed_cap(documents, jobs, tail):
-    lines = document_lines([1 + i % 4 for i in range(documents)]) + tail
-    bounds = cli._shard_bounds(lines, jobs)
-    assert bounds[0] == 0 and bounds[-1] == len(lines)
-    assert all(a < b for a, b in zip(bounds, bounds[1:]))
-    assert all(lines[b - 1] == END_LINE for b in bounds[1:-1])
-    shards = len(bounds) - 1
-    assert shards <= max(1, min(jobs, cli._MAX_SHARDS,
-                                documents + (1 if tail else 0)))
-    # Any place to cut is used once two jobs are asked for.
-    assert (shards > 1) == (jobs > 1 and documents + len(tail) > 1)
-    if documents == 200 and jobs >= cli._MAX_SHARDS:
-        assert shards == cli._MAX_SHARDS
-
-
-# --- the fork path through the CLI ------------------------------------------
-
-def second_shard_id(jobs: int) -> str:
-    lines = E2E_TEXT.splitlines()
-    bounds = cli._shard_bounds(lines, jobs)
-    assert len(bounds) == jobs + 1
-    return lines[bounds[1]].removeprefix("#begin document ")
-
-
-@pytest.mark.parametrize("jobs", [2, 3])
-@pytest.mark.parametrize("death", ["raises", "exits"])
-def test_a_failing_worker_fails_the_run(tmp_path, monkeypatch, jobs, death):
-    import corefkit.transform
-
-    victim = second_shard_id(jobs)
-    parent = os.getpid()
-    original = corefkit.transform.pronoun_specific
-
-    def failing(document, *args):
-        if document.id == victim:
-            assert os.getpid() != parent  # the victim is a worker's
-            if death == "exits":
-                os._exit(3)
-            raise CorefKitError(f"cannot rewrite {victim}")
-        return original(document, *args)
-
-    monkeypatch.setattr(corefkit.transform, "pronoun_specific", failing)
-    output = tmp_path / "out.conll"
-    code, out, err = run("transform", E2E, "--paradigm", "die",
-                         "--jobs", str(jobs), "-o", str(output))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("corefkit: error: ")
-    if death == "raises":
-        assert err == f"corefkit: error: cannot rewrite {victim}\n"
-    else:
-        assert "without a result (exit status 3)" in err
-    assert os.listdir(tmp_path) == []  # no output, no .tmp file
-    assert_no_child_left()
-
-
-def test_a_failed_fork_fails_the_run_and_reaps_the_started_child(
-        tmp_path, monkeypatch):
-    fork = os.fork
-    calls = []
-
-    def fork_once():
-        calls.append(None)
-        if len(calls) == 2:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    output = tmp_path / "out.conll"
-    code, out, err = run("transform", E2E, "--paradigm", "die",
-                         "--jobs", "3", "-o", str(output))
-    assert len(calls) == 2
-    assert (code, out) == (2, "")
-    assert err == (f"corefkit: error: [Errno {errno.EAGAIN}] "
-                   f"{os.strerror(errno.EAGAIN)}\n")
-    assert os.listdir(tmp_path) == []  # no output, no .tmp file
-    assert_no_child_left()
-
+# --- the job count through the CLI -----------------------------------------
 
 def broken_form(document):
     """``document`` with a tab in its first form: a validation error."""
@@ -218,6 +108,22 @@ def test_one_job_runs_in_this_process(monkeypatch):
     assert run("transform", E2E, "--paradigm", "hen", "--jobs", "1") == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", E2E, "--paradigm", "die", "--anonymize", "--neutralize-nouns"],
+    ["delex", E2E],
+    ["resolve-baseline", E2E],
+])
+def test_no_job_count_forks(monkeypatch, argv):
+    expected = run(*argv, "--jobs", "1")
+    assert expected[0] == 0
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(*argv, "--jobs", "3") == expected
+
+
 def test_without_fork_the_run_is_one_shard(monkeypatch):
     expected = run("resolve-baseline", E2E)
     monkeypatch.delattr(os, "fork")
@@ -237,7 +143,7 @@ def test_output_file_is_the_same_at_every_job_count(tmp_path):
     assert_no_child_left()
 
 
-# --- shards against the serial run, on hostile corpora ---------------------
+# --- every job count against the serial run, on hostile corpora ------------
 
 # A mapping raises on this id, and a lexicon turns this noun into a form
 # holding a line break, which fails validation. No lexicon file can hold

@@ -8,6 +8,7 @@ skipped checks could not have failed; both premises are tested here.
 import random
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -242,12 +243,18 @@ def test_a_different_document_count_is_checked_in_full():
         validate_corpus(mapped))
 
 
-def test_cli_reports_what_serialize_corpus_would():
+def test_cli_reports_what_serialize_corpus_would(tmp_path):
     parsed = CORPORA[0]
     with pytest.raises(ValidationError) as full:
         serialize_corpus(map_documents(parsed, empty_form))
-    lines = serialize_corpus(parsed).splitlines()
-    _, ids, failure, text = cli._shard(lines, 0, len(lines),
-                                       partial(map, empty_form))
-    assert ids == list(parsed.document_ids())
-    assert failure == (1, str(full.value)) and text == ""
+    path = tmp_path / "in.conll"
+    path.write_text(serialize_corpus(parsed), "utf-8")
+    args = SimpleNamespace(input=str(path), output=None)
+    with pytest.raises(ValidationError) as checked:
+        cli._mapped_output(args, lambda: (partial(map, empty_form), ""))
+    assert str(checked.value) == str(full.value)
+    result, ids = cli._mapped_output(
+        args, lambda: (partial(map, strip_singletons), ""))
+    assert ids == parsed.document_ids()
+    assert result.stdout == serialize_corpus(
+        map_documents(parsed, strip_singletons))

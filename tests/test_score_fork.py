@@ -2,9 +2,11 @@
 parse diagnostics and what scoring reads of each kept document. It must
 report exactly what the serial library calls report.
 
-The CLI runs in this process, so each run forks this pytest process; the
-child only ever sends its result down a pipe and exits.
+This child is the only process the CLI forks. The CLI runs in this
+process, so each run forks this pytest process; the child only ever
+sends its result down a pipe and exits.
 """
+import errno
 import marshal
 import os
 import random
@@ -113,46 +115,33 @@ def test_the_view_holds_ids_lengths_and_span_keys_only():
 
 # --- the scoring-mode parse --------------------------------------------------
 
-def views_of_the_full_parse(lines, start, stop, seen_ids, config):
+def views_of_the_full_parse(lines, config):
     """Assert that both scoring modes of ``_parse_lines`` report the full
     parse's diagnostics and keep its documents, as their views, and that
-    the tally of the views parse counts the kept documents' tokens;
-    return the kept ids."""
-    documents, diagnostics = _parse_lines(lines, start, stop, seen_ids)
+    the tally of the views parse counts the kept documents' tokens."""
+    documents, diagnostics = _parse_lines(lines)
     expected = _tally(documents)
     for roles in (None, _role_table(config)):
-        views, view_diagnostics = _parse_lines(lines, start, stop, seen_ids,
-                                               True, roles)
+        views, view_diagnostics = _parse_lines(lines, views=True, roles=roles)
         assert view_diagnostics == diagnostics
         assert views == [_view(d, roles) for d in documents]
         tally = {}
-        assert _parse_lines(lines, start, stop, seen_ids, True, roles,
-                            tally) == (views, diagnostics)
+        assert _parse_lines(lines, views=True, roles=roles,
+                            tally=tally) == (views, diagnostics)
         # The full parse reads feats "_" as empty.
         read = {}
         for (pos, feats, form), count in tally.items():
             key = pos, "" if feats == "_" else feats, form
             read[key] = read.get(key, 0) + count
         assert read == expected
-    return [d.id for d in documents]
 
 
 @settings(max_examples=150, deadline=None)
-@given(text=corpus_texts(), config=st.sampled_from(["default", "good"]),
-       jobs=st.integers(2, 4))
-def test_the_scoring_parse_is_the_full_parse_seen_through_views(text, config,
-                                                                 jobs):
+@given(text=corpus_texts(), config=st.sampled_from(["default", "good"]))
+def test_the_scoring_parse_is_the_full_parse_seen_through_views(text, config):
     config = (ClassifierConfig() if config == "default"
               else ClassifierConfig.from_text(CONFIGS[config]))
-    lines = text.splitlines()
-    views_of_the_full_parse(lines, 0, None, (), config)
-    # Shards cut right after "#end document", each knowing the ids
-    # kept before it.
-    bounds = cli._shard_bounds(lines, jobs)
-    seen = set()
-    for start, stop in zip(bounds, bounds[1:]):
-        seen.update(views_of_the_full_parse(lines, start, stop, set(seen),
-                                            config))
+    views_of_the_full_parse(text.splitlines(), config)
 
 
 @pytest.mark.parametrize("fork", [True, False])
@@ -190,12 +179,12 @@ def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, death):
     parent = os.getpid()
     original = corefkit.conll._parse_lines
 
-    def parse_lines(*args):
+    def parse_lines(*args, **kwargs):
         if os.getpid() != parent:  # the child's parse, not the gold one
             if death == "exits":
                 os._exit(3)
             raise RuntimeError("parser bug")
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(corefkit.conll, "_parse_lines", parse_lines)
     output = tmp_path / "score.txt"
@@ -205,6 +194,25 @@ def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, death):
     assert (code, out, err) == (
         2, "", f"corefkit: error: the worker for --pred {PRED} ended without "
                f"a result (exit status {status})\n")
+    assert os.listdir(tmp_path) == []  # no output, no .tmp file
+    assert_no_child_left()
+
+
+def test_a_failed_fork_fails_the_run(tmp_path, monkeypatch):
+    calls = []
+
+    def no_fork():
+        calls.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    output = tmp_path / "score.txt"
+    code, out, err = run("score", "--gold", GOLD, "--pred", PRED,
+                         "-o", str(output))
+    assert len(calls) == 1
+    assert (code, out) == (2, "")
+    assert err == (f"corefkit: error: [Errno {errno.EAGAIN}] "
+                   f"{os.strerror(errno.EAGAIN)}\n")
     assert os.listdir(tmp_path) == []  # no output, no .tmp file
     assert_no_child_left()
 
