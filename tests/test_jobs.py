@@ -31,7 +31,84 @@ E2E = str(FIXTURES / "e2e.conll")
 E2E_TEXT = (FIXTURES / "e2e.conll").read_text("utf-8")
 
 
+def document_lines(sizes):
+    """One document per size, each with that many token lines."""
+    lines = []
+    for i, size in enumerate(sizes):
+        lines.append(f"#begin document d{i}")
+        lines += [f"{t + 1}\tw\tw\tX\t_\t0\troot\tO\t-" for t in range(size)]
+        lines.append(END_LINE)
+    return lines
+
+
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
 # --- the job count through the CLI -----------------------------------------
+
+@pytest.mark.parametrize("documents", [1, 2, 5, 40, 200])
+@pytest.mark.parametrize("jobs", [-3, 0, 1, 2, 3, 7, 64, 10**9])
+@pytest.mark.parametrize("tail", [[], ["stray"]])
+def test_every_document_is_written_once_in_order_at_every_job_count(
+        monkeypatch, documents, jobs, tail):
+    forbid_fork(monkeypatch)
+    lines = document_lines([1 + i % 4 for i in range(documents)]) + tail
+    text = "\n".join(lines) + "\n"
+    code, out, err = run("delex", "--jobs", str(jobs), stdin_text=text)
+    if jobs < 1:  # a usage error, caught before the input is read
+        assert (code, out) == (1, "")
+        assert err.endswith("corefkit delex: error: argument --jobs: must be "
+                            f"at least 1, not {jobs}\n")
+        return
+    corpus, _ = parse_corpus(text)
+    config = ClassifierConfig()
+    assert code == 0
+    assert out == serialize_corpus(
+        map_documents(corpus, lambda d: delexicalize(d, config)))
+    ids = [line.removeprefix("#begin document ") for line in out.splitlines()
+           if line.startswith("#begin document ")]
+    assert ids == [f"d{i}" for i in range(documents)]
+    assert err == (f"-:{len(lines)}: error: unexpected content outside a "
+                   "document: 'stray'\n" if tail else "")
+
+
+@pytest.mark.parametrize("lines", [[], ["stray"], ["#begin document a", "x"]])
+def test_no_end_line_gives_what_one_job_gives(monkeypatch, lines):
+    text = "".join(line + "\n" for line in lines)
+    expected = run("resolve-baseline", "--jobs", "1", stdin_text=text)
+    assert expected[0] == 2
+    assert expected[2].endswith("corefkit: error: no parseable document "
+                                "in input\n")
+    forbid_fork(monkeypatch)
+    assert run("resolve-baseline", "--jobs", "4", stdin_text=text) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_a_failing_mapping_fails_the_run_in_this_process(
+        tmp_path, monkeypatch, jobs):
+    import corefkit.transform
+
+    parent = os.getpid()
+    original = corefkit.transform.pronoun_specific
+
+    def failing(document, *args):
+        assert os.getpid() == parent
+        if document.id == "verhaal2":
+            raise CorefKitError("cannot rewrite verhaal2")
+        return original(document, *args)
+
+    monkeypatch.setattr(corefkit.transform, "pronoun_specific", failing)
+    forbid_fork(monkeypatch)
+    output = tmp_path / "out.conll"
+    assert run("transform", E2E, "--paradigm", "die", "--jobs", str(jobs),
+               "-o", str(output)) == (
+        2, "", "corefkit: error: cannot rewrite verhaal2\n")
+    assert os.listdir(tmp_path) == []  # no output, no .tmp file
+    assert_no_child_left()
 
 def broken_form(document):
     """``document`` with a tab in its first form: a validation error."""
@@ -116,11 +193,7 @@ def test_one_job_runs_in_this_process(monkeypatch):
 def test_no_job_count_forks(monkeypatch, argv):
     expected = run(*argv, "--jobs", "1")
     assert expected[0] == 0
-
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    forbid_fork(monkeypatch)
     assert run(*argv, "--jobs", "3") == expected
 
 
