@@ -6,16 +6,14 @@ stdin) and writes to stdout unless ``-o`` names a file. Exit codes:
 before anything is written, and output files are moved into place only
 once every one of them is written, so a failing run produces no partial
 output.
-Identical arguments and inputs give byte-identical outputs. Each command
-runs in this process, except that ``score`` parses ``--pred`` in one
-forked child.
+Identical arguments and inputs give byte-identical outputs. Every
+command runs in this one process.
 """
 from __future__ import annotations
 
 import argparse
 import errno
 import gc
-import marshal
 import os
 import stat
 import sys
@@ -57,42 +55,31 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _parsed_views(text: str, roles=None, tally=None):
-    """The parse diagnostics of ``text`` and the views of its kept
-    documents (see :func:`corefkit.conll._view`), as plain values that
-    ``marshal`` encodes. ``text`` goes through ``_parse_lines`` in views
-    mode, given ``roles`` and ``tally``, so no token grid is built."""
+def _views(path: str, text: str, roles=None, tally=None) -> list:
+    """The views of the kept documents of ``text``, the input at ``path``
+    (see :func:`corefkit.conll._view`), once its parse diagnostics are
+    printed. ``text`` goes through ``_parse_lines`` in views mode, given
+    ``roles`` and ``tally``, so no token grid is built. Raises
+    :class:`EmptyCorpusError` when no document was kept."""
     from corefkit.conll import _parse_lines
 
-    # The caller keeps no reference to the text, so each ``del`` frees
-    # what the rest of the parse no longer needs.
+    # Each ``del`` frees what the rest of the parse no longer needs,
+    # unless the caller still holds the text.
     lines = text.splitlines()
     del text
     views, diagnostics = _parse_lines(lines, views=True, roles=roles,
                                       tally=tally)
     del lines
-    return _triples(diagnostics), views
-
-
-def _reported(path: str, parsed) -> list:
-    """The views of ``parsed``, what :func:`_parsed_views` returned for
-    the input at ``path``, once its diagnostics are printed. Raises
-    :class:`EmptyCorpusError` when no document was kept."""
-    diagnostics, views = parsed
     _print_diagnostics(path, diagnostics)
     if not views:
         raise EmptyCorpusError("no parseable document in input")
     return views
 
 
-def _triples(diagnostics) -> list[tuple[int, str, str]]:
-    """Parse diagnostics as ``(line_number, severity, message)`` tuples."""
-    return [(d.line_number, d.severity, d.message) for d in diagnostics]
-
-
 def _print_diagnostics(path: str, diagnostics) -> None:
-    for line_number, severity, message in diagnostics:
-        print(f"{path}:{line_number}: {severity}: {message}", file=sys.stderr)
+    for d in diagnostics:
+        print(f"{path}:{d.line_number}: {d.severity}: {d.message}",
+              file=sys.stderr)
 
 
 def _load_classifier(path: str | None) -> ClassifierConfig:
@@ -142,76 +129,8 @@ def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Out
     return result
 
 
-def _work(function, pipe: int):
-    """A forked child's life: run ``function``, send its result down
-    ``pipe`` and exit without unwinding into the parent's stack."""
-    code = 1
-    try:
-        data = marshal.dumps(function())
-        with open(pipe, "wb") as handle:
-            handle.write(data)
-        code = 0
-    except BaseException:
-        # The parent reports the missing result; this says why.
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
-
-
-def _forked(task, here):
-    """``here()`` in this process while ``task``, a ``(label, function)``
-    pair or None, runs in a child started by ``os.fork``: ``(here's
-    result, the function's result)``, None without a task.
-
-    The function returns plain values that ``marshal`` encodes, and the
-    child sends them back through a pipe. Forking is safe because the
-    CLI starts no thread, and cheap because the child shares what this
-    process has read instead of receiving it. A child that ends without
-    a result is an error naming the label. On any error, here or in
-    reading the result, the child is killed and reaped. Without
-    ``os.fork`` the function runs in this process, before ``here``.
-    """
-    if task is None:
-        return here(), None
-    label, function = task
-    if not hasattr(os, "fork"):
-        result = function()
-        return here(), result
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        _work(function, write)
-    os.close(write)
-    with open(read, "rb") as pipe:
-        try:
-            value = here()
-            data = pipe.read()
-        except BaseException:
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-    status = os.waitpid(pid, 0)[1]
-    try:
-        result = marshal.loads(data) if status == 0 else None
-    except (EOFError, ValueError, TypeError):
-        result = None
-    if result is None:
-        raise CorefKitError(
-            f"the worker {label} ended without a result (exit "
-            f"status {os.waitstatus_to_exitcode(status)})")
-    return value, result
-
-
-def _mapped_output(args, prepare) -> tuple[_Output, tuple[str, ...]]:
-    """The input parsed, mapped, checked and serialized, and the kept ids
-    in order.
+def _mapped_output(args, prepare) -> _Output:
+    """The input parsed, mapped, checked and serialized.
 
     ``prepare()`` loads what the mapping needs and returns the mapping
     and any warnings to print. The mapping takes the list of kept
@@ -233,7 +152,7 @@ def _mapped_output(args, prepare) -> tuple[_Output, tuple[str, ...]]:
         mapping, warnings, failure = None, "", exc
     documents, diagnostics = _parse_lines(lines)
     del lines  # the parsed documents hold all that is needed of them
-    _print_diagnostics(args.input, _triples(diagnostics))
+    _print_diagnostics(args.input, diagnostics)
     if not documents:
         raise EmptyCorpusError("no parseable document in input")
     sys.stderr.write(warnings)
@@ -242,8 +161,7 @@ def _mapped_output(args, prepare) -> tuple[_Output, tuple[str, ...]]:
     source = Corpus(tuple(documents))
     mapped = Corpus(tuple(mapping(documents)))
     _raise_on_errors(_validate_mapped(mapped, source))
-    return (_to_output(args, serialize_corpus(mapped, validate=False)),
-            source.document_ids())
+    return _to_output(args, serialize_corpus(mapped, validate=False))
 
 
 def _render_stats(report: FrequencyReport) -> str:
@@ -286,7 +204,7 @@ def _cmd_stats(args) -> _Output:
     from corefkit.stats import DEFAULT_REPORT_FORMS, _count
 
     tally: dict[tuple[str, str, str], int] = {}
-    _reported(args.input, _parsed_views(_read_text(args.input), tally=tally))
+    _views(args.input, _read_text(args.input), tally=tally)
     config = _load_classifier(args.config)
     if args.summary_only:
         wanted = ()
@@ -298,7 +216,7 @@ def _cmd_stats(args) -> _Output:
 def _cmd_strip_singletons(args) -> _Output:
     from corefkit.conll import strip_singletons
 
-    return _mapped_output(args, lambda: (partial(map, strip_singletons), ""))[0]
+    return _mapped_output(args, lambda: (partial(map, strip_singletons), ""))
 
 
 def _cmd_transform(args) -> _Output:
@@ -313,7 +231,7 @@ def _cmd_transform(args) -> _Output:
         return partial(map, lambda d: pronoun_specific(
             d, paradigm, config, lexicon, options)), warnings
 
-    return _mapped_output(args, prepare)[0]
+    return _mapped_output(args, prepare)
 
 
 def _cmd_delex(args) -> _Output:
@@ -323,13 +241,16 @@ def _cmd_delex(args) -> _Output:
         config = _load_classifier(args.config)
         return partial(map, lambda d: delexicalize(d, config)), ""
 
-    return _mapped_output(args, prepare)[0]
+    return _mapped_output(args, prepare)
 
 
 def _variant_output(args, assign) -> _Output:
     """``cda`` and ``unseen``: each kept document rewritten with the
     paradigm that ``assign(kept ids)`` gives its id, and the assignment
-    sidecar."""
+    sidecar. ``assign`` runs once, in the mapping, which keeps what it
+    drew for the sidecar."""
+    assignment: dict[str, str] = {}
+
     def prepare():
         from corefkit.builder import _rewrite
         from corefkit.transform import TransformOptions
@@ -338,12 +259,14 @@ def _variant_output(args, assign) -> _Output:
         lexicon, warnings = _load_lexicon(args.lexicon)
         options = TransformOptions(anonymize=not args.no_anonymize,
                                    neutralize_nouns=not args.no_neutralize_nouns)
-        return (lambda documents: _rewrite(
-            documents, assign([d.id for d in documents]), config, lexicon,
-            options)), warnings
 
-    result, ids = _mapped_output(args, prepare)
-    return _with_assignments(args, result, assign(ids))
+        def mapping(documents):
+            assignment.update(assign([d.id for d in documents]))
+            return _rewrite(documents, assignment, config, lexicon, options)
+
+        return mapping, warnings
+
+    return _with_assignments(args, _mapped_output(args, prepare), assignment)
 
 
 def _cmd_cda(args) -> _Output:
@@ -357,8 +280,7 @@ def _cmd_sample(args) -> _Output:
 
     from corefkit.builder import PartitionSpec, _sample_ids
 
-    ids = [view[0] for view in _reported(
-        args.input, _parsed_views(_read_text(args.input)))]
+    ids = [view[0] for view in _views(args.input, _read_text(args.input))]
     n = len(ids)
     if args.count is not None:
         if not 1 <= args.count <= n:
@@ -397,54 +319,36 @@ def _cmd_resolve_baseline(args) -> _Output:
         return partial(map, lambda d: resolve(d, resolver_config,
                                               classifier)), ""
 
-    return _mapped_output(args, prepare)[0]
+    return _mapped_output(args, prepare)
 
 
 def _cmd_score(args) -> _Output:
-    """Score ``--pred`` against ``--gold``, the prediction parsed in a
-    second process.
+    """Score ``--pred`` against ``--gold``.
 
-    Both texts are read here, in argument order, so ``-`` for either or
-    both reads stdin as it would in one process. ``--config`` is loaded
-    next, into the role table that picks the counted pronouns. A child
-    started by :func:`_forked` parses the prediction while this process
-    parses gold. Neither builds a token grid: each side is parsed
-    straight into its scoring views (:func:`_parsed_views`), with the
-    full parse's checks and diagnostics, and the child sends back only
-    its diagnostics and views. What is reported is what a serial run
-    reports, in its order: the gold
-    diagnostics, an empty gold corpus (the prediction is then never
-    reported), an error reading the prediction, its diagnostics, an
-    empty prediction, a ``--config`` error, then the alignment and grid
-    errors of scoring.
+    Each step runs in turn, so ``-`` may stand for either side: gold is
+    read, ``--config`` is loaded into the role table that picks the
+    counted pronouns, gold is parsed and reported, then the prediction
+    is read, parsed and reported. Neither side builds a token grid:
+    each is parsed straight into its scoring views (:func:`_views`),
+    with the full parse's checks and diagnostics. What is reported
+    comes in this order: a gold read error, the gold diagnostics, an
+    empty gold corpus (the prediction is then never read), an error
+    reading the prediction, its diagnostics, an empty prediction, a
+    ``--config`` error, then the alignment and grid errors of scoring.
     """
-    # Loads corefkit.conll too, once, before the fork.
     from corefkit.metrics import _evaluate_views, format_report, report_keyvalues
     from corefkit.transform import _role_table
 
-    texts = [_read_text(args.gold)]
-    try:
-        texts.append(_read_text(args.pred))
-    except (ValueError, OSError) as exc:
-        failure, task = exc, None
-    else:
-        failure = None
-        task = (f"for --pred {args.pred}", lambda: _parsed_views(texts.pop()))
+    text = _read_text(args.gold)
     try:
         roles = _role_table(_load_classifier(args.config))
     except (CorefKitError, ValueError, OSError) as exc:
         config_failure, roles = exc, None  # raised after the prediction's report
     else:
         config_failure = None
-
-    def parse_gold():
-        del texts[1:]  # forked, the child holds the prediction
-        return _reported(args.gold, _parsed_views(texts.pop(), roles))
-
-    gold, prediction = _forked(task, parse_gold)
-    if failure is not None:
-        raise failure
-    pred = _reported(args.pred, prediction)
+    gold = _views(args.gold, text, roles)
+    del text
+    pred = _views(args.pred, _read_text(args.pred))
     if config_failure is not None:
         raise config_failure
     report = _evaluate_views(gold, pred, args.ignore_singletons, args.macro)

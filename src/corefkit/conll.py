@@ -74,14 +74,14 @@ class ParseDiagnostic:
     message: str
 
 
-# What scoring reads of a document, as plain tuples of ints and strings
-# that ``marshal`` carries between processes. A prediction view is
-# ``(id, sentence lengths, clusters)``, each cluster a tuple of its
-# mentions' ``_span_key`` tuples in document order. A gold view adds a
-# fourth item: ``(sentence, token, lowercased form)`` of each counted
-# pronoun, in document order. ``score`` parses both sides straight into
-# views (:class:`_DocumentReader` with ``views``); the library functions
-# build them from documents with :func:`_view`.
+# What scoring reads of a document, as plain tuples of ints and strings.
+# A prediction view is ``(id, sentence lengths, clusters)``, each
+# cluster a tuple of its mentions' ``_span_key`` tuples in document
+# order. A gold view adds a fourth item: ``(sentence, token, lowercased
+# form)`` of each counted pronoun, in document order. ``score`` parses
+# both sides straight into views (:class:`_DocumentReader` with
+# ``views``); the library functions build them from documents with
+# :func:`_view`.
 _PredictionView = tuple[str, tuple[int, ...],
                         tuple[tuple[tuple[int, int, int], ...], ...]]
 _GoldView = tuple[str, tuple[int, ...],

@@ -186,21 +186,22 @@ def test_one_job_runs_in_this_process(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["transform", E2E, "--paradigm", "die", "--anonymize", "--neutralize-nouns"],
-    ["delex", E2E],
-    ["resolve-baseline", E2E],
-])
-def test_no_job_count_forks(monkeypatch, argv):
-    expected = run(*argv, "--jobs", "1")
+    ["stats", E2E],
+    ["strip-singletons", E2E],
+    ["transform", E2E, "--paradigm", "die", "--anonymize", "--neutralize-nouns",
+     "--jobs", "3"],
+    ["delex", E2E, "--jobs", "3"],
+    ["cda", E2E, "--seed", "4"],
+    ["sample", E2E, "--count", "2", "--partitions", "3"],
+    ["unseen", E2E, "--seed", "2"],
+    ["resolve-baseline", E2E, "--jobs", "3"],
+    ["score", "--gold", E2E, "--pred", E2E],
+], ids=lambda argv: argv[0])
+def test_no_command_forks(monkeypatch, argv):
+    expected = run(*argv)
     assert expected[0] == 0
     forbid_fork(monkeypatch)
-    assert run(*argv, "--jobs", "3") == expected
-
-
-def test_without_fork_the_run_is_one_shard(monkeypatch):
-    expected = run("resolve-baseline", E2E)
-    monkeypatch.delattr(os, "fork")
-    assert run("resolve-baseline", E2E, "--jobs", "3") == expected
+    assert run(*argv) == expected
 
 
 def test_output_file_is_the_same_at_every_job_count(tmp_path):

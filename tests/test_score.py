@@ -1,17 +1,9 @@
-"""``score`` parses ``--pred`` in a forked child that sends back only the
-parse diagnostics and what scoring reads of each kept document. It must
+"""``score`` parses ``--gold``, then ``--pred``, straight into the views
+that scoring reads of each kept document, with no token grid. It must
 report exactly what the serial library calls report.
-
-This child is the only process the CLI forks. The CLI runs in this
-process, so each run forks this pytest process; the child only ever
-sends its result down a pipe and exits.
 """
-import errno
-import marshal
-import os
 import random
 import tempfile
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,16 +28,16 @@ from corefkit.transform import ClassifierConfig, _role_table
 
 GOLD = str(FIXTURES / "dialogue_gold.conll")
 PRED = str(FIXTURES / "dialogue_pred.conll")
-HERSTEL = str(FIXTURES / "herstel.conll")
 CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
 
 
-# --- the view a child sends ------------------------------------------------
+# --- the views a parse gives ----------------------------------------------
 
 def round_tripped(text):
-    """:func:`cli._parsed_views` of ``text``, through ``marshal`` as a
-    child sends it."""
-    return marshal.loads(marshal.dumps(cli._parsed_views(text)))
+    """The diagnostics and views of the views parse of ``text``, without
+    roles, as ``score`` parses the prediction."""
+    views, diagnostics = _parse_lines(text.splitlines(), views=True)
+    return diagnostics, views
 
 
 def scored(gold, views, config, ignore_singletons, macro):
@@ -144,11 +136,9 @@ def test_the_scoring_parse_is_the_full_parse_seen_through_views(text, config):
     views_of_the_full_parse(text.splitlines(), config)
 
 
-@pytest.mark.parametrize("fork", [True, False])
-def test_score_builds_no_token_grid(monkeypatch, fork):
+def test_score_builds_no_token_grid(monkeypatch):
     """Only the role table builds tokens, one probe per distinct
-    ``(pos, feats)`` pair; without a fork that covers the prediction's
-    parse too."""
+    ``(pos, feats)`` pair, over both sides' parses."""
     e2e = str(FIXTURES / "e2e.conll")
     corpus = parse_corpus(Path(e2e).read_text("utf-8"))[0]
     pairs = {(t.pos, t.feats) for d in corpus.documents for t in d.tokens()}
@@ -161,107 +151,37 @@ def test_score_builds_no_token_grid(monkeypatch, fork):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Token, "__init__", counting)
-    if not fork:
-        monkeypatch.delattr(os, "fork")
     assert run("score", "--gold", e2e, "--pred", e2e) == expected
     assert expected[0] == 0
     tokens = sum(d.token_count for d in corpus.documents)
     assert 0 < len(built) <= len(pairs) < tokens
-    assert_no_child_left()
 
 
 # --- failure modes -----------------------------------------------------------
 
-@pytest.mark.parametrize("death", ["exits", "raises"])
-def test_a_failing_child_fails_the_run(tmp_path, monkeypatch, death):
-    import corefkit.conll
+@pytest.mark.parametrize("gold", ["missing", "empty"])
+def test_a_gold_failure_leaves_the_prediction_unread(tmp_path, monkeypatch,
+                                                     gold):
+    read = []
+    read_text = cli._read_text
 
-    parent = os.getpid()
-    original = corefkit.conll._parse_lines
+    def recording(path):
+        read.append(path)
+        return read_text(path)
 
-    def parse_lines(*args, **kwargs):
-        if os.getpid() != parent:  # the child's parse, not the gold one
-            if death == "exits":
-                os._exit(3)
-            raise RuntimeError("parser bug")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(corefkit.conll, "_parse_lines", parse_lines)
-    output = tmp_path / "score.txt"
-    code, out, err = run("score", "--gold", GOLD, "--pred", PRED,
-                         "-o", str(output), stdin_text="")
-    status = 3 if death == "exits" else 1
-    assert (code, out, err) == (
-        2, "", f"corefkit: error: the worker for --pred {PRED} ended without "
-               f"a result (exit status {status})\n")
-    assert os.listdir(tmp_path) == []  # no output, no .tmp file
-    assert_no_child_left()
-
-
-def test_a_failed_fork_fails_the_run(tmp_path, monkeypatch):
-    calls = []
-
-    def no_fork():
-        calls.append(None)
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    output = tmp_path / "score.txt"
-    code, out, err = run("score", "--gold", GOLD, "--pred", PRED,
-                         "-o", str(output))
-    assert len(calls) == 1
-    assert (code, out) == (2, "")
-    assert err == (f"corefkit: error: [Errno {errno.EAGAIN}] "
-                   f"{os.strerror(errno.EAGAIN)}\n")
-    assert os.listdir(tmp_path) == []  # no output, no .tmp file
-    assert_no_child_left()
-
-
-def test_an_empty_gold_corpus_kills_and_reaps_the_child(monkeypatch):
-    parent = os.getpid()
-    parsed_views = cli._parsed_views
-
-    def parse_slowly(*args, **kwargs):
-        if os.getpid() != parent:  # the child's parse, not the gold one
-            time.sleep(60)
-        return parsed_views(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_parsed_views", parse_slowly)
-    started = time.monotonic()
-    assert run("score", "--gold", "-", "--pred", PRED, stdin_text="stray\n") == (
-        2, "", "-:1: error: unexpected content outside a document: 'stray'\n"
-               "corefkit: error: no parseable document in input\n")
-    assert time.monotonic() - started < 30
-    assert_no_child_left()
-
-
-def test_a_gold_read_error_starts_no_child(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    missing = tmp_path / "missing.conll"
-    code, out, err = run("score", "--gold", str(missing), "--pred", PRED,
-                         stdin_text="")
-    assert (code, out) == (2, "")
-    assert err == f"corefkit: error: [Errno 2] No such file or directory: " \
-                  f"{str(missing)!r}\n"
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("argv, stdin_text", [
-    (["--gold", GOLD, "--pred", PRED], ""),
-    (["--gold", GOLD, "--pred", PRED, "--macro", "--ignore-singletons"], ""),
-    (["--gold", GOLD, "--pred", HERSTEL], ""),  # grid mismatch
-    (["--gold", HERSTEL, "--pred", PRED], ""),  # ids do not align
-    (["--gold", GOLD, "--pred", "-"], "stray\n"),  # empty prediction
-    (["--gold", "-", "--pred", "-"], Path(GOLD).read_text("utf-8")),
-    (["--gold", GOLD, "--pred", str(FIXTURES)], ""),  # a directory
-])
-def test_without_fork_the_output_is_the_same(monkeypatch, argv, stdin_text):
-    expected = run("score", *argv, stdin_text=stdin_text)
-    monkeypatch.delattr(os, "fork")
-    assert run("score", *argv, stdin_text=stdin_text) == expected
+    monkeypatch.setattr(cli, "_read_text", recording)
+    if gold == "missing":
+        path = str(tmp_path / "missing.conll")
+        expected = (f"corefkit: error: [Errno 2] No such file or directory: "
+                    f"{path!r}\n")
+    else:
+        path = "-"
+        expected = ("-:1: error: unexpected content outside a document: "
+                    "'stray'\ncorefkit: error: no parseable document in "
+                    "input\n")
+    assert run("score", "--gold", path, "--pred", PRED,
+               stdin_text="stray\n") == (2, "", expected)
+    assert read == [path]
 
 
 # --- the CLI against the serial library calls, on hostile pairs -------------

@@ -79,8 +79,8 @@ def test_pipeline_command_loads_only_its_layers(baseline, args, own):
 
 
 def test_score_loads_what_transform_loads_and_the_scorer(baseline):
-    # The prediction's child is forked, not started from a pool, and the
-    # scorer is the only layer score adds to transform's modules.
+    # Both sides are parsed in this process, and the scorer is the only
+    # layer score adds to transform's modules.
     score = loaded_modules(_PROBE, "score", "--gold", HERSTEL,
                            "--pred", HERSTEL) - baseline
     transform = loaded_modules(_PROBE, "transform", HERSTEL,
