@@ -28,6 +28,7 @@ from corefkit.transform import ClassifierConfig, _role_table
 
 GOLD = str(FIXTURES / "dialogue_gold.conll")
 PRED = str(FIXTURES / "dialogue_pred.conll")
+HERSTEL = str(FIXTURES / "herstel.conll")
 CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
 
 
@@ -280,6 +281,21 @@ def serial_reference(gold_arg, pred_arg, config_arg, stdin_text, options,
     if output:
         return 0, "", "".join(stderr), text
     return 0, text, "".join(stderr), None
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["--gold", GOLD, "--pred", PRED], ""),
+    (["--gold", GOLD, "--pred", PRED, "--macro", "--ignore-singletons"], ""),
+    (["--gold", GOLD, "--pred", HERSTEL], ""),  # grid mismatch
+    (["--gold", HERSTEL, "--pred", PRED], ""),  # ids do not align
+    (["--gold", GOLD, "--pred", "-"], "stray\n"),  # empty prediction
+    (["--gold", "-", "--pred", "-"], Path(GOLD).read_text("utf-8")),
+    (["--gold", GOLD, "--pred", str(FIXTURES)], ""),  # a directory
+])
+def test_fixed_pairs_report_what_the_serial_calls_report(argv, stdin_text):
+    *expected, _ = serial_reference(argv[1], argv[3], None, stdin_text,
+                                    set(argv[4:]), False)
+    assert run("score", *argv, stdin_text=stdin_text) == tuple(expected)
 
 
 # Weighted so that about a third of the runs score.
