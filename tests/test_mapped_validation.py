@@ -6,6 +6,7 @@ the parser returns nothing ``validate_corpus`` rejects, and only if the
 skipped checks could not have failed; both premises are tested here.
 """
 import random
+import tempfile
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import FIXTURES
+from conftest import FIXTURE_DOCUMENTS, FIXTURES, lines_of
 from corefkit import cli
 from corefkit.builder import build_cda, build_unseen
 from corefkit.conll import parse_corpus, serialize_corpus, strip_singletons
@@ -25,6 +26,7 @@ from corefkit.model import (Cluster, Corpus, MentionSpan,
                             _validate_mapped, map_documents, validate_corpus)
 from corefkit.resolver import resolve
 from corefkit.transform import TransformOptions, delexicalize, pronoun_specific
+from test_jobs import COMMANDS, POISON, run_in, serial_reference
 
 
 def errors(issues):
@@ -34,12 +36,16 @@ def errors(issues):
 # --- premise: a parsed corpus has no validation error ----------------------
 
 indices = st.sampled_from(["{n}", "{n}", "{n}", "0", "x", "", "١", "0{n}"])
-forms = st.sampled_from(["Hij", "zag", "haar", "_", "", "\x00", "a b", "é"])
-feats = st.sampled_from(["_", "", "Case=Nom|Person=3", "_|_", "\x00", "|"])
+forms = st.sampled_from(["Hij", "zag", "haar", "_", "", "\x00", "a b", "é",
+                         "zeeman"])
+feats = st.sampled_from(["_", "", "Case=Nom|Person=3", "_|_", "\x00", "|",
+                         "Case=Nom|Number=Sing|Person=3|PronType=Prs"])
 heads = st.sampled_from(["0", "1", "2", "9", "x", "", "-1", "١", "00"])
 corefs = st.sampled_from(["-", "-", "(1)", "(1", "1)", "(1|(1", "((", ")",
-                          "", "\x00", "(2)|(2)", "(0|0)", "(1)|1)", "|"])
-free = st.sampled_from(["w", "_", "", "\x00", "PROPN", "PER", "O"])
+                          "", "\x00", "(2)|(2)", "(0|0)", "(1)|1)", "|",
+                          "(2)|(1)", "1)|(0)|(1", "0)"])
+free = st.sampled_from(["w", "_", "", "\x00", "PROPN", "PER", "O", "PRON",
+                        "NOUN"])
 
 
 @st.composite
@@ -51,10 +57,50 @@ def token_lines(draw, n):
     return "\t".join(columns)
 
 
+# The Arabic-Indic digits, which ``str.isdecimal`` and ``int`` accept.
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def lenient_documents(draw):
+    """The lines of a valid document, leniently spelled: each index and
+    head as written, as ``0{n}`` or in Arabic-Indic digits (so a root is
+    ``00`` or ``\u0660``), some feats ``_`` left empty, and the entries of
+    each coref field in any order."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    doc_id = draw(st.sampled_from("abc"))
+    kind = draw(st.sampled_from(["story", "random", "fixture"]))
+    if kind == "fixture":
+        document = replace(draw(st.sampled_from(FIXTURE_DOCUMENTS)), id=doc_id)
+    elif kind == "random":
+        document = corpusgen.random_document(rng, doc_id)
+    else:
+        document = corpusgen.story_document(rng, doc_id, rng.randint(1, 6))
+    lines = lines_of(document)
+    for i, line in enumerate(lines):
+        columns = line.split("\t")
+        if len(columns) != 9:
+            continue
+        for c in (0, 5):
+            columns[c] = rng.choice((columns[c], "0" + columns[c],
+                                     columns[c].translate(ARABIC_INDIC)))
+        if columns[4] == "_" and rng.random() < 0.5:
+            columns[4] = ""
+        entries = columns[8].split("|")
+        rng.shuffle(entries)
+        columns[8] = "|".join(entries)
+        lines[i] = "\t".join(columns)
+    return lines
+
+
 @st.composite
 def corpus_texts(draw):
     lines = []
     for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lines += draw(lenient_documents())
+            continue
         lines.append("#begin document " + draw(st.sampled_from("abc")))
         for si in range(draw(st.integers(1, 3))):
             if si:
@@ -257,3 +303,22 @@ def test_cli_reports_what_serialize_corpus_would(tmp_path):
         args, lambda: (partial(map, strip_singletons), ""))
     assert result.stdout == serialize_corpus(
         map_documents(parsed, strip_singletons))
+
+
+# --- lenient input through every writer --------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(text=corpus_texts())
+def test_every_writer_writes_lenient_input_as_the_library_does(text):
+    """Indices and heads spelled ``0{n}``, ``\u0661`` or ``00``, empty feats
+    and coref entries in any order: each writer reports and writes what
+    ``serialize_corpus(mapping(parse_corpus(text)))`` does."""
+    import corefkit.lexicon
+
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as directory:
+        patch.setattr(corefkit.lexicon, "_read_lexicon",
+                      lambda text: (POISON, []))
+        for command, argv in COMMANDS.items():
+            assert run_in(directory, argv, text) == serial_reference(
+                command, text), command
