@@ -18,7 +18,6 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 # Each handler imports the modules it runs, so a command loads only its
@@ -130,38 +129,54 @@ def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Out
 
 
 def _mapped_output(args, prepare) -> _Output:
-    """The input parsed, mapped, checked and serialized.
+    """The input parsed, mapped, checked and serialized one document at
+    a time, with no token grid: of each document only its text is kept.
 
-    ``prepare()`` loads what the mapping needs and returns the mapping
-    and any warnings to print. The mapping takes the list of kept
-    documents and returns them mapped, in order, each keeping its id.
-    What is reported comes in this order: the parse diagnostics, then
-    the first of an empty corpus, an error of ``prepare``, an error the
-    mapping raised and the first validation error (the one
-    ``serialize_corpus`` would raise, since the parser keeps only valid
-    documents).
+    ``prepare(lines)`` loads what the mapping needs and returns it and
+    any warnings to print. The mapping takes a kept document's rows
+    (``conll._Rows``) and returns them mapped, keeping the id, with the
+    messages of the validation errors of what it changed, in
+    ``validate_corpus``'s order. Reported in this order: the parse
+    diagnostics, then the first of an empty corpus, an error of
+    ``prepare``, the first error the mapping raised (the mapping stops,
+    the parse does not) and the first validation error (the one
+    ``serialize_corpus`` raises of the library mapping).
     """
-    from corefkit.conll import _parse_lines, _raise_on_errors, serialize_corpus
-    from corefkit.model import Corpus, _validate_mapped
+    from corefkit.conll import _document_text, _read
+    from corefkit.errors import ValidationError
 
     lines = _read_text(args.input).splitlines()
     try:
-        mapping, warnings = prepare()
+        mapping, warnings = prepare(lines)
         failure = None
     except (CorefKitError, ValueError, OSError) as exc:
         mapping, warnings, failure = None, "", exc
-    documents, diagnostics = _parse_lines(lines)
-    del lines  # the parsed documents hold all that is needed of them
+    diagnostics: list = []
+    texts: list[str] = []
+    kept = invalid = None
+    for document in _read(lines, diagnostics):
+        kept = True
+        if mapping is None:
+            continue
+        try:
+            document, errors = mapping(document)
+        except Exception as exc:  # reported after the diagnostics
+            mapping, failure = None, exc
+            continue
+        if errors and invalid is None:
+            invalid, texts = errors[0], []  # nothing more is written
+        if invalid is None:
+            texts.append(_document_text(*document))
+    del lines
     _print_diagnostics(args.input, diagnostics)
-    if not documents:
+    if not kept:
         raise EmptyCorpusError("no parseable document in input")
     sys.stderr.write(warnings)
     if failure is not None:
         raise failure
-    source = Corpus(tuple(documents))
-    mapped = Corpus(tuple(mapping(documents)))
-    _raise_on_errors(_validate_mapped(mapped, source))
-    return _to_output(args, serialize_corpus(mapped, validate=False))
+    if invalid is not None:
+        raise ValidationError(f"corpus failed validation: {invalid}")
+    return _to_output(args, "".join(texts))
 
 
 def _render_stats(report: FrequencyReport) -> str:
@@ -214,57 +229,57 @@ def _cmd_stats(args) -> _Output:
 
 
 def _cmd_strip_singletons(args) -> _Output:
-    from corefkit.conll import strip_singletons
+    from corefkit.conll import _strip_rows
 
-    return _mapped_output(args, lambda: (partial(map, strip_singletons), ""))
+    return _mapped_output(args, lambda lines: (_strip_rows, ""))
 
 
 def _cmd_transform(args) -> _Output:
-    def prepare():
-        from corefkit.transform import TransformOptions, pronoun_specific
+    def prepare(lines):
+        from corefkit.transform import (TransformOptions, _rewrite_rows,
+                                        _specific)
 
         config = _load_classifier(args.config)
         lexicon, warnings = _load_lexicon(args.lexicon)
         paradigm = get_paradigm(args.paradigm) if args.paradigm else None
-        options = TransformOptions(anonymize=args.anonymize,
-                                   neutralize_nouns=args.neutralize_nouns)
-        return partial(map, lambda d: pronoun_specific(
-            d, paradigm, config, lexicon, options)), warnings
+        rule = _specific(paradigm, config, lexicon, TransformOptions(
+            anonymize=args.anonymize, neutralize_nouns=args.neutralize_nouns))
+        return lambda document: _rewrite_rows(document, rule), warnings
 
     return _mapped_output(args, prepare)
 
 
 def _cmd_delex(args) -> _Output:
-    def prepare():
-        from corefkit.transform import delexicalize
+    def prepare(lines):
+        from corefkit.transform import DELEX_TAGS, _rewrite_rows, _rewriter
 
-        config = _load_classifier(args.config)
-        return partial(map, lambda d: delexicalize(d, config)), ""
+        rule = _rewriter(_load_classifier(args.config), DELEX_TAGS, delex=True)
+        return lambda document: _rewrite_rows(document, rule), ""
 
     return _mapped_output(args, prepare)
 
 
 def _variant_output(args, assign) -> _Output:
     """``cda`` and ``unseen``: each kept document rewritten with the
-    paradigm that ``assign(kept ids)`` gives its id, and the assignment
-    sidecar. ``assign`` runs once, in the mapping, which keeps what it
-    drew for the sidecar."""
+    paradigm that ``assign(kept ids)`` gives its id, the ids read by a
+    views parse first, and the assignment sidecar."""
     assignment: dict[str, str] = {}
 
-    def prepare():
-        from corefkit.builder import _rewrite
-        from corefkit.transform import TransformOptions
+    def prepare(lines):
+        from corefkit.conll import _parse_lines
+        from corefkit.transform import (TransformOptions, _rewrite_rows,
+                                        _specific)
 
         config = _load_classifier(args.config)
         lexicon, warnings = _load_lexicon(args.lexicon)
         options = TransformOptions(anonymize=not args.no_anonymize,
                                    neutralize_nouns=not args.no_neutralize_nouns)
-
-        def mapping(documents):
-            assignment.update(assign([d.id for d in documents]))
-            return _rewrite(documents, assignment, config, lexicon, options)
-
-        return mapping, warnings
+        assignment.update(assign([view[0] for view in _parse_lines(
+            lines, views=True)[0]]))
+        rules = {name: _specific(get_paradigm(name), config, lexicon, options)
+                 for name in set(assignment.values())}
+        return lambda document: _rewrite_rows(
+            document, rules[assignment[document.id]]), warnings
 
     return _with_assignments(args, _mapped_output(args, prepare), assignment)
 
@@ -309,15 +324,16 @@ def _cmd_unseen(args) -> _Output:
 
 
 def _cmd_resolve_baseline(args) -> _Output:
-    def prepare():
-        from corefkit.resolver import ResolverConfig, resolve
+    def prepare(lines):
+        from corefkit.resolver import ResolverConfig, _resolve_rows
+        from corefkit.transform import _role_table
 
-        classifier = _load_classifier(args.config)
+        roles = _role_table(_load_classifier(args.config))
         resolver_config = ResolverConfig(
             pronoun_window_sentences=args.window,
             enable_string_match=not args.no_string_match)
-        return partial(map, lambda d: resolve(d, resolver_config,
-                                              classifier)), ""
+        return lambda document: _resolve_rows(
+            document, resolver_config, roles), ""
 
     return _mapped_output(args, prepare)
 

@@ -22,18 +22,23 @@ fine; their ids disambiguate).
 Parsing recovers per document: a malformed document is dropped with
 diagnostics and the rest of the corpus still loads. Serialization
 produces canonical bytes, so ``serialize -> parse`` is the identity and
-``parse -> serialize`` canonicalises lenient input. What scoring and
-``stats`` read of a document, its view and its token tally, is built
-here only, straight from the text or from documents.
+``parse -> serialize`` canonicalises lenient input.
+
+One reader has two outputs: each document's rows, its tokens' split
+columns, from which :func:`parse_corpus` builds tokens and which the
+command line writers rewrite and serialize one document at a time; or
+what scoring and ``stats`` read of it, its view and token tally.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import Collection, Iterable, TextIO
+from itertools import starmap
+from typing import Collection, Iterable, Iterator, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.model import (_SURROGATE, Cluster, Corpus, Document, Token,
-                            ValidationIssue, _span, _span_key, validate_corpus)
+                            _span, _span_key, validate_corpus)
 
 __all__ = [
     "ParseDiagnostic",
@@ -116,18 +121,20 @@ def _tally(documents: Iterable[Document]) -> dict[tuple[str, str, str], int]:
     return tally
 
 
-class _DocumentReader:
-    """Accumulates lines of one document and builds it on completion.
+# A document as the reader keeps it: each token a row, ``(form, lemma,
+# pos, feats, head, dep_rel, ner)`` as read but ``head`` an int (0: root);
+# each cluster ``(id, spans)``, spans ``(sentence, start, end)`` in order.
+_Rows = namedtuple("_Rows", "id sentences clusters")
 
-    With ``views`` the reader runs every check of the full parse but
-    builds no :class:`Token`: a sentence is kept as the 1-based heads of
-    its tokens (for the head check), and :meth:`finish` returns the
-    document's prediction view instead of a :class:`Document`. Given
-    ``roles`` as well, a ``(pos, feats)`` table like
-    ``transform._role_table``, it returns the gold view, counting each
-    token whose role is not None. With ``tally`` it counts the tokens of
-    the document by ``(pos, feats, form)`` as read, feats ``_``
-    included, in :attr:`tally`.
+
+class _DocumentReader:
+    """Accumulates lines of one document and builds its :class:`_Rows`
+    on completion. With ``views`` it runs the same checks but keeps a
+    sentence as its tokens' 1-based heads (for the head check) and
+    returns the document's prediction view, or its gold view given
+    ``roles``, a ``(pos, feats)`` table like ``transform._role_table``,
+    which counts each token whose role is not None. With ``tally`` it
+    counts the tokens by ``(pos, feats, form)`` as read in :attr:`tally`.
     """
 
     def __init__(self, doc_id: str, begin_line: int,
@@ -145,8 +152,8 @@ class _DocumentReader:
         # (pos, feats, form) -> tokens, with ``tally``
         self.tally: dict | None = {} if tally else None
         self.broken = False
-        self.sentences: list = []  # token tuples, or lengths with ``views``
-        self.tokens: list = []  # tokens, or 1-based heads with ``views``
+        self.sentences: list = []  # row lists, or lengths with ``views``
+        self.tokens: list = []  # rows, or 1-based heads with ``views``
         self.token_lines: list[int] = []
         # cluster id -> ``(sentence, start, end)`` of its mentions
         self.spans: dict[int, list[tuple[int, int, int]]] = {}
@@ -198,12 +205,9 @@ class _DocumentReader:
                 tally[key] = tally.get(key, 0) + 1
         else:
             share = self.share
-            tokens.append(Token(len(self.sentences), expected - 1,
-                                share(form, form), share(lemma, lemma),
-                                share(pos, pos),
-                                "" if feats == "_" else share(feats, feats),
-                                None if head == 0 else head - 1,
-                                share(dep_rel, dep_rel), share(ner, ner)))
+            tokens.append((share(form, form), share(lemma, lemma),
+                           share(pos, pos), share(feats, feats), head,
+                           share(dep_rel, dep_rel), share(ner, ner)))
         self.token_lines.append(line_number)
         if coref != "-":
             self._coref_entries(line_number, coref, expected - 1)
@@ -249,8 +253,7 @@ class _DocumentReader:
             return
         size = len(tokens)
         if self.max_head > size:
-            heads = tokens if self.views else [
-                0 if t.dep_head is None else t.dep_head + 1 for t in tokens]
+            heads = tokens if self.views else [row[4] for row in tokens]
             for head, line_number in zip(heads, self.token_lines):
                 if head > size:
                     self.error(line_number, f"dependency head {head} beyond "
@@ -261,13 +264,13 @@ class _DocumentReader:
                     self.error(line_number,
                                f"coreference bracket '({cid}' is never closed")
             self.open_spans = {}
-        self.sentences.append(size if self.views else tuple(tokens))
+        self.sentences.append(size if self.views else tokens)
         self.tokens = []
         self.token_lines = []
         self.max_head = 0
 
     def finish(self, line_number: int):
-        """The document, its view with ``views``, or None if broken."""
+        """The document's rows, its view with ``views``, or None if broken."""
         self.end_sentence()
         clusters = []
         for cid in sorted(self.spans):
@@ -285,9 +288,18 @@ class _DocumentReader:
             if self.roles is None:
                 return view
             return view + (tuple(self.counted),)
-        return Document(self.doc_id, tuple(self.sentences), tuple([
-            Cluster(cid, tuple([_span(s, a, b) for s, a, b in mentions]))
-            for cid, mentions in clusters]))
+        return _Rows(self.doc_id, self.sentences, clusters)
+
+
+def _document(doc_id: str, sentences, clusters) -> Document:
+    """The :class:`Document` of a document's rows."""
+    return Document(doc_id, tuple([tuple([
+        Token(si, ti, form, lemma, pos, "" if feats == "_" else feats,
+              head - 1 if head else None, dep_rel, ner)
+        for ti, (form, lemma, pos, feats, head, dep_rel, ner)
+        in enumerate(sentence)]) for si, sentence in enumerate(sentences)]),
+        tuple([Cluster(cid, tuple([_span(s, a, b) for s, a, b in mentions]))
+               for cid, mentions in clusters]))
 
 
 def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
@@ -310,122 +322,123 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     return Corpus(tuple(documents)), diagnostics
 
 
-def _parse_lines(lines: list[str], *, views: bool = False, roles=None,
-                 tally: dict[tuple[str, str, str], int] | None = None,
-                 surrogates: Collection[int] = ()
+def _parse_lines(lines: list[str], *, views: bool = False, **options
                  ) -> tuple[list, list[ParseDiagnostic]]:
-    """The documents and diagnostics of ``lines``, numbered from 1.
+    """The kept documents of ``lines``, as :func:`_read` gives them but
+    each a :class:`Document` without ``views``, and the diagnostics."""
+    diagnostics: list[ParseDiagnostic] = []
+    documents = _read(lines, diagnostics, views=views, **options)
+    return (list(documents) if views else list(starmap(_document, documents)),
+            diagnostics)
 
+
+def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
+          views: bool = False, roles=None,
+          tally: dict[tuple[str, str, str], int] | None = None,
+          surrogates: Collection[int] = ()) -> Iterator:
+    """Yield the kept documents of ``lines``, numbered from 1, each as soon
+    as its last line is read, and add the diagnostics to ``diagnostics``.
     A document whose id was kept earlier is dropped as a duplicate.
 
-    Within one call, equal values of a token's text fields (form, lemma,
-    pos, feats, dep_rel and ner) are one shared string object, across
-    all the documents. The table that shares them lives only as long as
-    the call.
-
-    With ``views`` each kept document comes back as its scoring view,
-    and ``roles`` adds its counted pronouns (see :class:`_DocumentReader`).
-    Given ``tally`` as well, each kept document's tokens are added to it,
-    counted by ``(pos, feats, form)`` as read. The checks, diagnostics and
-    kept documents are those of the full parse; no :class:`Token` is
-    built and no string is shared.
-    ``surrogates`` holds the numbers of lines with a lone surrogate;
-    each breaks its document.
+    Each comes as its :class:`_Rows`, whose equal text values (form,
+    lemma, pos, feats, dep_rel, ner) are one string object across the
+    call; or with ``views`` as its scoring view, no string shared, given
+    ``roles`` and ``tally`` (see :class:`_DocumentReader`; each kept tally
+    is added to ``tally``). Both run the same checks. ``surrogates``
+    holds the numbers of lines with a lone surrogate, which break.
     """
-    diagnostics: list[ParseDiagnostic] = []
-    documents: list = []
     strings: dict[str, str] = {}
     kept_ids: set[str] = set()
     reader: _DocumentReader | None = None
     line_number = 0
 
-    def finish(at_line: int) -> None:
-        nonlocal reader
+    def kept(reader: _DocumentReader, at_line: int):
         if surrogates:  # the document's lines run up to ``at_line``
             for n in range(reader.begin_line, at_line):
                 if n in surrogates:
                     reader.error(n, "line contains a lone surrogate")
         document = reader.finish(at_line)
-        if document is not None:
-            if reader.doc_id in kept_ids:
-                diagnostics.append(ParseDiagnostic(
-                    reader.begin_line, "error",
-                    f"duplicate document id {reader.doc_id!r}; keeping the first"))
-            else:
-                kept_ids.add(reader.doc_id)
-                documents.append(document)
-                if tally is not None:
-                    for key, count in reader.tally.items():
-                        tally[key] = tally.get(key, 0) + count
-        reader = None
+        if document is not None and reader.doc_id in kept_ids:
+            diagnostics.append(ParseDiagnostic(
+                reader.begin_line, "error",
+                f"duplicate document id {reader.doc_id!r}; keeping the first"))
+        elif document is not None:
+            kept_ids.add(reader.doc_id)
+            if tally is not None:
+                for key, count in reader.tally.items():
+                    tally[key] = tally.get(key, 0) + count
+            yield document
 
     for line_number, line in enumerate(lines, 1):
-        if reader is None:
-            if not line.strip():
+        if reader is not None:
+            # Token lines are the common case and never start with '#'.
+            if line and line[0] != "#":
+                reader.token_line(line_number, line)
                 continue
-            if line.startswith(BEGIN_PREFIX):
-                reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                         diagnostics, strings, views, roles,
-                                         tally is not None)
-            else:
-                diagnostics.append(ParseDiagnostic(
-                    line_number, "error",
-                    f"unexpected content outside a document: {line[:40]!r}"))
-            continue
-        # Token lines are the common case and never start with '#'.
-        if line and line[0] != "#":
-            reader.token_line(line_number, line)
-        elif line == END_LINE:
-            finish(line_number)
-        elif line.startswith(BEGIN_PREFIX):
-            reader.error(line_number, "new document begins before '#end document'")
-            finish(line_number)
+            if not line:
+                reader.end_sentence()
+                continue
+            begins = line.startswith(BEGIN_PREFIX)
+            if not begins and line != END_LINE:
+                reader.token_line(line_number, line)
+                continue
+            if begins:
+                reader.error(line_number,
+                             "new document begins before '#end document'")
+            yield from kept(reader, line_number)
+            reader = None
+            if not begins:
+                continue
+        if line.startswith(BEGIN_PREFIX):
             reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
                                      diagnostics, strings, views, roles,
                                      tally is not None)
-        elif not line:
-            reader.end_sentence()
-        else:
-            reader.token_line(line_number, line)
+        elif line.strip():
+            diagnostics.append(ParseDiagnostic(
+                line_number, "error",
+                f"unexpected content outside a document: {line[:40]!r}"))
     if reader is not None:
         reader.error(line_number + 1, "input ends before '#end document'")
-        finish(line_number + 1)
-    return documents, diagnostics
+        yield from kept(reader, line_number + 1)
 
 
-def _coref_fields(document: Document) -> dict[tuple[int, int], str]:
-    """Compute the canonical coref column for every annotated token.
-
-    Each token gets one ``(rank, cluster id, -end)`` entry per span it
-    opens (rank 0), holds whole (1) or closes (2). Sorted, the entries
-    give the canonical order: opens, then single-token spans, then
-    closes, ids ascending. Same-id spans sharing a start open longest
-    first, so that the reader's innermost-closes-first matching restores
-    them.
+def _coref_fields(clusters) -> dict[tuple[int, int], str]:
+    """The canonical coref column of every annotated token of a document
+    whose clusters are ``(id, spans)``, as in :class:`_Rows`. Each token
+    gets a ``(rank, cluster id, -end)`` entry per span it opens (rank 0),
+    holds whole (1) or closes (2). Sorted, they give the canonical order:
+    opens, then single-token spans, then closes, ids ascending. Same-id
+    spans sharing a start open longest first, so that the reader's
+    innermost-closes-first matching restores them.
     """
     entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for cluster in document.clusters:
-        cid = cluster.id
-        for span in cluster.mentions:
-            si = span.sentence_index
-            if span.start == span.end:
-                entries.setdefault((si, span.start), []).append((1, cid, 0))
+    for cid, spans in clusters:
+        for si, start, end in spans:
+            if start == end:
+                entries.setdefault((si, start), []).append((1, cid, 0))
             else:
-                entries.setdefault((si, span.start), []).append(
-                    (0, cid, -span.end))
-                entries.setdefault((si, span.end), []).append((2, cid, 0))
+                entries.setdefault((si, start), []).append((0, cid, -end))
+                entries.setdefault((si, end), []).append((2, cid, 0))
     return {key: "|".join([f"({cid}" if rank == 0 else
                            f"({cid})" if rank == 1 else f"{cid})"
                            for rank, cid, _ in sorted(parts)])
             for key, parts in entries.items()}
 
 
-def _raise_on_errors(issues: list[ValidationIssue]) -> None:
-    """Raise :class:`ValidationError` if ``issues`` holds an error."""
-    errors = [i for i in issues if i.severity == "error"]
-    if errors:
-        raise ValidationError(
-            f"corpus failed validation: {errors[0].message}", issues)
+def _document_text(doc_id: str, sentences, clusters) -> str:
+    """The canonical text of a document given as :class:`_Rows` fields;
+    ``sentences`` and their rows may be any iterables."""
+    fields = _coref_fields(clusters)
+    lines = [BEGIN_PREFIX + doc_id]
+    for si, sentence in enumerate(sentences):
+        if si:
+            lines.append("")
+        for ti, (form, lemma, pos, feats, head, dep_rel, ner) in enumerate(
+                sentence):
+            lines.append(f"{ti + 1}\t{form}\t{lemma}\t{pos}\t{feats or '_'}\t"
+                         f"{head}\t{dep_rel}\t{ner}\t{fields.get((si, ti), '-')}")
+    lines.append(END_LINE + "\n")
+    return "\n".join(lines)
 
 
 def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
@@ -434,33 +447,26 @@ def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
     With ``validate`` (the default) the corpus is checked first and a
     :class:`ValidationError` is raised instead of writing broken output.
     """
-    if validate:
-        _raise_on_errors(validate_corpus(corpus))
-    lines: list[str] = []
-    for document in corpus.documents:
-        lines.append(f"{BEGIN_PREFIX}{document.id}")
-        fields = _coref_fields(document)
-        for si, sentence in enumerate(document.sentences):
-            if si:
-                lines.append("")
-            for ti, token in enumerate(sentence):
-                head = 0 if token.dep_head is None else token.dep_head + 1
-                lines.append("\t".join((
-                    str(ti + 1),
-                    token.form,
-                    token.lemma,
-                    token.pos,
-                    token.feats or "_",
-                    str(head),
-                    token.dep_rel,
-                    token.ner,
-                    fields.get((si, ti), "-"),
-                )))
-        lines.append(END_LINE)
-    return "\n".join(lines) + "\n" if lines else ""
+    issues = validate_corpus(corpus) if validate else ()
+    errors = [issue for issue in issues if issue.severity == "error"]
+    if errors:
+        raise ValidationError(
+            f"corpus failed validation: {errors[0].message}", issues)
+    return "".join([_document_text(document.id, (
+        ((t.form, t.lemma, t.pos, t.feats,
+          0 if t.dep_head is None else t.dep_head + 1, t.dep_rel, t.ner)
+         for t in sentence) for sentence in document.sentences),
+        [(c.id, map(_span_key, c.mentions)) for c in document.clusters])
+        for document in corpus.documents])
 
 
 def strip_singletons(document: Document) -> Document:
     """Drop all size-1 clusters; ids of the survivors are kept."""
     kept = tuple(c for c in document.clusters if len(c.mentions) >= 2)
     return replace(document, clusters=kept)
+
+
+def _strip_rows(document: _Rows) -> tuple[_Rows, tuple]:
+    """:func:`strip_singletons` of rows, with no error to report."""
+    return document._replace(clusters=[
+        cluster for cluster in document.clusters if len(cluster[1]) >= 2]), ()

@@ -1,10 +1,10 @@
-"""In-memory model for coreference-annotated corpora.
+"""The library's model of coreference-annotated corpora, and its checks.
 
-A :class:`Document` holds a token grid (sentences of tokens) plus
-coreference clusters of token spans. Spans are addressed as
-``(sentence_index, start, end)`` with inclusive 0-based token offsets,
-so nested and crossing mentions are representable. All values are
-immutable after construction and safe to share across threads.
+A :class:`Document` holds a token grid plus clusters of token spans,
+``(sentence_index, start, end)`` with inclusive 0-based offsets, so
+nested and crossing mentions are representable. Values are immutable
+and safe to share across threads. The command line writers build no
+grid; their checks are :func:`_check_values` and :func:`_check_clusters`.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ _FIELD_BREAKS = _LINE_BREAKS | {"\t"}
 _SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token with its morphosyntactic annotations.
 
@@ -56,24 +56,6 @@ class Token:
     dep_head: int | None = None
     dep_rel: str = "dep"
     ner: str = "O"
-
-    # The parser and the transforms build tokens in bulk. The frozen
-    # dataclass ``__init__`` assigns every field through
-    # ``object.__setattr__``; filling the slots through their descriptors
-    # builds the same object in about half the time.
-    def __init__(self, sentence_index: int, token_index: int, form: str,
-                 lemma: str = "_", pos: str = "X", feats: str = "",
-                 dep_head: int | None = None, dep_rel: str = "dep",
-                 ner: str = "O"):
-        _set_sentence_index(self, sentence_index)
-        _set_token_index(self, token_index)
-        _set_form(self, form)
-        _set_lemma(self, lemma)
-        _set_pos(self, pos)
-        _set_feats(self, feats)
-        _set_dep_head(self, dep_head)
-        _set_dep_rel(self, dep_rel)
-        _set_ner(self, ner)
 
     def feat_set(self) -> frozenset[str]:
         """The feats string split into a set of ``key=value`` entries."""
@@ -98,11 +80,7 @@ class MentionSpan:
             raise ValueError(f"span start {self.start} after end {self.end}")
 
 
-# The slot descriptors' setters, bound once for ``Token.__init__`` and
-# ``_span``.
-(_set_sentence_index, _set_token_index, _set_form, _set_lemma, _set_pos,
- _set_feats, _set_dep_head, _set_dep_rel, _set_ner) = (
-    Token.__dict__[f.name].__set__ for f in fields(Token))
+# The slot descriptors' setters, bound once for ``_span``.
 _set_span_sentence, _set_start, _set_end = (
     MentionSpan.__dict__[f.name].__set__ for f in fields(MentionSpan))
 _new = object.__new__
@@ -175,20 +153,6 @@ def validate_document(document: Document) -> list[ValidationIssue]:
     Errors make the document unusable for serialization; warnings flag
     tolerated annotation noise (a span appearing in several clusters).
     """
-    return _document_issues(document)
-
-
-def _document_issues(document: Document,
-                     source: Document | None = None) -> list[ValidationIssue]:
-    """:func:`validate_document`, skipping what ``document`` shares with
-    an error-free ``source``.
-
-    A sentence that is the source's sentence at the same index is not
-    checked, nor is a token that is the source's token at the same
-    position of a sentence of the same length. The clusters are not
-    checked when they are the source's and every sentence keeps its
-    source's length, since their checks read nothing else.
-    """
     issues: list[ValidationIssue] = []
 
     def error(message: str) -> None:
@@ -197,43 +161,25 @@ def _document_issues(document: Document,
     def warning(message: str) -> None:
         issues.append(ValidationIssue("warning", f"document {document.id!r}: {message}"))
 
-    sentences = document.sentences
-    known = source.sentences if source is not None else ()
     doc_id = document.id
-    if (source is None or doc_id != source.id) and not doc_id.isprintable():
+    if not doc_id.isprintable():
         if not _LINE_BREAKS.isdisjoint(doc_id):
             error("id contains a newline")
         if _SURROGATE(doc_id):
             error("id contains a lone surrogate")
-    _check_sentences(error, sentences, known)
-    if (source is None or document.clusters is not source.clusters
-            or len(known) != len(sentences)
-            or any(len(a) != len(b) for a, b in zip(sentences, known))):
-        _check_clusters(error, warning, document)
+    _check_sentences(error, document.sentences)
+    _check_clusters(error, warning, document)
     return issues
 
 
 def _check_sentences(error: Callable[[str], None],
-                     sentences: tuple[tuple[Token, ...], ...],
-                     known: tuple[tuple[Token, ...], ...] = ()) -> None:
-    """Report what in ``sentences`` would not serialize.
-
-    ``known`` holds the error-free sentences of a source document. A
-    sentence that is the known one at its index is not checked, nor is a
-    token that is the token at its index of a known sentence of the same
-    length.
-    """
+                     sentences: tuple[tuple[Token, ...], ...]) -> None:
+    """Report what in ``sentences`` would not serialize."""
     for si, sentence in enumerate(sentences):
-        original = known[si] if si < len(known) else None
-        if sentence is original:
-            continue
         size = len(sentence)
         if not size:
             error(f"sentence {si} is empty")
-        shared = original is not None and len(original) == size
         for ti, token in enumerate(sentence):
-            if shared and token is original[ti]:
-                continue
             head = token.dep_head
             # Every character in _FIELD_BREAKS is unprintable, so a
             # token passing this test is clean; the rest are checked in full.
@@ -252,14 +198,24 @@ def _check_sentences(error: Callable[[str], None],
                 error(f"{where}: empty form")
             if token.feats == "_":
                 error(f"{where}: feats is the literal '_', use an empty string")
-            for name in ("form", "lemma", "pos", "feats", "dep_rel", "ner"):
-                value = getattr(token, name)
-                if not _FIELD_BREAKS.isdisjoint(value):
-                    error(f"{where}: {name} contains a tab or newline")
-                if _SURROGATE(value):
-                    error(f"{where}: {name} contains a lone surrogate")
+            _check_values(error, where, _TEXT_FIELDS,
+                          [getattr(token, name) for name in _TEXT_FIELDS])
             if head is not None and not 0 <= head < size:
                 error(f"{where}: dep head {head} out of range")
+
+
+_TEXT_FIELDS = ("form", "lemma", "pos", "feats", "dep_rel", "ner")
+
+
+def _check_values(error: Callable[[str], None], where: str, names, values
+                  ) -> None:
+    """Report each of the text ``values`` of the token at ``where``, the
+    fields ``names``, that holds a tab, a line break or a lone surrogate."""
+    for name, value in zip(names, values):
+        if not _FIELD_BREAKS.isdisjoint(value):
+            error(f"{where}: {name} contains a tab or newline")
+        if _SURROGATE(value):
+            error(f"{where}: {name} contains a lone surrogate")
 
 
 def _check_clusters(error: Callable[[str], None],
@@ -349,36 +305,14 @@ def _crossing_pairs(spans: tuple[MentionSpan, ...]) -> list[tuple[int, int]]:
 
 
 def validate_corpus(corpus: Corpus) -> list[ValidationIssue]:
-    return _corpus_issues((document, None) for document in corpus.documents)
-
-
-def _validate_mapped(corpus: Corpus, source: Corpus) -> list[ValidationIssue]:
-    """:func:`validate_corpus` for ``corpus`` mapped document by document
-    from ``source``, a corpus without errors, as every parsed one is.
-
-    Only what the mapping changed is checked (see :func:`_document_issues`),
-    and a document that is its source's is not checked at all, so the
-    errors reported are those of ``validate_corpus(corpus)``, in the same
-    order. Every id still takes part in the duplicate test: an earlier
-    document may be renamed to a later one's unchanged id.
-    """
-    if len(corpus.documents) != len(source.documents):
-        return validate_corpus(corpus)
-    return _corpus_issues(zip(corpus.documents, source.documents))
-
-
-def _corpus_issues(pairs) -> list[ValidationIssue]:
-    """The issues of each document of ``(document, source)`` pairs, the
-    source an error-free document or None, after its duplicate-id test."""
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
-    for document, source in pairs:
+    for document in corpus.documents:
         if document.id in seen:
             issues.append(ValidationIssue(
                 "error", f"duplicate document id {document.id!r}"))
         seen.add(document.id)
-        if document is not source:
-            issues.extend(_document_issues(document, source))
+        issues.extend(validate_document(document))
     return issues
 
 

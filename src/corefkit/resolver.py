@@ -12,8 +12,10 @@ dropped from the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 
-from corefkit.model import Cluster, Document, MentionSpan, _span, _span_key
+from corefkit.model import (Cluster, Document, MentionSpan, _check_clusters,
+                            _span, _span_key)
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
                                 DEFAULT_CLASSIFIER_CONFIG, _role_table)
 
@@ -26,34 +28,65 @@ class ResolverConfig:
     enable_string_match: bool = True
 
 
-def _mentions(document: Document, classifier: ClassifierConfig
-              ) -> tuple[list[MentionSpan], list[MentionSpan]]:
-    """Name and pronoun mentions, each list in document order.
-
-    A name mention is a maximal run of name-like tokens; a pronoun inside
-    one is part of the name, not a mention of its own.
-    """
-    roles = _role_table(classifier)
-    names = []
+def _clusters(sentences, columns, config: ResolverConfig, roles
+              ) -> tuple[Cluster, ...]:
+    """The clusters :func:`resolve` predicts for ``sentences``, whose
+    tokens ``columns`` reads as ``(form, pos, feats, ner)``; ``roles`` is
+    a ``transform._role_table``."""
+    # Mentions, in document order: a name is a maximal run of name-like
+    # tokens (a pronoun inside one is part of the name), kept as ``(span,
+    # group key)``. Sieve 1 merges names by key, their lowercased forms.
+    names: list[tuple[MentionSpan, object]] = []
     pronouns = []
-    for si, sentence in enumerate(document.sentences):
-        start = None
+    groups: dict[object, list[MentionSpan]] = {}
+
+    def name(si: int, end: int, run: list[str]) -> None:
+        span = _span(si, end + 1 - len(run), end)
+        key = (" ".join(run).lower() if config.enable_string_match
+               else len(names))
+        groups.setdefault(key, []).append(span)
+        names.append((span, key))
+
+    for si, sentence in enumerate(sentences):
+        run: list[str] = []  # the forms of the current name run
         for ti, token in enumerate(sentence):
-            form = token.form
+            form, pos, feats, ner = columns(token)
             # The prefix test spares the regex on almost every token.
-            if token.ner == "PER" or (form.startswith("ANON_")
-                                      and ANON_FORM_RE.fullmatch(form)):
-                if start is None:
-                    start = ti
+            if ner == "PER" or (form.startswith("ANON_")
+                                and ANON_FORM_RE.fullmatch(form)):
+                run.append(form)
                 continue
-            if start is not None:
-                names.append(_span(si, start, ti - 1))
-                start = None
-            if roles[token.pos, token.feats] is not None:
+            if run:
+                name(si, ti - 1, run)
+                run = []
+            if roles[pos, feats] is not None:
                 pronouns.append(_span(si, ti, ti))
-        if start is not None:
-            names.append(_span(si, start, len(sentence) - 1))
-    return names, pronouns
+        if run:
+            name(si, len(sentence) - 1, run)
+
+    # Sieve 2: each pronoun joins the nearest preceding name mention
+    # within the window. Names are in (sentence, end) order and pronouns
+    # in document order, so one pointer sweep keeps ``names[:preceding]``
+    # as the names that end before the current pronoun.
+    preceding = 0
+    for pronoun in pronouns:
+        while (preceding < len(names)
+               and (names[preceding][0].sentence_index, names[preceding][0].end)
+               < (pronoun.sentence_index, pronoun.start)):
+            preceding += 1
+        if not preceding:
+            continue
+        best, key = names[preceding - 1]
+        if best.sentence_index >= pronoun.sentence_index - config.pronoun_window_sentences:
+            groups[key].append(pronoun)
+
+    clusters = []
+    for spans in groups.values():
+        if len(spans) < 2:
+            continue
+        clusters.append(sorted(spans, key=_span_key))
+    clusters.sort(key=lambda spans: _span_key(spans[0]))
+    return tuple(Cluster(i, tuple(spans)) for i, spans in enumerate(clusters))
 
 
 def resolve(document: Document,
@@ -66,42 +99,23 @@ def resolve(document: Document,
     contain at least two mentions each. The procedure is a pure function
     of the token grid, so repeated runs agree byte for byte.
     """
-    names, pronouns = _mentions(document, classifier)
+    return replace(document, clusters=_clusters(
+        document.sentences, attrgetter("form", "pos", "feats", "ner"), config,
+        _role_table(classifier)))
 
-    # Sieve 1: exact-match merging of name mentions. ``group_of[i]`` is
-    # the group key of ``names[i]``.
-    groups: dict[object, list[MentionSpan]] = {}
-    group_of: list[object] = []
-    for i, span in enumerate(names):
-        if config.enable_string_match:
-            key: object = " ".join(document.span_forms(span)).lower()
-        else:
-            key = i
-        groups.setdefault(key, []).append(span)
-        group_of.append(key)
 
-    # Sieve 2: each pronoun joins the nearest preceding name mention
-    # within the window. Names are in (sentence, end) order and pronouns
-    # in document order, so one pointer sweep keeps ``names[:preceding]``
-    # as the names that end before the current pronoun.
-    preceding = 0
-    for pronoun in pronouns:
-        while (preceding < len(names)
-               and (names[preceding].sentence_index, names[preceding].end)
-               < (pronoun.sentence_index, pronoun.start)):
-            preceding += 1
-        if not preceding:
-            continue
-        best = names[preceding - 1]
-        if best.sentence_index >= pronoun.sentence_index - config.pronoun_window_sentences:
-            groups[group_of[preceding - 1]].append(pronoun)
+def _resolve_rows(document, config: ResolverConfig, roles):
+    """:func:`resolve` of a document's rows (``conll._Rows``), and the
+    messages that :func:`~corefkit.model.validate_corpus` gives its new
+    clusters; ``roles`` is the ``transform._role_table`` of the run."""
+    clusters = _clusters(document.sentences, _ROW_COLUMNS, config, roles)
+    errors: list[str] = []
+    _check_clusters(lambda message: errors.append(
+        f"document {document.id!r}: {message}"), lambda message: None,
+        Document(document.id, document.sentences, clusters))
+    return document._replace(clusters=[
+        (c.id, map(_span_key, c.mentions)) for c in clusters]), errors
 
-    clusters = []
-    for spans in groups.values():
-        if len(spans) < 2:
-            continue
-        clusters.append(sorted(spans, key=_span_key))
-    clusters.sort(key=lambda spans: _span_key(spans[0]))
-    predicted = tuple(Cluster(i, tuple(spans))
-                      for i, spans in enumerate(clusters))
-    return replace(document, clusters=predicted)
+
+# A row's (form, pos, feats, ner).
+_ROW_COLUMNS = itemgetter(0, 2, 3, 6)

@@ -17,7 +17,7 @@ from typing import Callable, TextIO
 from corefkit.errors import ConfigFormatError
 from corefkit.lexicon import (RewriteLexicon, PronounParadigm,
                               builtin_noun_lexicon, transfer_case)
-from corefkit.model import Document, Token
+from corefkit.model import Document, Token, _check_values
 
 __all__ = [
     "PronounRole",
@@ -176,27 +176,21 @@ def _role_table(config: ClassifierConfig) -> _ByPosFeats:
     return _ByPosFeats(lambda token: classify_pronoun(token, config))
 
 
-def _rewrite(document: Document,
-             config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
-             pronoun_forms: dict[PronounRole, str] | None = None,
-             delex: bool = False,
-             names: dict[str, int] | None = None,
-             lexicon: RewriteLexicon | None = None) -> Document:
-    """The one rewrite loop behind every transform.
-
-    Each token's ``(form, lemma)`` goes through the enabled steps in
-    order, each seeing what the previous one produced:
+def _rewriter(config: ClassifierConfig = DEFAULT_CLASSIFIER_CONFIG,
+              pronoun_forms: dict[PronounRole, str] | None = None,
+              delex: bool = False, anonymize: bool = False,
+              lexicon: RewriteLexicon | None = None):
+    """The one per-token rule behind every transform: ``rule(form, lemma,
+    pos, feats, ner, names)`` gives a token's new ``(form, lemma)``. The
+    enabled steps run in order, each seeing what the previous one made:
 
     1. with ``pronoun_forms``, a classified pronoun takes the form for its
        role: as a tag in the form alone when ``delex`` is set, otherwise
        case-transferred in the form and bare in the lemma;
-    2. with ``names`` (filled here), a PER token becomes ``ANON_x``, ``x``
-       being the dense first-occurrence index of its form so far;
-    3. with ``lexicon``, a nominal token with an entry takes the neutral
-       replacement.
-
-    A sentence without a rewritten token keeps its tuple, and a document
-    without one is returned as it is.
+    2. with ``anonymize``, a PER token becomes ``ANON_x``, ``x`` the dense
+       first-occurrence index of its form in ``names``, the document's
+       form -> placeholder dict so far, which is filled in;
+    3. with ``lexicon``, a nominal token with an entry is neutralized.
     """
     # (pos, feats) -> the form for the pronoun's role, or None. Mapping
     # straight to the form skips ``PronounRole``'s Python-level hash.
@@ -205,36 +199,43 @@ def _rewrite(document: Document,
         targets = _ByPosFeats(
             lambda token: pronoun_forms.get(classify_pronoun(token, config)))
     entries = lexicon.entries if lexicon is not None else None
-    # form -> its ``ANON_x``, built once and shared by each repeat.
-    placeholders: dict[str, str] = {}
+
+    def rule(form: str, lemma: str, pos: str, feats: str, ner: str,
+             names: dict[str, str]) -> tuple[str, str]:
+        if targets is not None:
+            target = targets[pos, feats]
+            if target is not None:
+                if delex:
+                    form = target
+                else:
+                    lemma = target
+                    form = transfer_case(form, target)
+        if anonymize and ner == "PER":
+            placeholder = names.get(form)
+            if placeholder is None:
+                placeholder = names[form] = f"ANON_{len(names)}"
+            form = lemma = placeholder
+        if entries is not None and pos in NOMINAL_POS:
+            entry = entries.get(form.lower())
+            if entry is not None:
+                form = transfer_case(form, entry.replacement)
+                lemma = form.lower()
+        return form, lemma
+    return rule
+
+
+def _rewrite(document: Document, rule, names: dict[str, str] | None = None
+             ) -> Document:
+    """``document`` rewritten by ``rule`` (see :func:`_rewriter`) with
+    ``names``. An unchanged sentence or document is returned as it is."""
+    names = {} if names is None else names
     sentences = []
     changed = False
     for sentence in document.sentences:
         rebuilt = None
         for ti, token in enumerate(sentence):
-            form = token.form
-            lemma = token.lemma
-            if targets is not None:
-                target = targets[token.pos, token.feats]
-                if target is not None:
-                    if delex:
-                        form = target
-                    else:
-                        lemma = target
-                        form = transfer_case(form, target)
-            if names is not None and token.ner == "PER":
-                placeholder = placeholders.get(form)
-                if placeholder is None:
-                    index = names.get(form)
-                    if index is None:
-                        index = names[form] = len(names)
-                    placeholder = placeholders[form] = f"ANON_{index}"
-                form = lemma = placeholder
-            if entries is not None and token.pos in NOMINAL_POS:
-                entry = entries.get(form.lower())
-                if entry is not None:
-                    form = transfer_case(form, entry.replacement)
-                    lemma = form.lower()
+            form, lemma = rule(token.form, token.lemma, token.pos, token.feats,
+                               token.ner, names)
             if form != token.form or lemma != token.lemma:
                 if rebuilt is None:
                     rebuilt = list(sentence)
@@ -251,12 +252,34 @@ def _rewrite(document: Document,
     return replace(document, sentences=tuple(sentences))
 
 
+def _rewrite_rows(document, rule) -> tuple[object, list[str]]:
+    """A document's rows (``conll._Rows``) rewritten in place by ``rule``,
+    and what :func:`~corefkit.model.validate_corpus` says of new values."""
+    names: dict[str, str] = {}
+    errors: list[str] = []
+    for si, sentence in enumerate(document.sentences):
+        for ti, (form, lemma, pos, feats, head, dep_rel, ner) in enumerate(
+                sentence):
+            new_form, new_lemma = rule(form, lemma, pos, feats, ner, names)
+            if new_form != form or new_lemma != lemma:
+                sentence[ti] = (new_form, new_lemma, pos, feats, head,
+                                dep_rel, ner)
+                # The parse left every unchanged value valid, and a
+                # printable value holds no tab, line break or surrogate.
+                if not (new_form and new_form.isprintable()
+                        and new_lemma.isprintable()):
+                    where = f"document {document.id!r}: sentence {si} token {ti}"
+                    if not new_form:
+                        errors.append(f"{where}: empty form")
+                    _check_values(errors.append, where, ("form", "lemma"),
+                                  (new_form, new_lemma))
+    return document, errors
+
+
 def _paradigm_forms(paradigm: PronounParadigm) -> dict[PronounRole, str]:
-    return {
-        PronounRole.SUBJECT: paradigm.subject_form,
-        PronounRole.OBJECT: paradigm.object_form,
-        PronounRole.POSSESSIVE: paradigm.possessive_form,
-    }
+    return {PronounRole.SUBJECT: paradigm.subject_form,
+            PronounRole.OBJECT: paradigm.object_form,
+            PronounRole.POSSESSIVE: paradigm.possessive_form}
 
 
 def swap_pronouns(document: Document, paradigm: PronounParadigm,
@@ -268,7 +291,7 @@ def swap_pronouns(document: Document, paradigm: PronounParadigm,
     case falls back to lowercase). The lemma becomes the new lowercase
     form; feats, POS and everything else stay as they were.
     """
-    return _rewrite(document, config, _paradigm_forms(paradigm))
+    return _rewrite(document, _rewriter(config, _paradigm_forms(paradigm)))
 
 
 def anonymize_names(document: Document) -> tuple[Document, dict[str, int]]:
@@ -279,8 +302,9 @@ def anonymize_names(document: Document) -> tuple[Document, dict[str, int]]:
     one name share a placeholder. Returns the rewritten document and the
     form-to-index map. The map never carries over between documents.
     """
-    indices: dict[str, int] = {}
-    return _rewrite(document, names=indices), indices
+    names: dict[str, str] = {}
+    document = _rewrite(document, _rewriter(anonymize=True), names)
+    return document, {form: index for index, form in enumerate(names)}
 
 
 def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None
@@ -293,7 +317,7 @@ def replace_nouns(document: Document, lexicon: RewriteLexicon | None = None
     the lowercase replacement.
     """
     lexicon = lexicon if lexicon is not None else builtin_noun_lexicon()
-    return _rewrite(document, lexicon=lexicon)
+    return _rewrite(document, _rewriter(lexicon=lexicon))
 
 
 def delexicalize(document: Document,
@@ -305,7 +329,7 @@ def delexicalize(document: Document,
     ``<POSS>``, with no capitalization transfer. Lemmas and all other
     columns are untouched.
     """
-    return _rewrite(document, config, DELEX_TAGS, delex=True)
+    return _rewrite(document, _rewriter(config, DELEX_TAGS, delex=True))
 
 
 def pronoun_specific(document: Document, paradigm: PronounParadigm | None,
@@ -320,9 +344,14 @@ def pronoun_specific(document: Document, paradigm: PronounParadigm | None,
     swapped forms and gendered nouns neutralized by their anonymized
     forms, according to ``options``. All three run in one pass.
     """
+    return _rewrite(document, _specific(paradigm, config, lexicon, options))
+
+
+def _specific(paradigm: PronounParadigm | None, config: ClassifierConfig,
+              lexicon: RewriteLexicon | None, options: TransformOptions):
+    """The :func:`_rewriter` of :func:`pronoun_specific`."""
     if options.neutralize_nouns and lexicon is None:
         lexicon = builtin_noun_lexicon()
-    return _rewrite(document, config,
-                    _paradigm_forms(paradigm) if paradigm is not None else None,
-                    names={} if options.anonymize else None,
-                    lexicon=lexicon if options.neutralize_nouns else None)
+    return _rewriter(config, paradigm and _paradigm_forms(paradigm),
+                     anonymize=options.anonymize,
+                     lexicon=lexicon if options.neutralize_nouns else None)

@@ -93,28 +93,31 @@ def test_a_failing_mapping_fails_the_run_in_this_process(
     import corefkit.transform
 
     parent = os.getpid()
-    original = corefkit.transform.pronoun_specific
+    original = corefkit.transform._rewrite_rows
+    mapped = []
 
     def failing(document, *args):
         assert os.getpid() == parent
+        mapped.append(document.id)
         if document.id == "verhaal2":
             raise CorefKitError("cannot rewrite verhaal2")
         return original(document, *args)
 
-    monkeypatch.setattr(corefkit.transform, "pronoun_specific", failing)
+    monkeypatch.setattr(corefkit.transform, "_rewrite_rows", failing)
     forbid_fork(monkeypatch)
     output = tmp_path / "out.conll"
     assert run("transform", E2E, "--paradigm", "die", "--jobs", str(jobs),
                "-o", str(output)) == (
         2, "", "corefkit: error: cannot rewrite verhaal2\n")
     assert os.listdir(tmp_path) == []  # no output, no .tmp file
+    assert mapped == ["verhaal1", "verhaal2"]  # the error stops the mapping
     assert_no_child_left()
 
-def broken_form(document):
-    """``document`` with a tab in its first form: a validation error."""
-    first, *rest = document.sentences
-    token = replace(first[0], form="a\tb")
-    return replace(document, sentences=((token, *first[1:]), *rest))
+
+def tab_in_forms(form, lemma, pos, feats, ner, names):
+    """A ``transform._rewriter`` rule that puts a tab in every form: a
+    validation error, first at sentence 0 token 0."""
+    return "a\tb", lemma
 
 
 @pytest.mark.parametrize("plan, expected", [
@@ -129,13 +132,16 @@ def broken_form(document):
 def test_errors_take_the_serial_precedence(monkeypatch, plan, expected):
     import corefkit.transform
 
-    def mapping(document, config):
+    original = corefkit.transform._rewrite_rows
+
+    def mapping(document, rule):
         action = plan.get(document.id)
         if action == "raise":
             raise CorefKitError(f"cannot map {document.id}")
-        return broken_form(document) if action == "invalid" else document
+        return original(document, tab_in_forms if action == "invalid"
+                        else rule)
 
-    monkeypatch.setattr(corefkit.transform, "delexicalize", mapping)
+    monkeypatch.setattr(corefkit.transform, "_rewrite_rows", mapping)
     results = {jobs: run("delex", E2E, "--jobs", str(jobs))
                for jobs in (1, 2, 3)}
     assert results[1] == (2, "", f"corefkit: error: {expected}\n")
@@ -368,10 +374,9 @@ def test_shards_report_what_the_serial_run_reports(text):
 
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as directory:
-        for module, name in ((corefkit.transform, "pronoun_specific"),
-                             (corefkit.transform, "delexicalize"),
-                             (corefkit.resolver, "resolve"),
-                             (corefkit.conll, "strip_singletons"),
+        for module, name in ((corefkit.transform, "_rewrite_rows"),
+                             (corefkit.resolver, "_resolve_rows"),
+                             (corefkit.conll, "_strip_rows"),
                              (corefkit.builder, "pronoun_specific")):
             patch.setattr(module, name, booming(getattr(module, name)))
         patch.setattr(corefkit.lexicon, "_read_lexicon",

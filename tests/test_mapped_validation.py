@@ -1,14 +1,18 @@
-"""The check the CLI runs before writing a mapped corpus.
+"""The check each corpus writer runs before it writes, and the shape of
+its write path.
 
-``_validate_mapped(mapped, parsed)`` skips whatever ``mapped`` shares
-with the parsed corpus it was mapped from. That is sound only because
-the parser returns nothing ``validate_corpus`` rejects, and only if the
-skipped checks could not have failed; both premises are tested here.
+The writers (``cli._mapped_output``) check only what their mapping
+changed: a rewritten form or lemma, or a resolver's new clusters. That
+is sound only because the parser returns nothing ``validate_corpus``
+rejects; this premise is tested here. So is what follows from it: each
+writer reports and writes what ``serialize_corpus`` of the library
+mapping does, on lenient input and on hostile rewritten values, builds
+no token grid and holds one document at a time.
 """
 import random
 import tempfile
+from collections import Counter
 from dataclasses import replace
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -16,17 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import FIXTURE_DOCUMENTS, FIXTURES, lines_of
-from corefkit import cli
+from conftest import FIXTURE_DOCUMENTS, FIXTURES, lines_of, run
+from corefkit import cli, conll
 from corefkit.builder import build_cda, build_unseen
-from corefkit.conll import parse_corpus, serialize_corpus, strip_singletons
+from corefkit.conll import (END_LINE, _strip_rows, parse_corpus,
+                            serialize_corpus, strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.lexicon import builtin_paradigms
-from corefkit.model import (Cluster, Corpus, MentionSpan,
-                            _validate_mapped, map_documents, validate_corpus)
-from corefkit.resolver import resolve
-from corefkit.transform import TransformOptions, delexicalize, pronoun_specific
-from test_jobs import COMMANDS, POISON, run_in, serial_reference
+from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
+from corefkit.model import (_LINE_BREAKS, Corpus, Token, map_documents,
+                            validate_corpus)
+from corefkit.transform import (TransformOptions, _rewrite, _rewrite_rows,
+                                pronoun_specific)
+from test_jobs import COMMANDS, E2E, E2E_TEXT, POISON, run_in, serial_reference
 
 
 def errors(issues):
@@ -122,7 +127,7 @@ def test_a_parsed_corpus_has_no_validation_error(text):
     assert errors(validate_corpus(corpus)) == []
 
 
-# --- equivalence: the narrowed check reports what the full one does --------
+# --- the writers report what serialize_corpus reports ---------------------
 
 def parsed_corpora():
     corpora = [parse_corpus(path.read_text("utf-8"))[0]
@@ -136,173 +141,143 @@ def parsed_corpora():
 
 
 CORPORA = parsed_corpora()
-OPTIONS = [TransformOptions(anonymize=a, neutralize_nouns=n)
-           for a in (False, True) for n in (False, True)]
 
 
-def mappings():
-    for paradigm in (None, *builtin_paradigms()):
-        for options in OPTIONS:
-            yield (f"{paradigm and paradigm.name}-{options}",
-                   lambda c, p=paradigm, o=options: map_documents(
-                       c, lambda d: pronoun_specific(d, p, options=o)))
-    yield "delex", lambda c: map_documents(c, delexicalize)
-    yield "strip-singletons", lambda c: map_documents(c, strip_singletons)
-    yield "resolve", lambda c: map_documents(c, resolve)
-    for options in OPTIONS:
-        yield f"cda-{options}", lambda c, o=options: build_cda(c, 3, options=o)[0]
-        yield (f"unseen-{options}",
-               lambda c, o=options: build_unseen(c, 3, options=o)[0])
-
-
-@pytest.mark.parametrize("name,mapping", list(mappings()))
-def test_library_mappings_agree(name, mapping):
-    for parsed in CORPORA:
-        mapped = mapping(parsed)
-        assert errors(_validate_mapped(mapped, parsed)) == errors(
-            validate_corpus(mapped))
-
-
-def rewrite_token(document, si, ti, **changes):
-    sentence = list(document.sentences[si])
-    sentence[ti] = replace(sentence[ti], **changes)
-    sentences = list(document.sentences)
-    sentences[si] = tuple(sentence)
-    return replace(document, sentences=tuple(sentences))
-
-
-def tab_in_form(document):
-    return rewrite_token(document, 0, 0, form="a\tb")
-
-
-def empty_form(document):
-    return rewrite_token(document, len(document.sentences) - 1, 0, form="")
-
-
-def shortened_sentence(document):
-    # The longest sentence loses its last token; clusters are kept, so a
-    # span ending there now runs past the sentence.
-    si = max(range(len(document.sentences)),
-             key=lambda i: len(document.sentences[i]))
-    sentences = list(document.sentences)
-    sentences[si] = sentences[si][:-1]
-    return replace(document, sentences=tuple(sentences))
-
-
-def renamed_to_first(corpus):
-    first = corpus.documents[0].id
-    return Corpus(tuple(replace(d, id=first) if i == len(corpus) - 1 else d
-                        for i, d in enumerate(corpus.documents)))
-
-
-def renamed_to_last(corpus):
-    # A renamed earlier document takes a later one's unchanged id: the
-    # later, unchanged document is the duplicate.
-    last = corpus.documents[-1].id
-    return Corpus(tuple(replace(d, id=last) if i == 0 else d
-                        for i, d in enumerate(corpus.documents)))
-
-
-BROKEN = {
-    "tab-in-form": lambda c: map_documents(c, tab_in_form),
-    "empty-form": lambda c: map_documents(c, empty_form),
-    "shortened-sentence": lambda c: map_documents(c, shortened_sentence),
-    "renamed-to-first": renamed_to_first,
-    "renamed-to-last": renamed_to_last,
-}
-
-
-@pytest.mark.parametrize("name", sorted(BROKEN))
-def test_broken_mappings_agree(name):
-    reported = 0
-    for parsed in CORPORA:
-        mapped = BROKEN[name](parsed)
-        expected = errors(validate_corpus(mapped))
-        assert errors(_validate_mapped(mapped, parsed)) == expected
-        reported += bool(expected)
-    assert reported  # the mapping does break something
-
-
-def test_broken_mapping_errors_name_the_fault():
-    parsed = CORPORA[0]
-    assert "form contains a tab or newline" in errors(
-        _validate_mapped(BROKEN["tab-in-form"](parsed), parsed))[0]
-    source = Corpus((parsed.documents[0], replace(parsed.documents[0], id="z")))
-    assert errors(_validate_mapped(renamed_to_last(source), source)) == [
-        "duplicate document id 'z'"]
-
-
-def random_breakage(rng, document):
-    """A document with a few random faults of every kind the checks see."""
-    sentences = [list(s) for s in document.sentences]
-    for _ in range(rng.randint(1, 3)):
-        si = rng.randrange(len(sentences))
-        kind = rng.choice(("field", "position", "head", "drop", "empty",
-                           "span", "id", "keep"))
-        if kind == "drop" and sentences[si]:
-            del sentences[si][rng.randrange(len(sentences[si]))]
-        elif kind == "empty":
-            sentences[si] = []
-        elif kind in ("field", "position", "head") and sentences[si]:
-            ti = rng.randrange(len(sentences[si]))
-            token = sentences[si][ti]
-            changes = {
-                "field": {rng.choice(("form", "lemma", "feats", "ner")):
-                          rng.choice(("", "_", "a\tb", "x\ny", "\x00", "ok"))},
-                "position": {"token_index": ti + 1},
-                "head": {"dep_head": rng.choice((None, 0, 40, -1))},
-            }[kind]
-            sentences[si][ti] = replace(token, **changes)
-        elif kind == "span":
-            clusters = list(document.clusters) or [Cluster(0, ())]
-            ci = rng.randrange(len(clusters))
-            span = MentionSpan(si, 0, rng.randrange(9))
-            clusters[ci] = Cluster(clusters[ci].id,
-                                   (*clusters[ci].mentions, span))
-            document = replace(document, clusters=tuple(clusters))
-        elif kind == "id":
-            document = replace(document, id=rng.choice(("a", "b\nc", "s0")))
-    rows = tuple(tuple(s) if s != list(o) else o
-                 for s, o in zip(sentences, document.sentences))
-    if rng.random() < 0.2:
-        rows = rows[:-1]
-    return replace(document, sentences=rows)
-
-
-def test_random_breakage_agrees():
-    rng = random.Random(21)
-    reported = 0
-    for _ in range(400):
-        parsed = rng.choice(CORPORA)
-        mapped = Corpus(tuple(random_breakage(rng, d) if rng.random() < 0.6
-                              else d for d in parsed.documents))
-        expected = errors(validate_corpus(mapped))
-        assert errors(_validate_mapped(mapped, parsed)) == expected
-        reported += bool(expected)
-    assert reported > 200
-
-
-def test_a_different_document_count_is_checked_in_full():
-    parsed = CORPORA[0]
-    mapped = Corpus((*parsed.documents, tab_in_form(parsed.documents[0])))
-    assert errors(_validate_mapped(mapped, parsed)) == errors(
-        validate_corpus(mapped))
+def empty_forms(form, lemma, pos, feats, ner, names):
+    """A ``transform._rewriter`` rule that empties every form."""
+    return "", lemma
 
 
 def test_cli_reports_what_serialize_corpus_would(tmp_path):
     parsed = CORPORA[0]
     with pytest.raises(ValidationError) as full:
-        serialize_corpus(map_documents(parsed, empty_form))
+        serialize_corpus(map_documents(
+            parsed, lambda document: _rewrite(document, empty_forms)))
     path = tmp_path / "in.conll"
     path.write_text(serialize_corpus(parsed), "utf-8")
     args = SimpleNamespace(input=str(path), output=None)
     with pytest.raises(ValidationError) as checked:
-        cli._mapped_output(args, lambda: (partial(map, empty_form), ""))
+        cli._mapped_output(args, lambda lines: (
+            lambda document: _rewrite_rows(document, empty_forms), ""))
     assert str(checked.value) == str(full.value)
-    result = cli._mapped_output(
-        args, lambda: (partial(map, strip_singletons), ""))
+    result = cli._mapped_output(args, lambda lines: (_strip_rows, ""))
     assert result.stdout == serialize_corpus(
         map_documents(parsed, strip_singletons))
+
+
+# --- hostile rewritten values ------------------------------------------------
+
+# Replacements for "zeeman" that no form or lemma may hold.
+HOSTILE = {"empty": "", "tab": "zee\tvaarder", "surrogate": "zee\udcffvaarder",
+           **{f"break-{ord(c):x}": f"zee{c}vaarder" for c in _LINE_BREAKS}}
+# Each writer that takes --lexicon, and its library mapping.
+LEXICON_WRITERS = {
+    "transform": (["transform", "--paradigm", "die", "--neutralize-nouns"],
+                  lambda corpus, lexicon: map_documents(
+                      corpus, lambda d: pronoun_specific(
+                          d, get_paradigm("die"), lexicon=lexicon,
+                          options=TransformOptions(False, True)))),
+    "cda": (["cda", "--seed", "3"],
+            lambda corpus, lexicon: build_cda(corpus, 3, lexicon=lexicon)[0]),
+    "unseen": (["unseen", "--seed", "5"],
+               lambda corpus, lexicon: build_unseen(
+                   corpus, 5, lexicon=lexicon)[0]),
+}
+
+
+@pytest.mark.parametrize("at", [0, 2], ids=["first", "later"])
+@pytest.mark.parametrize("value", sorted(HOSTILE))
+@pytest.mark.parametrize("command", sorted(LEXICON_WRITERS))
+def test_a_hostile_rewrite_fails_as_serialize_corpus_fails(
+        monkeypatch, command, value, at):
+    import corefkit.lexicon
+
+    lexicon = RewriteLexicon({"zeeman": RewriteEntry(HOSTILE[value], False)})
+    monkeypatch.setattr(corefkit.lexicon, "_read_lexicon",
+                        lambda text: (lexicon, []))
+    text = "".join(serialize_corpus(Corpus((corpusgen.build_doc(f"d{i}", [[
+        corpusgen.tok("De"), corpusgen.tok("zeeman" if i == at else "huis",
+                                           pos="NOUN")]]),)))
+        for i in range(3))
+    argv, mapping = LEXICON_WRITERS[command]
+    with pytest.raises(ValidationError) as library:
+        serialize_corpus(mapping(parse_corpus(text)[0], lexicon))
+    assert f"document 'd{at}'" in str(library.value)
+    assert run(*argv, "--lexicon", E2E, stdin_text=text) == (
+        2, "", f"corefkit: error: {library.value}\n")
+
+
+# --- the shape of the write path ---------------------------------------------
+
+WRITERS = {
+    "transform": ["transform", E2E, "--paradigm", "die", "--anonymize",
+                  "--neutralize-nouns"],
+    "delex": ["delex", E2E],
+    "cda": ["cda", E2E, "--seed", "4"],
+    "unseen": ["unseen", E2E, "--seed", "2"],
+    "resolve-baseline": ["resolve-baseline", E2E],
+    "strip-singletons": ["strip-singletons", E2E],
+}
+# How many (pos, feats) tables a writer keeps on e2e: one per paradigm.
+TABLES = {"transform": 1, "delex": 1, "cda": 2, "unseen": 3,
+          "resolve-baseline": 1, "strip-singletons": 0}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_a_writer_builds_no_token_grid(monkeypatch, command):
+    """The only tokens built are the ``(pos, feats)`` probes of the role
+    tables, each pair probed at most once per table."""
+    rows = [line.split("\t") for line in E2E_TEXT.splitlines()]
+    pairs = Counter((row[3], row[4]) for row in rows if len(row) == 9)
+    expected = run(*WRITERS[command])
+    built = []
+    init = Token.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting)
+    assert run(*WRITERS[command]) == expected
+    assert expected[0] == 0
+    probes = {(0, 0, "_", "_", pos, "" if feats == "_" else feats)
+              for pos, feats in pairs}
+    assert set(built) <= probes
+    assert len(built) <= TABLES[command] * len(pairs) < sum(pairs.values())
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_a_writer_holds_one_document_at_a_time(monkeypatch, command):
+    """When a document's text is produced, the reader has read no line
+    past that document's end."""
+    ends = [n for n, line in enumerate(E2E_TEXT.splitlines(), 1)
+            if line == END_LINE]
+    read = []  # lines read by each pass over the input, the last one running
+
+    class Lines(list):
+        def __iter__(self):
+            read.append(0)
+            for line in list.__iter__(self):
+                read[-1] += 1
+                yield line
+
+    class Text(str):
+        def splitlines(self, *args, **kwargs):
+            return Lines(str.splitlines(self, *args, **kwargs))
+
+    expected = run(*WRITERS[command])
+    produced = []
+    document_text = conll._document_text
+
+    def recording(*document):
+        produced.append(read[-1])
+        return document_text(*document)
+
+    monkeypatch.setattr(cli, "_read_text", lambda path: Text(E2E_TEXT))
+    monkeypatch.setattr(conll, "_document_text", recording)
+    assert run(*WRITERS[command]) == expected
+    assert expected[0] == 0
+    assert produced == ends
 
 
 # --- lenient input through every writer --------------------------------------
