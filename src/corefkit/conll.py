@@ -24,16 +24,16 @@ diagnostics and the rest of the corpus still loads. Serialization
 produces canonical bytes, so ``serialize -> parse`` is the identity and
 ``parse -> serialize`` canonicalises lenient input.
 
-One reader has two outputs: each document's rows, its tokens' split
-columns, from which :func:`parse_corpus` builds tokens and which the
+One reader has two outputs: each document's rows, its tokens' columns
+as split, from which :func:`parse_corpus` builds tokens and which the
 command line writers rewrite and serialize one document at a time; or
-what scoring and ``stats`` read of it, its view and token tally.
+what scoring and ``stats`` read of it, its view and token tally. Only
+the library parse shares equal field values among its tokens.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from itertools import starmap
 from typing import Collection, Iterable, Iterator, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
@@ -51,8 +51,9 @@ BEGIN_PREFIX = "#begin document "
 END_LINE = "#end document"
 
 # Canonical spellings of the token indices, heads and cluster ids of
-# ordinary documents; any other numeral goes through ``_number``.
-_SMALL_NUMBERS = {str(n): n for n in range(256)}
+# ordinary documents; any other is read by ``_number``, written by ``str``.
+_NUMERALS = tuple(map(str, range(256)))
+_SMALL_NUMBERS = {numeral: n for n, numeral in enumerate(_NUMERALS)}
 
 
 def _number(text: str) -> int | None:
@@ -122,8 +123,9 @@ def _tally(documents: Iterable[Document]) -> dict[tuple[str, str, str], int]:
 
 
 # A document as the reader keeps it: each token a row, ``(form, lemma,
-# pos, feats, head, dep_rel, ner)`` as read but ``head`` an int (0: root);
-# each cluster ``(id, spans)``, spans ``(sentence, start, end)`` in order.
+# pos, feats, head, dep_rel, ner)``, the strings split from its line, no
+# equal values shared, but ``head`` an int (0: root); each cluster ``(id,
+# spans)``, spans a list of ``(sentence, start, end)`` in order.
 _Rows = namedtuple("_Rows", "id sentences clusters")
 
 
@@ -138,14 +140,11 @@ class _DocumentReader:
     """
 
     def __init__(self, doc_id: str, begin_line: int,
-                 diagnostics: list[ParseDiagnostic], strings: dict[str, str],
-                 views: bool = False, roles=None, tally: bool = False):
+                 diagnostics: list[ParseDiagnostic], views: bool = False,
+                 roles=None, tally: bool = False):
         self.doc_id = doc_id
         self.begin_line = begin_line
         self.diagnostics = diagnostics
-        # The parse's table of text column values: each equal value is
-        # kept once, so its tokens share one string object.
-        self.share = strings.setdefault
         self.views = views
         self.roles = roles
         self.counted: list[tuple[int, int, str]] = []
@@ -204,10 +203,7 @@ class _DocumentReader:
                 key = pos, feats, form
                 tally[key] = tally.get(key, 0) + 1
         else:
-            share = self.share
-            tokens.append((share(form, form), share(lemma, lemma),
-                           share(pos, pos), share(feats, feats), head,
-                           share(dep_rel, dep_rel), share(ner, ner)))
+            tokens.append((form, lemma, pos, feats, head, dep_rel, ner))
         self.token_lines.append(line_number)
         if coref != "-":
             self._coref_entries(line_number, coref, expected - 1)
@@ -291,11 +287,14 @@ class _DocumentReader:
         return _Rows(self.doc_id, self.sentences, clusters)
 
 
-def _document(doc_id: str, sentences, clusters) -> Document:
-    """The :class:`Document` of a document's rows."""
+def _document(doc_id: str, sentences, clusters, share) -> Document:
+    """The :class:`Document` of a document's rows, its text values passed
+    through ``share``, the ``setdefault`` of the parse's string table."""
     return Document(doc_id, tuple([tuple([
-        Token(si, ti, form, lemma, pos, "" if feats == "_" else feats,
-              head - 1 if head else None, dep_rel, ner)
+        Token(si, ti, share(form, form), share(lemma, lemma), share(pos, pos),
+              "" if feats == "_" else share(feats, feats),
+              head - 1 if head else None, share(dep_rel, dep_rel),
+              share(ner, ner))
         for ti, (form, lemma, pos, feats, head, dep_rel, ner)
         in enumerate(sentence)]) for si, sentence in enumerate(sentences)]),
         tuple([Cluster(cid, tuple([_span(s, a, b) for s, a, b in mentions]))
@@ -325,11 +324,14 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
 def _parse_lines(lines: list[str], *, views: bool = False, **options
                  ) -> tuple[list, list[ParseDiagnostic]]:
     """The kept documents of ``lines``, as :func:`_read` gives them but
-    each a :class:`Document` without ``views``, and the diagnostics."""
+    each a :class:`Document`, sharing equal text values, without
+    ``views``, and the diagnostics."""
     diagnostics: list[ParseDiagnostic] = []
     documents = _read(lines, diagnostics, views=views, **options)
-    return (list(documents) if views else list(starmap(_document, documents)),
-            diagnostics)
+    if views:
+        return list(documents), diagnostics
+    share = {}.setdefault
+    return [_document(*document, share) for document in documents], diagnostics
 
 
 def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
@@ -340,14 +342,12 @@ def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
     as its last line is read, and add the diagnostics to ``diagnostics``.
     A document whose id was kept earlier is dropped as a duplicate.
 
-    Each comes as its :class:`_Rows`, whose equal text values (form,
-    lemma, pos, feats, dep_rel, ner) are one string object across the
-    call; or with ``views`` as its scoring view, no string shared, given
-    ``roles`` and ``tally`` (see :class:`_DocumentReader`; each kept tally
+    Each comes as its :class:`_Rows`, each row holding the strings split
+    from its line; or with ``views`` as its scoring view, given ``roles``
+    and ``tally`` (see :class:`_DocumentReader`; each kept tally
     is added to ``tally``). Both run the same checks. ``surrogates``
     holds the numbers of lines with a lone surrogate, which break.
     """
-    strings: dict[str, str] = {}
     kept_ids: set[str] = set()
     reader: _DocumentReader | None = None
     line_number = 0
@@ -391,7 +391,7 @@ def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
                 continue
         if line.startswith(BEGIN_PREFIX):
             reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                     diagnostics, strings, views, roles,
+                                     diagnostics, views, roles,
                                      tally is not None)
         elif line.strip():
             diagnostics.append(ParseDiagnostic(
@@ -404,39 +404,59 @@ def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
 
 def _coref_fields(clusters) -> dict[tuple[int, int], str]:
     """The canonical coref column of every annotated token of a document
-    whose clusters are ``(id, spans)``, as in :class:`_Rows`. Each token
-    gets a ``(rank, cluster id, -end)`` entry per span it opens (rank 0),
-    holds whole (1) or closes (2). Sorted, they give the canonical order:
-    opens, then single-token spans, then closes, ids ascending. Same-id
-    spans sharing a start open longest first, so that the reader's
-    innermost-closes-first matching restores them.
+    whose clusters are ``(id, span sequence)``, as in :class:`_Rows`. A
+    token with several entries gets a ``(rank, cluster id)`` one per span
+    it opens (rank 0), holds whole (1) or closes (2). Sorted, they give
+    the canonical order: opens, then single-token spans, then closes, ids
+    ascending. Same-id spans sharing a start open with equal brackets,
+    which the reader's innermost-closes-first matching restores.
     """
-    entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    fields: dict[tuple[int, int], str] = {}
+    put = fields.setdefault
+    entries = 0
     for cid, spans in clusters:
+        opens, whole, closes = f"({cid}", f"({cid})", f"{cid})"
         for si, start, end in spans:
             if start == end:
-                entries.setdefault((si, start), []).append((1, cid, 0))
+                put((si, start), whole)
+                entries += 1
             else:
-                entries.setdefault((si, start), []).append((0, cid, -end))
-                entries.setdefault((si, end), []).append((2, cid, 0))
-    return {key: "|".join([f"({cid}" if rank == 0 else
-                           f"({cid})" if rank == 1 else f"{cid})"
-                           for rank, cid, _ in sorted(parts)])
-            for key, parts in entries.items()}
+                put((si, start), opens)
+                put((si, end), closes)
+                entries += 2
+    if entries == len(fields):
+        return fields
+    # Some token holds several entries: only such tokens are sorted.
+    several: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
+    for cid, spans in clusters:
+        brackets = f"({cid}", f"({cid})", f"{cid})"
+        for si, start, end in spans:
+            for ti, rank in ((start, 1),) if start == end else (
+                    (start, 0), (end, 2)):
+                several.setdefault((si, ti), []).append(
+                    (rank, cid, brackets[rank]))
+    fields.update({key: "|".join([part[2] for part in sorted(parts)])
+                   for key, parts in several.items() if len(parts) > 1})
+    return fields
 
 
 def _document_text(doc_id: str, sentences, clusters) -> str:
     """The canonical text of a document given as :class:`_Rows` fields;
     ``sentences`` and their rows may be any iterables."""
-    fields = _coref_fields(clusters)
+    coref = _coref_fields(clusters).get
+    numerals = _NUMERALS
+    join = "\t".join
     lines = [BEGIN_PREFIX + doc_id]
     for si, sentence in enumerate(sentences):
         if si:
             lines.append("")
         for ti, (form, lemma, pos, feats, head, dep_rel, ner) in enumerate(
                 sentence):
-            lines.append(f"{ti + 1}\t{form}\t{lemma}\t{pos}\t{feats or '_'}\t"
-                         f"{head}\t{dep_rel}\t{ner}\t{fields.get((si, ti), '-')}")
+            lines.append(join((
+                numerals[ti + 1] if ti < 255 else str(ti + 1), form, lemma,
+                pos, feats or "_",
+                numerals[head] if 0 <= head < 256 else str(head), dep_rel,
+                ner, coref((si, ti), "-"))))
     lines.append(END_LINE + "\n")
     return "\n".join(lines)
 
@@ -456,7 +476,8 @@ def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
         ((t.form, t.lemma, t.pos, t.feats,
           0 if t.dep_head is None else t.dep_head + 1, t.dep_rel, t.ner)
          for t in sentence) for sentence in document.sentences),
-        [(c.id, map(_span_key, c.mentions)) for c in document.clusters])
+        [(c.id, list(map(_span_key, c.mentions)))
+         for c in document.clusters])
         for document in corpus.documents])
 
 

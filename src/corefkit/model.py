@@ -4,7 +4,8 @@ A :class:`Document` holds a token grid plus clusters of token spans,
 ``(sentence_index, start, end)`` with inclusive 0-based offsets, so
 nested and crossing mentions are representable. Values are immutable
 and safe to share across threads. The command line writers build no
-grid; their checks are :func:`_check_values` and :func:`_check_clusters`.
+grid and no span objects; their checks are :func:`_check_values` and
+:func:`_check_clusters`, which reads clusters as ``(id, span keys)``.
 """
 from __future__ import annotations
 
@@ -168,7 +169,9 @@ def validate_document(document: Document) -> list[ValidationIssue]:
         if _SURROGATE(doc_id):
             error("id contains a lone surrogate")
     _check_sentences(error, document.sentences)
-    _check_clusters(error, warning, document)
+    _check_clusters(error, warning, [
+        (c.id, list(map(_span_key, c.mentions))) for c in document.clusters],
+        list(map(len, document.sentences)))
     return issues
 
 
@@ -219,9 +222,11 @@ def _check_values(error: Callable[[str], None], where: str, names, values
 
 
 def _check_clusters(error: Callable[[str], None],
-                    warning: Callable[[str], None], document: Document) -> None:
-    """Report the cluster ids and spans of ``document`` that are broken."""
-    ids = [c.id for c in document.clusters]
+                    warning: Callable[[str], None], clusters, sizes) -> None:
+    """Report the broken clusters, ``(id, spans)`` with each span a
+    ``_span_key``, of a document whose sentences hold ``sizes`` tokens;
+    a message shows a span as its :class:`MentionSpan`."""
+    ids = [cid for cid, _ in clusters]
     if len(set(ids)) != len(ids):
         error("duplicate cluster ids")
     # The parser returns clusters sorted by id, so any other order would
@@ -229,53 +234,50 @@ def _check_clusters(error: Callable[[str], None],
     if any(a > b for a, b in zip(ids, ids[1:])):
         error("clusters out of id order")
     span_owner: dict[tuple[int, int, int], int] = {}
-    for cluster in document.clusters:
-        if cluster.id < 0:
-            error(f"cluster id {cluster.id} is negative")
-        if not cluster.mentions:
-            error(f"cluster {cluster.id} has no mentions")
-        previous = None  # the ``_span_key`` of the last span checked
-        for span in cluster.mentions:
-            if not 0 <= span.sentence_index < len(document.sentences):
-                error(f"cluster {cluster.id}: span {span} outside the document")
+    for cid, spans in clusters:
+        if cid < 0:
+            error(f"cluster id {cid} is negative")
+        if not spans:
+            error(f"cluster {cid} has no mentions")
+        previous = None  # the last span checked
+        for key in spans:
+            si, _, end = key
+            if not 0 <= si < len(sizes):
+                error(f"cluster {cid}: span {_span(*key)} outside the document")
                 continue
-            sentence = document.sentences[span.sentence_index]
-            if span.end >= len(sentence):
-                error(f"cluster {cluster.id}: span {span} outside its sentence")
+            if end >= sizes[si]:
+                error(f"cluster {cid}: span {_span(*key)} outside its sentence")
                 continue
-            # Key tuples compare and hash in C, unlike the generated
-            # ``MentionSpan`` methods.
-            key = _span_key(span)
             if previous is not None:
                 if key == previous:
-                    error(f"cluster {cluster.id}: span {span} listed twice")
+                    error(f"cluster {cid}: span {_span(*key)} listed twice")
                 elif key < previous:
-                    error(f"cluster {cluster.id}: mentions out of document order")
+                    error(f"cluster {cid}: mentions out of document order")
             previous = key
-            owner = span_owner.setdefault(key, cluster.id)
-            if owner != cluster.id:
-                warning(f"span {span} appears in clusters {owner} and {cluster.id}")
+            owner = span_owner.setdefault(key, cid)
+            if owner != cid:
+                warning(f"span {_span(*key)} appears in clusters {owner} "
+                        f"and {cid}")
         # Two spans of one cluster may nest but not cross: the bracket
         # serialization cannot distinguish crossing same-id spans from
         # the nested reading. The parser never returns such spans, so the
         # pairs are listed only for a cluster that fails the linear test.
-        spans = cluster.mentions
         if len(spans) > 1 and not _nested(spans):
             for i, j in _crossing_pairs(spans):
-                error(f"cluster {cluster.id}: spans {spans[i]} and "
-                      f"{spans[j]} cross")
+                error(f"cluster {cid}: spans {_span(*spans[i])} and "
+                      f"{_span(*spans[j])} cross")
 
 
-def _nested(spans: tuple[MentionSpan, ...]) -> bool:
-    """Whether no two of ``spans`` cross, in O(m log m) for m spans.
+def _nested(spans) -> bool:
+    """Whether no two of ``spans`` (keys) cross, in O(m log m) for m spans.
 
     Sorted by ``(sentence, start, -end)``, each span must end within the
     innermost span of its sentence still open at its start, or open none.
     """
     ends: list[int] = []  # the open spans' ends, innermost last
     sentence = None
-    for si, start, neg_end in sorted([(s.sentence_index, s.start, -s.end)
-                                      for s in spans]):
+    for si, start, neg_end in sorted([(si, start, -end)
+                                      for si, start, end in spans]):
         if si != sentence:
             sentence = si
             ends.clear()
@@ -287,19 +289,19 @@ def _nested(spans: tuple[MentionSpan, ...]) -> bool:
     return True
 
 
-def _crossing_pairs(spans: tuple[MentionSpan, ...]) -> list[tuple[int, int]]:
-    """The ``(i, j)`` index pairs, ``i < j``, whose spans are in one
-    sentence and cross with ``spans[i]`` starting first, sorted; every
+def _crossing_pairs(spans) -> list[tuple[int, int]]:
+    """The ``(i, j)`` index pairs, ``i < j``, whose spans (keys) are in
+    one sentence and cross with ``spans[i]`` starting first, sorted; every
     pair is tested, so call it only once :func:`_nested` fails."""
     by_sentence: dict[int, list[int]] = {}
-    for i, span in enumerate(spans):
-        by_sentence.setdefault(span.sentence_index, []).append(i)
+    for i, (si, _, _) in enumerate(spans):
+        by_sentence.setdefault(si, []).append(i)
     crossings = []
     for indices in by_sentence.values():
         for x, i in enumerate(indices):
-            a = spans[i]
+            _, a_start, a_end = spans[i]
             for j in indices[x + 1:]:
-                if a.start < spans[j].start <= a.end < spans[j].end:
+                if a_start < spans[j][1] <= a_end < spans[j][2]:
                     crossings.append((i, j))
     return sorted(crossings)
 

@@ -12,10 +12,10 @@ dropped from the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import starmap
 from operator import attrgetter, itemgetter
 
-from corefkit.model import (Cluster, Document, MentionSpan, _check_clusters,
-                            _span, _span_key)
+from corefkit.model import Cluster, Document, _check_clusters, _span
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
                                 DEFAULT_CLASSIFIER_CONFIG, _role_table)
 
@@ -29,23 +29,22 @@ class ResolverConfig:
 
 
 def _clusters(sentences, columns, config: ResolverConfig, roles
-              ) -> tuple[Cluster, ...]:
-    """The clusters :func:`resolve` predicts for ``sentences``, whose
-    tokens ``columns`` reads as ``(form, pos, feats, ner)``; ``roles`` is
-    a ``transform._role_table``."""
+              ) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """The ``(id, span keys)`` clusters :func:`resolve` predicts for
+    ``sentences``, whose tokens ``columns`` reads as ``(form, pos, feats,
+    ner)``; ``roles`` is a ``transform._role_table``."""
     # Mentions, in document order: a name is a maximal run of name-like
-    # tokens (a pronoun inside one is part of the name), kept as ``(span,
-    # group key)``. Sieve 1 merges names by key, their lowercased forms.
-    names: list[tuple[MentionSpan, object]] = []
-    pronouns = []
-    groups: dict[object, list[MentionSpan]] = {}
+    # tokens (a pronoun inside one is part of the name), kept as ``((si,
+    # end), group key)``. Sieve 1 merges names by key, their lowercased forms.
+    names: list[tuple[tuple[int, int], object]] = []
+    pronouns: list[tuple[int, int, int]] = []
+    groups: dict[object, list[tuple[int, int, int]]] = {}
 
     def name(si: int, end: int, run: list[str]) -> None:
-        span = _span(si, end + 1 - len(run), end)
         key = (" ".join(run).lower() if config.enable_string_match
                else len(names))
-        groups.setdefault(key, []).append(span)
-        names.append((span, key))
+        groups.setdefault(key, []).append((si, end + 1 - len(run), end))
+        names.append(((si, end), key))
 
     for si, sentence in enumerate(sentences):
         run: list[str] = []  # the forms of the current name run
@@ -60,7 +59,7 @@ def _clusters(sentences, columns, config: ResolverConfig, roles
                 name(si, ti - 1, run)
                 run = []
             if roles[pos, feats] is not None:
-                pronouns.append(_span(si, ti, ti))
+                pronouns.append((si, ti, ti))
         if run:
             name(si, len(sentence) - 1, run)
 
@@ -70,23 +69,18 @@ def _clusters(sentences, columns, config: ResolverConfig, roles
     # as the names that end before the current pronoun.
     preceding = 0
     for pronoun in pronouns:
-        while (preceding < len(names)
-               and (names[preceding][0].sentence_index, names[preceding][0].end)
-               < (pronoun.sentence_index, pronoun.start)):
+        si, ti, _ = pronoun
+        while preceding < len(names) and names[preceding][0] < (si, ti):
             preceding += 1
         if not preceding:
             continue
-        best, key = names[preceding - 1]
-        if best.sentence_index >= pronoun.sentence_index - config.pronoun_window_sentences:
+        (best, _), key = names[preceding - 1]
+        if best >= si - config.pronoun_window_sentences:
             groups[key].append(pronoun)
 
-    clusters = []
-    for spans in groups.values():
-        if len(spans) < 2:
-            continue
-        clusters.append(sorted(spans, key=_span_key))
-    clusters.sort(key=lambda spans: _span_key(spans[0]))
-    return tuple(Cluster(i, tuple(spans)) for i, spans in enumerate(clusters))
+    clusters = [sorted(spans) for spans in groups.values() if len(spans) > 1]
+    clusters.sort(key=itemgetter(0))
+    return list(enumerate(clusters))
 
 
 def resolve(document: Document,
@@ -99,9 +93,11 @@ def resolve(document: Document,
     contain at least two mentions each. The procedure is a pure function
     of the token grid, so repeated runs agree byte for byte.
     """
-    return replace(document, clusters=_clusters(
-        document.sentences, attrgetter("form", "pos", "feats", "ner"), config,
-        _role_table(classifier)))
+    return replace(document, clusters=tuple(
+        Cluster(cid, tuple(starmap(_span, spans)))
+        for cid, spans in _clusters(
+            document.sentences, attrgetter("form", "pos", "feats", "ner"),
+            config, _role_table(classifier))))
 
 
 def _resolve_rows(document, config: ResolverConfig, roles):
@@ -112,9 +108,8 @@ def _resolve_rows(document, config: ResolverConfig, roles):
     errors: list[str] = []
     _check_clusters(lambda message: errors.append(
         f"document {document.id!r}: {message}"), lambda message: None,
-        Document(document.id, document.sentences, clusters))
-    return document._replace(clusters=[
-        (c.id, map(_span_key, c.mentions)) for c in clusters]), errors
+        clusters, list(map(len, document.sentences)))
+    return document._replace(clusters=clusters), errors
 
 
 # A row's (form, pos, feats, ner).

@@ -11,7 +11,7 @@ from corefkit import conll
 from corefkit.conll import (ParseDiagnostic, parse_corpus, serialize_corpus,
                             strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.model import Cluster, Corpus, Document, MentionSpan
+from corefkit.model import Cluster, Corpus, Document, MentionSpan, _span_key
 from corefkit.resolver import resolve
 
 import corpusgen
@@ -460,6 +460,114 @@ def test_coref_column_parses_like_the_reference_rule(sentences):
         expected_corpus, expected_diagnostics = parse_outcome(text)
     assert diagnostics == expected_diagnostics
     assert corpus == expected_corpus
+
+
+# The writer as it was before each cluster's brackets were built once and
+# lines joined from a numeral table; the writer must give the same text.
+def reference_coref_fields(clusters):
+    entries = {}
+    for cid, spans in clusters:
+        for si, start, end in spans:
+            if start == end:
+                entries.setdefault((si, start), []).append((1, cid, 0))
+            else:
+                entries.setdefault((si, start), []).append((0, cid, -end))
+                entries.setdefault((si, end), []).append((2, cid, 0))
+    return {key: "|".join([f"({cid}" if rank == 0 else
+                           f"({cid})" if rank == 1 else f"{cid})"
+                           for rank, cid, _ in sorted(parts)])
+            for key, parts in entries.items()}
+
+
+def reference_document_text(doc_id, sentences, clusters):
+    fields = reference_coref_fields(clusters)
+    lines = [conll.BEGIN_PREFIX + doc_id]
+    for si, sentence in enumerate(sentences):
+        if si:
+            lines.append("")
+        for ti, (form, lemma, pos, feats, head, dep_rel, ner) in enumerate(
+                sentence):
+            lines.append(f"{ti + 1}\t{form}\t{lemma}\t{pos}\t{feats or '_'}\t"
+                         f"{head}\t{dep_rel}\t{ner}\t{fields.get((si, ti), '-')}")
+    lines.append(conll.END_LINE + "\n")
+    return "\n".join(lines)
+
+
+# Ids and heads on both sides of 256, the end of the numeral table.
+numbers = st.one_of(st.integers(0, 9), st.integers(250, 260),
+                    st.integers(0, 10 ** 6))
+
+
+@st.composite
+def written_documents(draw):
+    """``(id, sentences, clusters)`` as the writer takes them: sentences of
+    up to 300 rows with heads up to 10**6, and clusters of any ids whose
+    spans may share tokens, starts and ends, repeat, cross or come in
+    any order."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sizes = draw(st.lists(st.sampled_from([1, 2, 5, 255, 256, 300]),
+                          min_size=1, max_size=3))
+    sentences = [[(rng.choice("abc"), "l", "X", rng.choice(["", "_", "A=b"]),
+                   draw(numbers) if rng.random() < 0.05 else rng.randrange(9),
+                   "dep", "O") for _ in range(size)] for size in sizes]
+    clusters = []
+    for cid in sorted(draw(st.lists(numbers, unique=True, max_size=6))):
+        spans = []
+        for _ in range(draw(st.integers(0, 6))):
+            si = rng.randrange(len(sizes))
+            start = rng.choice([0, sizes[si] - 1, rng.randrange(sizes[si])])
+            end = min(sizes[si] - 1, start + rng.choice([0, 0, 1, 2, 300]))
+            spans.append((si, start, end))
+            if rng.random() < 0.3:  # another span at the same start
+                spans.append((si, start, rng.randrange(start, sizes[si])))
+        if draw(st.booleans()):
+            spans.sort()
+        clusters.append((cid, spans))
+    return "d", sentences, clusters
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_documents())
+def test_document_text_is_the_reference_text(document):
+    doc_id, sentences, clusters = document
+    assert conll._coref_fields(clusters) == reference_coref_fields(clusters)
+    assert (conll._document_text(doc_id, sentences, clusters)
+            == reference_document_text(doc_id, sentences, clusters))
+
+
+def test_document_text_at_the_edges_of_the_numeral_table():
+    sentences = [[("w", "w", "X", "", (ti * 7) % 301, "dep", "O")
+                  for ti in range(300)]]
+    clusters = [(255, [(0, 0, 299), (0, 254, 256)]),
+                (256, [(0, 255, 255), (0, 256, 256)]),
+                (10 ** 6, [(0, 299, 299)])]
+    text = conll._document_text("d", sentences, clusters)
+    assert text == reference_document_text("d", sentences, clusters)
+    assert text.splitlines()[256:258] == [
+        "256\tw\tw\tX\t_\t280\tdep\tO\t(256)",
+        "257\tw\tw\tX\t_\t287\tdep\tO\t(256)|255)"]
+    corpus, diagnostics = parse_corpus(text)
+    assert diagnostics == []
+    assert serialize_corpus(corpus) == text
+
+
+# Two same-id spans opening on one token write the same bracket twice;
+# the reader's innermost-closes-first matching must give both back.
+@pytest.mark.parametrize("spans, column", [
+    ([(0, 0, 1), (0, 0, 3)], "(7|(7"),
+    ([(0, 0, 3), (0, 0, 1)], "(7|(7"),
+    ([(0, 0, 0), (0, 0, 2)], "(7|(7)"),
+])
+def test_same_id_spans_sharing_a_start_parse_back(spans, column):
+    sentences = [[("w", "w", "X", "", 0, "dep", "O")] * 4]
+    clusters = [(3, [(0, 0, 2)]), (7, spans)]
+    text = conll._document_text("d", sentences, clusters)
+    assert text == reference_document_text("d", sentences, clusters)
+    assert text.splitlines()[1].endswith("\t(3|" + column)
+    corpus, diagnostics = parse_corpus(text)
+    assert diagnostics == []
+    assert [sorted(map(_span_key, c.mentions))
+            for c in corpus.documents[0].clusters] == [[(0, 0, 2)], sorted(spans)]
 
 
 def test_span_listed_twice_diagnostic_text():

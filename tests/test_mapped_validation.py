@@ -27,8 +27,10 @@ from corefkit.conll import (END_LINE, _strip_rows, parse_corpus,
                             serialize_corpus, strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
-from corefkit.model import (_LINE_BREAKS, Corpus, Token, map_documents,
-                            validate_corpus)
+import corefkit.model
+from corefkit.model import (_LINE_BREAKS, Cluster, Corpus, Document,
+                            MentionSpan, Token, map_documents, validate_corpus)
+from corefkit.resolver import resolve
 from corefkit.transform import (TransformOptions, _rewrite, _rewrite_rows,
                                 pronoun_specific)
 from test_jobs import COMMANDS, E2E, E2E_TEXT, POISON, run_in, serial_reference
@@ -244,6 +246,31 @@ def test_a_writer_builds_no_token_grid(monkeypatch, command):
               for pos, feats in pairs}
     assert set(built) <= probes
     assert len(built) <= TABLES[command] * len(pairs) < sum(pairs.values())
+
+
+def test_resolve_baseline_builds_no_span_objects(monkeypatch):
+    """The resolver's clusters stay ``(sentence, start, end)`` keys from
+    the sieves through the check to the written text: no
+    :class:`MentionSpan`, :class:`Cluster` or :class:`Document` is built,
+    neither through ``__init__`` nor through ``model._span``."""
+    expected = run(*WRITERS["resolve-baseline"])
+    built = []
+    for cls in (MentionSpan, Cluster, Document):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    new = corefkit.model._new
+    monkeypatch.setattr(corefkit.model, "_new",
+                        lambda cls: built.append(cls.__name__) or new(cls))
+    # The library resolver builds all three, so the counting sees them.
+    resolve(parse_corpus(E2E_TEXT)[0].documents[0])
+    assert {"MentionSpan", "Cluster", "Document"} <= set(built)
+    built.clear()
+    assert run(*WRITERS["resolve-baseline"]) == expected
+    assert expected[0] == 0 and "(1)" in expected[1]
+    assert built == []
 
 
 @pytest.mark.parametrize("command", sorted(WRITERS))

@@ -372,6 +372,145 @@ def test_nested_spans_of_one_cluster_are_checked_without_listing_pairs(
     assert run("strip-singletons", stdin_text=text) == (0, text, "")
 
 
+# The cluster check as it was on documents, before it took ``(id, span
+# keys)`` clusters; the check must report the same, in the same order.
+def reference_check_clusters(error, warning, document):
+    ids = [c.id for c in document.clusters]
+    if len(set(ids)) != len(ids):
+        error("duplicate cluster ids")
+    if any(a > b for a, b in zip(ids, ids[1:])):
+        error("clusters out of id order")
+    span_owner = {}
+    for cluster in document.clusters:
+        if cluster.id < 0:
+            error(f"cluster id {cluster.id} is negative")
+        if not cluster.mentions:
+            error(f"cluster {cluster.id} has no mentions")
+        previous = None
+        for span in cluster.mentions:
+            if not 0 <= span.sentence_index < len(document.sentences):
+                error(f"cluster {cluster.id}: span {span} outside the document")
+                continue
+            sentence = document.sentences[span.sentence_index]
+            if span.end >= len(sentence):
+                error(f"cluster {cluster.id}: span {span} outside its sentence")
+                continue
+            key = _span_key(span)
+            if previous is not None:
+                if key == previous:
+                    error(f"cluster {cluster.id}: span {span} listed twice")
+                elif key < previous:
+                    error(f"cluster {cluster.id}: mentions out of document order")
+            previous = key
+            owner = span_owner.setdefault(key, cluster.id)
+            if owner != cluster.id:
+                warning(f"span {span} appears in clusters {owner} and {cluster.id}")
+        spans = cluster.mentions
+        if len(spans) > 1 and not reference_nested(spans):
+            for i, j in reference_crossing_pairs(spans):
+                error(f"cluster {cluster.id}: spans {spans[i]} and "
+                      f"{spans[j]} cross")
+
+
+def reference_nested(spans):
+    ends = []
+    sentence = None
+    for si, start, neg_end in sorted([(s.sentence_index, s.start, -s.end)
+                                      for s in spans]):
+        if si != sentence:
+            sentence = si
+            ends.clear()
+        while ends and ends[-1] < start:
+            ends.pop()
+        if ends and ends[-1] < -neg_end:
+            return False
+        ends.append(-neg_end)
+    return True
+
+
+def reference_crossing_pairs(spans):
+    by_sentence = {}
+    for i, span in enumerate(spans):
+        by_sentence.setdefault(span.sentence_index, []).append(i)
+    crossings = []
+    for indices in by_sentence.values():
+        for x, i in enumerate(indices):
+            a = spans[i]
+            for j in indices[x + 1:]:
+                if a.start < spans[j].start <= a.end < spans[j].end:
+                    crossings.append((i, j))
+    return sorted(crossings)
+
+
+def check_reports(check, *args):
+    reports = []
+    check(lambda message: reports.append(("error", message)),
+          lambda message: reports.append(("warning", message)), *args)
+    return reports
+
+
+def assert_checked_as_the_reference(document):
+    expected = check_reports(reference_check_clusters, document)
+    assert check_reports(corefkit.model._check_clusters, [
+        (c.id, list(map(_span_key, c.mentions))) for c in document.clusters],
+        list(map(len, document.sentences))) == expected
+    assert [(issue.severity, issue.message) for issue in validate_document(
+        document)] == [(severity, f"document {document.id!r}: {message}")
+                       for severity, message in expected]
+
+
+def test_cluster_check_on_predictions_is_the_reference_check():
+    rng = random.Random(31)
+    for _ in range(40):
+        document = corpusgen.story_document(rng, "s", rng.randint(1, 12))
+        assert_checked_as_the_reference(document)
+        for merge in (0.2, 0.9):
+            assert_checked_as_the_reference(
+                corpusgen.perturb_clusters(rng, document, merge=merge))
+        assert_checked_as_the_reference(corpusgen.random_document(rng, "r"))
+
+
+@st.composite
+def broken_clusters(draw):
+    """Clusters over three sentences of 1, 4 and 6 tokens: ids that may
+    be negative, repeat or come out of order; clusters that may be
+    empty; spans in any order that may cross, repeat, sit outside the
+    document or their sentence, or be shared with other clusters."""
+    pool = [MentionSpan(draw(st.integers(-1, 3)), start,
+                        start + draw(st.integers(0, 6)))
+            for start in draw(st.lists(st.integers(0, 7), max_size=8))]
+    clusters = []
+    for _ in range(draw(st.integers(0, 5))):
+        cid = draw(st.integers(-2, 4))
+        spans = draw(st.lists(st.sampled_from(pool), max_size=5)) if pool else []
+        clusters.append(Cluster(cid, tuple(spans)))
+    return tuple(clusters)
+
+
+@settings(max_examples=400, deadline=None)
+@given(clusters=broken_clusters())
+def test_cluster_check_on_broken_clusters_is_the_reference_check(clusters):
+    sentences = tuple(tuple(Token(si, ti, "w") for ti in range(size))
+                      for si, size in enumerate((1, 4, 6)))
+    assert_checked_as_the_reference(Document("d", sentences, clusters))
+
+
+@pytest.mark.parametrize("clusters", [
+    (Cluster(0, (MentionSpan(0, 0, 2), MentionSpan(0, 1, 3))),),  # crossing
+    (Cluster(-1, (MentionSpan(0, 0, 0),)), Cluster(-1, ())),  # negative, twice
+    (Cluster(2, ()), Cluster(1, (MentionSpan(3, 0, 0),))),  # empty, outside
+    (Cluster(0, (MentionSpan(0, 2, 9), MentionSpan(0, 1, 1))),),
+    (Cluster(0, (MentionSpan(0, 1, 1),)), Cluster(1, (MentionSpan(0, 1, 1),)),
+     Cluster(2, (MentionSpan(0, 0, 0), MentionSpan(0, 1, 1)))),  # shared
+], ids=["crossing", "negative-duplicate", "empty-outside", "outside-sentence",
+        "shared"])
+def test_cluster_check_cases_are_the_reference_check(clusters):
+    sentences = (tuple(Token(0, ti, "w") for ti in range(4)),)
+    document = Document("d", sentences, clusters)
+    assert check_reports(reference_check_clusters, document)
+    assert_checked_as_the_reference(document)
+
+
 def test_span_in_two_clusters_is_only_a_warning():
     sentences = ((Token(0, 0, "a"), Token(0, 1, "b")),)
     shared = Document("d", sentences, (
