@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 # Each handler imports the modules it runs, so a command loads only its
 # own layers; the top imports only what every command needs.
@@ -54,31 +54,23 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _views(path: str, text: str, roles=None, tally=None) -> list:
-    """The views of the kept documents of ``text``, the input at ``path``
-    (see :func:`corefkit.conll._view`), once its parse diagnostics are
-    printed. ``text`` goes through ``_parse_lines`` in views mode, given
-    ``roles`` and ``tally``, so no token grid is built. Raises
-    :class:`EmptyCorpusError` when no document was kept."""
-    from corefkit.conll import _parse_lines
+def _kept(path: str, lines: list[str], **mode) -> Iterator:
+    """Yield the kept documents of ``lines``, the input at ``path``, as
+    :func:`corefkit.conll._read` gives them in ``mode``. Once the last
+    is read, print the parse diagnostics, and raise
+    :class:`EmptyCorpusError` if no document was kept."""
+    from corefkit.conll import _read
 
-    # Each ``del`` frees what the rest of the parse no longer needs,
-    # unless the caller still holds the text.
-    lines = text.splitlines()
-    del text
-    views, diagnostics = _parse_lines(lines, views=True, roles=roles,
-                                      tally=tally)
-    del lines
-    _print_diagnostics(path, diagnostics)
-    if not views:
-        raise EmptyCorpusError("no parseable document in input")
-    return views
-
-
-def _print_diagnostics(path: str, diagnostics) -> None:
+    diagnostics: list = []
+    kept = False
+    for document in _read(lines, diagnostics, **mode):
+        kept = True
+        yield document
     for d in diagnostics:
         print(f"{path}:{d.line_number}: {d.severity}: {d.message}",
               file=sys.stderr)
+    if not kept:
+        raise EmptyCorpusError("no parseable document in input")
 
 
 def _load_classifier(path: str | None) -> ClassifierConfig:
@@ -142,7 +134,7 @@ def _mapped_output(args, prepare) -> _Output:
     the parse does not) and the first validation error (the one
     ``serialize_corpus`` raises of the library mapping).
     """
-    from corefkit.conll import _document_text, _read
+    from corefkit.conll import _document_text
     from corefkit.errors import ValidationError
 
     lines = _read_text(args.input).splitlines()
@@ -151,11 +143,9 @@ def _mapped_output(args, prepare) -> _Output:
         failure = None
     except (CorefKitError, ValueError, OSError) as exc:
         mapping, warnings, failure = None, "", exc
-    diagnostics: list = []
     texts: list[str] = []
-    kept = invalid = None
-    for document in _read(lines, diagnostics):
-        kept = True
+    invalid = None
+    for document in _kept(args.input, lines):
         if mapping is None:
             continue
         try:
@@ -168,9 +158,6 @@ def _mapped_output(args, prepare) -> _Output:
         if invalid is None:
             texts.append(_document_text(*document))
     del lines
-    _print_diagnostics(args.input, diagnostics)
-    if not kept:
-        raise EmptyCorpusError("no parseable document in input")
     sys.stderr.write(warnings)
     if failure is not None:
         raise failure
@@ -219,7 +206,9 @@ def _cmd_stats(args) -> _Output:
     from corefkit.stats import DEFAULT_REPORT_FORMS, _count
 
     tally: dict[tuple[str, str, str], int] = {}
-    _views(args.input, _read_text(args.input), tally=tally)
+    for _ in _kept(args.input, _read_text(args.input).splitlines(),
+                   views=True, tally=tally):
+        pass
     config = _load_classifier(args.config)
     if args.summary_only:
         wanted = ()
@@ -266,7 +255,7 @@ def _variant_output(args, assign) -> _Output:
     assignment: dict[str, str] = {}
 
     def prepare(lines):
-        from corefkit.conll import _parse_lines
+        from corefkit.conll import _read
         from corefkit.transform import (TransformOptions, _rewrite_rows,
                                         _specific)
 
@@ -274,8 +263,8 @@ def _variant_output(args, assign) -> _Output:
         lexicon, warnings = _load_lexicon(args.lexicon)
         options = TransformOptions(anonymize=not args.no_anonymize,
                                    neutralize_nouns=not args.no_neutralize_nouns)
-        assignment.update(assign([view[0] for view in _parse_lines(
-            lines, views=True)[0]]))
+        assignment.update(assign([view[0] for view in _read(
+            lines, [], views=True)]))
         rules = {name: _specific(get_paradigm(name), config, lexicon, options)
                  for name in set(assignment.values())}
         return lambda document: _rewrite_rows(
@@ -295,7 +284,8 @@ def _cmd_sample(args) -> _Output:
 
     from corefkit.builder import PartitionSpec, _sample_ids
 
-    ids = [view[0] for view in _views(args.input, _read_text(args.input))]
+    ids = [view[0] for view in _kept(
+        args.input, _read_text(args.input).splitlines(), views=True)]
     n = len(ids)
     if args.count is not None:
         if not 1 <= args.count <= n:
@@ -345,26 +335,28 @@ def _cmd_score(args) -> _Output:
     read, ``--config`` is loaded into the role table that picks the
     counted pronouns, gold is parsed and reported, then the prediction
     is read, parsed and reported. Neither side builds a token grid:
-    each is parsed straight into its scoring views (:func:`_views`),
-    with the full parse's checks and diagnostics. What is reported
-    comes in this order: a gold read error, the gold diagnostics, an
-    empty gold corpus (the prediction is then never read), an error
-    reading the prediction, its diagnostics, an empty prediction, a
-    ``--config`` error, then the alignment and grid errors of scoring.
+    each is parsed straight into its scoring views (:func:`_kept` in
+    views mode), with the full parse's checks and diagnostics. What is
+    reported comes in this order: a gold read error, the gold
+    diagnostics, an empty gold corpus (the prediction is then never
+    read), an error reading the prediction, its diagnostics, an empty
+    prediction, a ``--config`` error, then the alignment and grid
+    errors of scoring.
     """
     from corefkit.metrics import _evaluate_views, format_report, report_keyvalues
     from corefkit.transform import _role_table
 
-    text = _read_text(args.gold)
+    lines = _read_text(args.gold).splitlines()
     try:
         roles = _role_table(_load_classifier(args.config))
     except (CorefKitError, ValueError, OSError) as exc:
         config_failure, roles = exc, None  # raised after the prediction's report
     else:
         config_failure = None
-    gold = _views(args.gold, text, roles)
-    del text
-    pred = _views(args.pred, _read_text(args.pred))
+    gold = list(_kept(args.gold, lines, views=True, roles=roles))
+    del lines  # freed before the prediction is read
+    pred = list(_kept(args.pred, _read_text(args.pred).splitlines(),
+                      views=True))
     if config_failure is not None:
         raise config_failure
     report = _evaluate_views(gold, pred, args.ignore_singletons, args.macro)

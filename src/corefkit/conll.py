@@ -315,23 +315,13 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     surrogates = {n for n, line in enumerate(lines, 1)
                   if _SURROGATE(line)} if _SURROGATE(text) else ()
     del source, text  # a text passed by nobody else can go before the parse
-    documents, diagnostics = _parse_lines(lines, surrogates=surrogates)
+    diagnostics: list[ParseDiagnostic] = []
+    share = {}.setdefault  # equal text values are shared among the tokens
+    documents = tuple([_document(*document, share) for document in _read(
+        lines, diagnostics, surrogates=surrogates)])
     if not documents:
         raise EmptyCorpusError("no parseable document in input", diagnostics)
-    return Corpus(tuple(documents)), diagnostics
-
-
-def _parse_lines(lines: list[str], *, views: bool = False, **options
-                 ) -> tuple[list, list[ParseDiagnostic]]:
-    """The kept documents of ``lines``, as :func:`_read` gives them but
-    each a :class:`Document`, sharing equal text values, without
-    ``views``, and the diagnostics."""
-    diagnostics: list[ParseDiagnostic] = []
-    documents = _read(lines, diagnostics, views=views, **options)
-    if views:
-        return list(documents), diagnostics
-    share = {}.setdefault
-    return [_document(*document, share) for document in documents], diagnostics
+    return Corpus(documents), diagnostics
 
 
 def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,

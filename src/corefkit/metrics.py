@@ -67,17 +67,17 @@ class EvalReport:
     documents: int
 
 
-def _resolution_sums(entities_a: list[list[int]],
-                     entities_b: list[list[int]]) -> tuple[float, int]:
+def _resolution_sums(entities_a, entities_b) -> tuple[float, int]:
     """Size-weighted LEA resolution of side A against side B.
 
-    Entities are lists of interned mention ids. For each entity ``a``
-    the resolution is ``sum_b C(|a & b|, 2) / C(|a|, 2)``; a singleton
-    resolves to 1 when any B entity contains its mention (self-link
-    convention). Returns ``(sum_a |a| * resolution(a), sum_a |a|)``, the
-    numerator and denominator of the corresponding precision or recall.
+    Entities are sequences of mentions, each its ``_span_key``. For each
+    entity ``a`` the resolution is ``sum_b C(|a & b|, 2) / C(|a|, 2)``;
+    a singleton resolves to 1 when any B entity contains its mention
+    (self-link convention). Returns ``(sum_a |a| * resolution(a), sum_a
+    |a|)``, the numerator and denominator of the corresponding precision
+    or recall.
     """
-    membership: dict[int, list[int]] = {}
+    membership: dict[tuple[int, int, int], list[int]] = {}
     for j, entity in enumerate(entities_b):
         for mention in entity:
             membership.setdefault(mention, []).append(j)
@@ -88,18 +88,18 @@ def _resolution_sums(entities_a: list[list[int]],
     for entity in entities_a:
         size = len(entity)
         denominator += size
+        if size == 1:
+            if entity[0] in membership:
+                numerator += 1.0
+            continue
         overlap.clear()
         for mention in entity:
             for j in membership.get(mention, ()):
                 overlap[j] = overlap.get(j, 0) + 1
-        if size == 1:
-            resolution = 1.0 if overlap else 0.0
-        else:
-            common = 0
-            for count in overlap.values():
-                common += count * (count - 1) // 2
-            resolution = common / (size * (size - 1) // 2)
-        numerator += size * resolution
+        common = 0
+        for count in overlap.values():
+            common += count * (count - 1) // 2
+        numerator += size * (common / (size * (size - 1) // 2))
     return numerator, denominator
 
 
@@ -107,17 +107,12 @@ def _lea_sums(gold: _PredictionView, pred: _PredictionView,
               ignore_singletons: bool) -> tuple[float, int, float, int]:
     """LEA's recall and precision sums of one document's views; a gold
     view serves as well."""
-    ids: dict[tuple[int, int, int], int] = {}
-
-    def interned(sets) -> list[list[int]]:
-        return [[ids.setdefault(key, len(ids)) for key in entity]
-                for entity in sets
-                if len(entity) >= 2 or not ignore_singletons]
-
-    gold_ids = interned(gold[2])
-    pred_ids = interned(pred[2])
-    recall_num, recall_den = _resolution_sums(gold_ids, pred_ids)
-    prec_num, prec_den = _resolution_sums(pred_ids, gold_ids)
+    gold_entities, pred_entities = gold[2], pred[2]
+    if ignore_singletons:
+        gold_entities = [e for e in gold_entities if len(e) >= 2]
+        pred_entities = [e for e in pred_entities if len(e) >= 2]
+    recall_num, recall_den = _resolution_sums(gold_entities, pred_entities)
+    prec_num, prec_den = _resolution_sums(pred_entities, gold_entities)
     return recall_num, recall_den, prec_num, prec_den
 
 
@@ -171,6 +166,7 @@ def _antecedent_hits(gold: _GoldView, pred: _PredictionView
         # predicted cluster -> smallest position in it of a gold mention
         # seen so far in this gold cluster, i.e. of an antecedent
         lowest: dict[int, int] = {}
+        last = len(cluster) - 1
         for i, span in enumerate(cluster):
             positions = pred_positions.get(span, ())
             if span not in hits:
@@ -181,6 +177,8 @@ def _antecedent_hits(gold: _GoldView, pred: _PredictionView
                     hits[span] = lowest.get(q, j) < j
                 else:
                     hits[span] = False
+            if i == last:
+                break  # no mention follows to read ``lowest``
             for q, k in positions:
                 if k < lowest.get(q, k + 1):
                     lowest[q] = k

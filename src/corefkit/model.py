@@ -4,8 +4,8 @@ A :class:`Document` holds a token grid plus clusters of token spans,
 ``(sentence_index, start, end)`` with inclusive 0-based offsets, so
 nested and crossing mentions are representable. Values are immutable
 and safe to share across threads. The command line writers build no
-grid and no span objects; their checks are :func:`_check_values` and
-:func:`_check_clusters`, which reads clusters as ``(id, span keys)``.
+grid and no span objects; their one check is :func:`_check_values` of
+the fields they rewrite.
 """
 from __future__ import annotations
 

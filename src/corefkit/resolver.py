@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from itertools import starmap
 from operator import attrgetter, itemgetter
 
-from corefkit.model import Cluster, Document, _check_clusters, _span
+from corefkit.model import Cluster, Document, _span
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
                                 DEFAULT_CLASSIFIER_CONFIG, _role_table)
 
@@ -101,15 +101,12 @@ def resolve(document: Document,
 
 
 def _resolve_rows(document, config: ResolverConfig, roles):
-    """:func:`resolve` of a document's rows (``conll._Rows``), and the
-    messages that :func:`~corefkit.model.validate_corpus` gives its new
-    clusters; ``roles`` is the ``transform._role_table`` of the run."""
-    clusters = _clusters(document.sentences, _ROW_COLUMNS, config, roles)
-    errors: list[str] = []
-    _check_clusters(lambda message: errors.append(
-        f"document {document.id!r}: {message}"), lambda message: None,
-        clusters, list(map(len, document.sentences)))
-    return document._replace(clusters=clusters), errors
+    """:func:`resolve` of a document's rows (``conll._Rows``), with no
+    error to report: the sieves build valid clusters (ids 0..n-1 in
+    order, sorted spans inside their sentences, no span listed twice);
+    ``roles`` is the ``transform._role_table`` of the run."""
+    return document._replace(clusters=_clusters(
+        document.sentences, _ROW_COLUMNS, config, roles)), ()
 
 
 # A row's (form, pos, feats, ner).

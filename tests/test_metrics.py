@@ -4,9 +4,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefkit.errors import AlignmentError
-from corefkit.metrics import (evaluate, format_report, lea, pronoun_score,
+from corefkit.metrics import (_antecedent_hits, _lea_sums, evaluate,
+                              format_report, lea, pronoun_score,
                               report_keyvalues)
 from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token
 from corefkit.transform import classify_pronoun
@@ -537,3 +540,112 @@ def test_evaluate_classifies_each_pos_feats_pair_once(monkeypatch):
     assert report.pronouns.total > 0
     assert sum(len({(t.pos, t.feats) for t in d.tokens()})
                for d in corpus.documents) > len(pairs)
+
+
+def test_lea_sums_over_every_entity_of_the_other_side():
+    """n identical two-mention clusters on both sides: each resolves all
+    n of the other side's, so precision and recall read n, as in the
+    oracle."""
+    sentence = tuple(Token(0, i, "w") for i in range(2))
+    pair = (MentionSpan(0, 0, 0), MentionSpan(0, 1, 1))
+    document = Document("d", (sentence,),
+                        tuple(Cluster(i, pair) for i in range(3)))
+    score = lea(document, document)
+    assert (score.precision, score.recall) == (3.0, 3.0)
+    assert (score.precision, score.recall, score.f1) == pytest.approx(
+        lea_oracle(document, document))
+
+
+# --- the scoring loops against the loops they replaced -----------------------
+
+def reference_resolution_sums(entities_a, entities_b):
+    membership = {}
+    for j, entity in enumerate(entities_b):
+        for mention in entity:
+            membership.setdefault(mention, []).append(j)
+    numerator = 0.0
+    denominator = 0
+    overlap = {}
+    for entity in entities_a:
+        size = len(entity)
+        denominator += size
+        overlap.clear()
+        for mention in entity:
+            for j in membership.get(mention, ()):
+                overlap[j] = overlap.get(j, 0) + 1
+        if size == 1:
+            resolution = 1.0 if overlap else 0.0
+        else:
+            common = 0
+            for count in overlap.values():
+                common += count * (count - 1) // 2
+            resolution = common / (size * (size - 1) // 2)
+        numerator += size * resolution
+    return numerator, denominator
+
+
+def reference_lea_sums(gold, pred, ignore_singletons):
+    ids = {}
+
+    def interned(sets):
+        return [[ids.setdefault(key, len(ids)) for key in entity]
+                for entity in sets
+                if len(entity) >= 2 or not ignore_singletons]
+
+    gold_ids = interned(gold[2])
+    pred_ids = interned(pred[2])
+    return (*reference_resolution_sums(gold_ids, pred_ids),
+            *reference_resolution_sums(pred_ids, gold_ids))
+
+
+def reference_antecedent_hits(gold, pred):
+    pred_positions = {}
+    for q, cluster in enumerate(pred[2]):
+        for k, span in enumerate(cluster):
+            positions = pred_positions.setdefault(span, [])
+            if not positions or positions[-1][0] != q:
+                positions.append((q, k))
+    hits = {}
+    for cluster in gold[2]:
+        lowest = {}
+        for i, span in enumerate(cluster):
+            positions = pred_positions.get(span, ())
+            if span not in hits:
+                if i == 0:
+                    hits[span] = None
+                elif positions:
+                    q, j = positions[0]
+                    hits[span] = lowest.get(q, j) < j
+                else:
+                    hits[span] = False
+            for q, k in positions:
+                if k < lowest.get(q, k + 1):
+                    lowest[q] = k
+    return hits
+
+
+# Six spans of a two-sentence document, so drawn clusters share them.
+SHARED_SPANS = [(0, 0, 0), (0, 1, 1), (0, 0, 2), (0, 2, 2), (1, 0, 0),
+                (1, 0, 1)]
+
+
+@st.composite
+def shared_span_views(draw):
+    """A prediction view whose clusters draw from :data:`SHARED_SPANS`,
+    each span at most once per cluster, in document order or not."""
+    clusters = []
+    for _ in range(draw(st.integers(0, 8))):
+        spans = draw(st.lists(st.sampled_from(SHARED_SPANS), min_size=1,
+                              max_size=5, unique=True))
+        clusters.append(tuple(sorted(spans) if draw(st.booleans())
+                              else spans))
+    return "d", (3, 2), tuple(clusters)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gold=shared_span_views(), pred=shared_span_views())
+def test_scoring_loops_compute_what_the_replaced_loops_computed(gold, pred):
+    for ignore_singletons in (False, True):
+        assert _lea_sums(gold, pred, ignore_singletons) == reference_lea_sums(
+            gold, pred, ignore_singletons)
+    assert _antecedent_hits(gold, pred) == reference_antecedent_hits(gold, pred)

@@ -1,13 +1,18 @@
 import random
 import re
+from operator import attrgetter
 
-from corefkit.conll import serialize_corpus
+from hypothesis import given, settings
+
+from corefkit.conll import _read, serialize_corpus
 from corefkit.lexicon import get_paradigm
-from corefkit.model import Corpus, Document, MentionSpan
-from corefkit.resolver import ResolverConfig, resolve
-from corefkit.transform import classify_pronoun, pronoun_specific, swap_pronouns
+from corefkit.model import Corpus, Document, MentionSpan, _check_clusters
+from corefkit.resolver import _ROW_COLUMNS, ResolverConfig, _clusters, resolve
+from corefkit.transform import (ClassifierConfig, _role_table, classify_pronoun,
+                                pronoun_specific, swap_pronouns)
 
 import corpusgen
+from test_jobs import corpus_texts
 
 PRS_NOM = "Case=Nom|Number=Sing|Person=3|PronType=Prs"
 
@@ -278,3 +283,38 @@ def test_resolving_a_fully_transformed_document():
     # anonymization keeps name positions, and these names are
     # case-consistent, so the exact-match groups survive the rewrite too
     assert spans_of(predicted) == spans_of(resolve(doc))
+
+
+# --- the predicted clusters are valid by construction ------------------------
+
+RESOLVER_CONFIGS = [ResolverConfig(), ResolverConfig(0),
+                    ResolverConfig(enable_string_match=False),
+                    ResolverConfig(0, enable_string_match=False)]
+ROLES = _role_table(ClassifierConfig())
+
+
+def assert_clusters_pass_the_check(sentences, columns):
+    """The clusters of every resolver configuration draw neither an error
+    nor a warning from the cluster check, so the writer skips it."""
+    sizes = list(map(len, sentences))
+    for config in RESOLVER_CONFIGS:
+        reports = []
+        _check_clusters(reports.append, reports.append,
+                        _clusters(sentences, columns, config, ROLES), sizes)
+        assert reports == [], config
+
+
+def test_resolved_clusters_of_generated_documents_pass_the_check():
+    rng = random.Random(23)
+    for _ in range(40):
+        for document in (corpusgen.story_document(rng, "s", rng.randint(1, 12)),
+                         corpusgen.random_document(rng, "r")):
+            assert_clusters_pass_the_check(
+                document.sentences, attrgetter("form", "pos", "feats", "ner"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=corpus_texts())
+def test_resolved_clusters_of_parsed_rows_pass_the_check(text):
+    for rows in _read(text.splitlines(), []):
+        assert_clusters_pass_the_check(rows.sentences, _ROW_COLUMNS)

@@ -4,6 +4,7 @@ report exactly what the serial library calls report.
 """
 import random
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,8 +18,7 @@ from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
 from test_jobs import corpus_texts
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
-from corefkit.conll import (_parse_lines, _tally, _view, parse_corpus,
-                            serialize_corpus)
+from corefkit.conll import _read, _tally, _view, parse_corpus, serialize_corpus
 from corefkit.errors import CorefKitError, EmptyCorpusError
 from corefkit.metrics import (_evaluate_views, evaluate, format_report,
                               report_keyvalues)
@@ -34,10 +34,17 @@ CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
 
 # --- the views a parse gives ----------------------------------------------
 
+def views_parse(lines, **mode):
+    """The views of the kept documents of ``lines`` and the diagnostics,
+    as the views parse reads them given ``mode``."""
+    diagnostics = []
+    return list(_read(lines, diagnostics, views=True, **mode)), diagnostics
+
+
 def round_tripped(text):
     """The diagnostics and views of the views parse of ``text``, without
     roles, as ``score`` parses the prediction."""
-    views, diagnostics = _parse_lines(text.splitlines(), views=True)
+    views, diagnostics = views_parse(text.splitlines())
     return diagnostics, views
 
 
@@ -108,19 +115,25 @@ def test_the_view_holds_ids_lengths_and_span_keys_only():
 
 # --- the scoring-mode parse --------------------------------------------------
 
-def views_of_the_full_parse(lines, config):
-    """Assert that both scoring modes of ``_parse_lines`` report the full
-    parse's diagnostics and keep its documents, as their views, and that
-    the tally of the views parse counts the kept documents' tokens."""
-    documents, diagnostics = _parse_lines(lines)
+def views_of_the_full_parse(text, config):
+    """Assert that both scoring modes of the views parse report the
+    diagnostics of ``parse_corpus`` and keep its documents, as their
+    views, and that the tally of the views parse counts the kept
+    documents' tokens."""
+    try:
+        corpus, diagnostics = parse_corpus(text)
+        documents = corpus.documents
+    except EmptyCorpusError as exc:
+        documents, diagnostics = (), exc.diagnostics
+    lines = text.splitlines()
     expected = _tally(documents)
     for roles in (None, _role_table(config)):
-        views, view_diagnostics = _parse_lines(lines, views=True, roles=roles)
+        views, view_diagnostics = views_parse(lines, roles=roles)
         assert view_diagnostics == diagnostics
         assert views == [_view(d, roles) for d in documents]
         tally = {}
-        assert _parse_lines(lines, views=True, roles=roles,
-                            tally=tally) == (views, diagnostics)
+        assert views_parse(lines, roles=roles,
+                           tally=tally) == (views, diagnostics)
         # The full parse reads feats "_" as empty.
         read = {}
         for (pos, feats, form), count in tally.items():
@@ -134,7 +147,7 @@ def views_of_the_full_parse(lines, config):
 def test_the_scoring_parse_is_the_full_parse_seen_through_views(text, config):
     config = (ClassifierConfig() if config == "default"
               else ClassifierConfig.from_text(CONFIGS[config]))
-    views_of_the_full_parse(text.splitlines(), config)
+    views_of_the_full_parse(text, config)
 
 
 def test_score_builds_no_token_grid(monkeypatch):
@@ -344,3 +357,42 @@ def test_score_reports_what_the_serial_calls_report(texts, gold_kind, pred_kind,
         assert (code, out, err, written) == expected
         assert set(tmp.rglob("*")) - before <= {target, target.parent}
     assert_no_child_left()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gold_text=corpus_texts(), pred_text=corpus_texts())
+def test_score_on_hostile_corpora_reports_what_the_serial_calls_report(
+        gold_text, pred_text):
+    """Two drawn corpora, then the first as both sides: each may hold
+    broken, duplicate or unterminated documents, or none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gold = str(Path(tmp) / "gold.conll")
+        pred = str(Path(tmp) / "pred.conll")
+        Path(gold).write_text(gold_text, "utf-8", newline="")
+        Path(pred).write_text(pred_text, "utf-8", newline="")
+        for pred_arg in (pred, gold):
+            *expected, _ = serial_reference(gold, pred_arg, None, "", set(),
+                                            False)
+            assert run("score", "--gold", gold,
+                       "--pred", pred_arg) == tuple(expected)
+
+
+# --- spans held by many clusters -------------------------------------------
+
+def test_many_one_token_clusters_on_one_token_score_in_linear_time(tmp_path):
+    """10k one-token clusters on one token, as gold and as prediction:
+    LEA's singleton check and the antecedent sweep must not walk every
+    cluster of the span once per cluster (100M steps)."""
+    n = 10_000
+    path = tmp_path / "one-token.conll"
+    path.write_text(
+        "#begin document one\n"
+        "1\thij\thij\tPRON\tCase=Nom|Number=Sing|Person=3|PronType=Prs\t0"
+        f"\troot\tO\t{'|'.join(f'({i})' for i in range(n))}\n"
+        "#end document\n", "utf-8")
+    started = time.perf_counter()
+    code, out, err = run("score", "--gold", str(path), "--pred", str(path))
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert "lea_precision=1.000000\nlea_recall=1.000000\n" in out
+    assert elapsed < 2.0, elapsed
