@@ -54,16 +54,16 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _kept(path: str, lines: list[str], **mode) -> Iterator:
+def _kept(path: str, lines: list[str]) -> Iterator:
     """Yield the kept documents of ``lines``, the input at ``path``, as
-    :func:`corefkit.conll._read` gives them in ``mode``. Once the last
-    is read, print the parse diagnostics, and raise
+    the rows (``conll._Rows``) that :func:`corefkit.conll._read` gives.
+    Once the last is read, print the parse diagnostics, and raise
     :class:`EmptyCorpusError` if no document was kept."""
     from corefkit.conll import _read
 
     diagnostics: list = []
     kept = False
-    for document in _read(lines, diagnostics, **mode):
+    for document in _read(lines, diagnostics):
         kept = True
         yield document
     for d in diagnostics:
@@ -200,15 +200,14 @@ def _render_stats(report: FrequencyReport) -> str:
 
 
 def _cmd_stats(args) -> _Output:
-    """Count straight from the parse: the text is read into a ``(pos,
-    feats, form)`` tally of the kept documents' tokens, and no token
-    grid is built."""
+    """Count from the rows: the kept documents' tokens are tallied by
+    ``(pos, feats, form)`` one document at a time (``conll._tally``), and
+    no token grid is built. A ``--config`` error comes after the parse
+    diagnostics."""
+    from corefkit.conll import _tally
     from corefkit.stats import DEFAULT_REPORT_FORMS, _count
 
-    tally: dict[tuple[str, str, str], int] = {}
-    for _ in _kept(args.input, _read_text(args.input).splitlines(),
-                   views=True, tally=tally):
-        pass
+    tally = _tally(_kept(args.input, _read_text(args.input).splitlines()))
     config = _load_classifier(args.config)
     if args.summary_only:
         wanted = ()
@@ -251,7 +250,7 @@ def _cmd_delex(args) -> _Output:
 def _variant_output(args, assign) -> _Output:
     """``cda`` and ``unseen``: each kept document rewritten with the
     paradigm that ``assign(kept ids)`` gives its id, the ids read by a
-    views parse first, and the assignment sidecar."""
+    first parse, and the assignment sidecar."""
     assignment: dict[str, str] = {}
 
     def prepare(lines):
@@ -263,8 +262,7 @@ def _variant_output(args, assign) -> _Output:
         lexicon, warnings = _load_lexicon(args.lexicon)
         options = TransformOptions(anonymize=not args.no_anonymize,
                                    neutralize_nouns=not args.no_neutralize_nouns)
-        assignment.update(assign([view[0] for view in _read(
-            lines, [], views=True)]))
+        assignment.update(assign([rows.id for rows in _read(lines, [])]))
         rules = {name: _specific(get_paradigm(name), config, lexicon, options)
                  for name in set(assignment.values())}
         return lambda document: _rewrite_rows(
@@ -284,8 +282,8 @@ def _cmd_sample(args) -> _Output:
 
     from corefkit.builder import PartitionSpec, _sample_ids
 
-    ids = [view[0] for view in _kept(
-        args.input, _read_text(args.input).splitlines(), views=True)]
+    ids = [rows.id for rows in _kept(
+        args.input, _read_text(args.input).splitlines())]
     n = len(ids)
     if args.count is not None:
         if not 1 <= args.count <= n:
@@ -335,14 +333,16 @@ def _cmd_score(args) -> _Output:
     read, ``--config`` is loaded into the role table that picks the
     counted pronouns, gold is parsed and reported, then the prediction
     is read, parsed and reported. Neither side builds a token grid:
-    each is parsed straight into its scoring views (:func:`_kept` in
-    views mode), with the full parse's checks and diagnostics. What is
+    each kept document's rows become its scoring view
+    (``conll._view``) as it is read, gold's with the counted pronouns,
+    and only the views are kept. What is
     reported comes in this order: a gold read error, the gold
     diagnostics, an empty gold corpus (the prediction is then never
     read), an error reading the prediction, its diagnostics, an empty
     prediction, a ``--config`` error, then the alignment and grid
     errors of scoring.
     """
+    from corefkit.conll import _view
     from corefkit.metrics import _evaluate_views, format_report, report_keyvalues
     from corefkit.transform import _role_table
 
@@ -353,10 +353,10 @@ def _cmd_score(args) -> _Output:
         config_failure, roles = exc, None  # raised after the prediction's report
     else:
         config_failure = None
-    gold = list(_kept(args.gold, lines, views=True, roles=roles))
+    gold = [_view(rows, roles) for rows in _kept(args.gold, lines)]
     del lines  # freed before the prediction is read
-    pred = list(_kept(args.pred, _read_text(args.pred).splitlines(),
-                      views=True))
+    pred = [_view(rows) for rows in _kept(
+        args.pred, _read_text(args.pred).splitlines())]
     if config_failure is not None:
         raise config_failure
     report = _evaluate_views(gold, pred, args.ignore_singletons, args.macro)

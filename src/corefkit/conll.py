@@ -24,21 +24,25 @@ diagnostics and the rest of the corpus still loads. Serialization
 produces canonical bytes, so ``serialize -> parse`` is the identity and
 ``parse -> serialize`` canonicalises lenient input.
 
-One reader has two outputs: each document's rows, its tokens' columns
-as split, from which :func:`parse_corpus` builds tokens and which the
-command line writers rewrite and serialize one document at a time; or
-what scoring and ``stats`` read of it, its view and token tally. Only
-the library parse shares equal field values among its tokens.
+The reader has one output, each document's rows: its tokens' columns
+as split. :func:`parse_corpus` builds tokens from them; the command
+line writers rewrite and serialize them one document at a time; scoring
+reads its views of them (:func:`_view`) and ``stats`` its token tally
+(:func:`_tally`), which the library computes from a document's
+:func:`_rows`. Only the library parse shares equal field values among
+its tokens.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
+from itertools import chain, starmap
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.model import (_SURROGATE, Cluster, Corpus, Document, Token,
-                            _span, _span_key, validate_corpus)
+from corefkit.model import (_SURROGATE, Cluster, Corpus, Document,
+                            MentionSpan, Token, _span_key, validate_corpus)
 
 __all__ = [
     "ParseDiagnostic",
@@ -80,79 +84,79 @@ class ParseDiagnostic:
     message: str
 
 
+# A document as the reader keeps it: each token a row, ``(form, lemma,
+# pos, feats, head, dep_rel, ner)``, the strings split from its line, no
+# equal values shared, but ``head`` an int (0: root); each cluster ``(id,
+# spans)``, spans a list of ``(sentence, start, end)`` in order. Every
+# command reads documents as rows, and the library turns a
+# :class:`Document` into them with :func:`_rows`.
+_Rows = namedtuple("_Rows", "id sentences clusters")
+
+
+def _rows(document: Document) -> _Rows:
+    """The :class:`_Rows` of ``document``; a row's feats are the token's,
+    so empty feats are empty, not ``_`` (every reader of rows takes
+    both)."""
+    return _Rows(document.id, [
+        [(t.form, t.lemma, t.pos, t.feats,
+          0 if t.dep_head is None else t.dep_head + 1, t.dep_rel, t.ner)
+         for t in sentence] for sentence in document.sentences],
+        [(c.id, list(map(_span_key, c.mentions))) for c in document.clusters])
+
+
 # What scoring reads of a document, as plain tuples of ints and strings.
 # A prediction view is ``(id, sentence lengths, clusters)``, each
 # cluster a tuple of its mentions' ``_span_key`` tuples in document
 # order. A gold view adds a fourth item: ``(sentence, token, lowercased
-# form)`` of each counted pronoun, in document order. ``score`` parses
-# both sides straight into views (:class:`_DocumentReader` with
-# ``views``); the library functions build them from documents with
-# :func:`_view`.
+# form)`` of each counted pronoun, in document order. :func:`_view`
+# builds both, for ``score`` and the library alike.
 _PredictionView = tuple[str, tuple[int, ...],
                         tuple[tuple[tuple[int, int, int], ...], ...]]
 _GoldView = tuple[str, tuple[int, ...],
                   tuple[tuple[tuple[int, int, int], ...], ...],
                   tuple[tuple[int, int, str], ...]]
 
+_TALLY_KEY = itemgetter(2, 3, 0)  # a row's (pos, feats, form)
 
-def _view(document: Document, roles=None) -> _PredictionView | _GoldView:
-    """What scoring reads of ``document``: its prediction view, or its
-    gold view given ``roles``, a ``(pos, feats)`` table as the reader
-    takes."""
-    view = (document.id, tuple(map(len, document.sentences)),
-            tuple(tuple(map(_span_key, c.mentions)) for c in document.clusters))
+
+def _view(rows: _Rows, roles=None) -> _PredictionView | _GoldView:
+    """What scoring reads of a document's ``rows``: its prediction view,
+    or its gold view given ``roles``, a ``(pos, feats)`` table like
+    ``transform._role_table``, which counts each token whose role is not
+    None."""
+    sentences = rows.sentences
+    view = (rows.id, tuple(map(len, sentences)),
+            tuple([tuple(spans) for _, spans in rows.clusters]))
     if roles is None:
         return view
-    return view + (tuple(
-        (token.sentence_index, token.token_index, token.form.lower())
-        for sentence in document.sentences for token in sentence
-        if roles[token.pos, token.feats] is not None),)
+    return view + (tuple([
+        (si, ti, row[0].lower()) for si, sentence in enumerate(sentences)
+        for ti, row in enumerate(sentence)
+        if roles[row[2], row[3]] is not None]),)
 
 
-def _tally(documents: Iterable[Document]) -> dict[tuple[str, str, str], int]:
-    """The tokens of ``documents`` counted by ``(pos, feats, form)``: the
-    tally that a views parse of their text keeps, but with empty feats
-    as a :class:`Token` holds them, not ``_``."""
-    tally: dict[tuple[str, str, str], int] = {}
-    for document in documents:
-        for sentence in document.sentences:
-            for token in sentence:
-                key = token.pos, token.feats, token.form
-                tally[key] = tally.get(key, 0) + 1
+def _tally(documents: Iterable[_Rows]) -> Counter:
+    """The tokens of ``documents``, given as rows, counted by ``(pos,
+    feats, form)``, with feats as the rows hold them: ``_`` as read, or
+    empty from :func:`_rows`."""
+    tally: Counter = Counter()
+    for rows in documents:
+        tally.update(map(_TALLY_KEY, chain.from_iterable(rows.sentences)))
     return tally
-
-
-# A document as the reader keeps it: each token a row, ``(form, lemma,
-# pos, feats, head, dep_rel, ner)``, the strings split from its line, no
-# equal values shared, but ``head`` an int (0: root); each cluster ``(id,
-# spans)``, spans a list of ``(sentence, start, end)`` in order.
-_Rows = namedtuple("_Rows", "id sentences clusters")
 
 
 class _DocumentReader:
     """Accumulates lines of one document and builds its :class:`_Rows`
-    on completion. With ``views`` it runs the same checks but keeps a
-    sentence as its tokens' 1-based heads (for the head check) and
-    returns the document's prediction view, or its gold view given
-    ``roles``, a ``(pos, feats)`` table like ``transform._role_table``,
-    which counts each token whose role is not None. With ``tally`` it
-    counts the tokens by ``(pos, feats, form)`` as read in :attr:`tally`.
-    """
+    on completion."""
 
     def __init__(self, doc_id: str, begin_line: int,
-                 diagnostics: list[ParseDiagnostic], views: bool = False,
-                 roles=None, tally: bool = False):
+                 diagnostics: list[ParseDiagnostic]):
         self.doc_id = doc_id
         self.begin_line = begin_line
         self.diagnostics = diagnostics
-        self.views = views
-        self.roles = roles
-        self.counted: list[tuple[int, int, str]] = []
-        # (pos, feats, form) -> tokens, with ``tally``
-        self.tally: dict | None = {} if tally else None
         self.broken = False
-        self.sentences: list = []  # row lists, or lengths with ``views``
-        self.tokens: list = []  # rows, or 1-based heads with ``views``
+        self.sentences: list[list[tuple]] = []
+        self.tokens: list[tuple] = []  # the current sentence's rows
         self.token_lines: list[int] = []
         # cluster id -> ``(sentence, start, end)`` of its mentions
         self.spans: dict[int, list[tuple[int, int, int]]] = {}
@@ -192,18 +196,7 @@ class _DocumentReader:
                 return
         if head > self.max_head:
             self.max_head = head
-        if self.views:
-            tokens.append(head)
-            roles = self.roles
-            if roles is not None and roles[pos, feats] is not None:
-                self.counted.append((len(self.sentences), expected - 1,
-                                     form.lower()))
-            tally = self.tally
-            if tally is not None:
-                key = pos, feats, form
-                tally[key] = tally.get(key, 0) + 1
-        else:
-            tokens.append((form, lemma, pos, feats, head, dep_rel, ner))
+        tokens.append((form, lemma, pos, feats, head, dep_rel, ner))
         self.token_lines.append(line_number)
         if coref != "-":
             self._coref_entries(line_number, coref, expected - 1)
@@ -249,8 +242,8 @@ class _DocumentReader:
             return
         size = len(tokens)
         if self.max_head > size:
-            heads = tokens if self.views else [row[4] for row in tokens]
-            for head, line_number in zip(heads, self.token_lines):
+            for row, line_number in zip(tokens, self.token_lines):
+                head = row[4]
                 if head > size:
                     self.error(line_number, f"dependency head {head} beyond "
                                             f"sentence of {size} tokens")
@@ -260,30 +253,24 @@ class _DocumentReader:
                     self.error(line_number,
                                f"coreference bracket '({cid}' is never closed")
             self.open_spans = {}
-        self.sentences.append(size if self.views else tokens)
+        self.sentences.append(tokens)
         self.tokens = []
         self.token_lines = []
         self.max_head = 0
 
-    def finish(self, line_number: int):
-        """The document's rows, its view with ``views``, or None if broken."""
+    def finish(self, line_number: int) -> _Rows | None:
+        """The document's rows, or None if broken."""
         self.end_sentence()
         clusters = []
         for cid in sorted(self.spans):
             mentions = sorted(self.spans[cid])
             for a, b in zip(mentions, mentions[1:]):
                 if a == b:
-                    self.error(line_number,
-                               f"cluster {cid} contains span {_span(*a)} twice")
+                    self.error(line_number, f"cluster {cid} contains span "
+                                            f"{MentionSpan(*a)} twice")
             clusters.append((cid, mentions))
         if self.broken:
             return None
-        if self.views:
-            view = (self.doc_id, tuple(self.sentences),
-                    tuple([tuple(mentions) for _, mentions in clusters]))
-            if self.roles is None:
-                return view
-            return view + (tuple(self.counted),)
         return _Rows(self.doc_id, self.sentences, clusters)
 
 
@@ -297,7 +284,7 @@ def _document(doc_id: str, sentences, clusters, share) -> Document:
               share(ner, ner))
         for ti, (form, lemma, pos, feats, head, dep_rel, ner)
         in enumerate(sentence)]) for si, sentence in enumerate(sentences)]),
-        tuple([Cluster(cid, tuple([_span(s, a, b) for s, a, b in mentions]))
+        tuple([Cluster(cid, tuple(starmap(MentionSpan, mentions)))
                for cid, mentions in clusters]))
 
 
@@ -325,18 +312,12 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
 
 
 def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
-          views: bool = False, roles=None,
-          tally: dict[tuple[str, str, str], int] | None = None,
-          surrogates: Collection[int] = ()) -> Iterator:
-    """Yield the kept documents of ``lines``, numbered from 1, each as soon
-    as its last line is read, and add the diagnostics to ``diagnostics``.
-    A document whose id was kept earlier is dropped as a duplicate.
-
-    Each comes as its :class:`_Rows`, each row holding the strings split
-    from its line; or with ``views`` as its scoring view, given ``roles``
-    and ``tally`` (see :class:`_DocumentReader`; each kept tally
-    is added to ``tally``). Both run the same checks. ``surrogates``
-    holds the numbers of lines with a lone surrogate, which break.
+          surrogates: Collection[int] = ()) -> Iterator[_Rows]:
+    """Yield the kept documents of ``lines``, numbered from 1, each as its
+    :class:`_Rows` as soon as its last line is read, and add the
+    diagnostics to ``diagnostics``. A document whose id was kept earlier
+    is dropped as a duplicate. ``surrogates`` holds the numbers of lines
+    with a lone surrogate, which break.
     """
     kept_ids: set[str] = set()
     reader: _DocumentReader | None = None
@@ -354,9 +335,6 @@ def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
                 f"duplicate document id {reader.doc_id!r}; keeping the first"))
         elif document is not None:
             kept_ids.add(reader.doc_id)
-            if tally is not None:
-                for key, count in reader.tally.items():
-                    tally[key] = tally.get(key, 0) + count
             yield document
 
     for line_number, line in enumerate(lines, 1):
@@ -381,8 +359,7 @@ def _read(lines: list[str], diagnostics: list[ParseDiagnostic], *,
                 continue
         if line.startswith(BEGIN_PREFIX):
             reader = _DocumentReader(line[len(BEGIN_PREFIX):], line_number,
-                                     diagnostics, views, roles,
-                                     tally is not None)
+                                     diagnostics)
         elif line.strip():
             diagnostics.append(ParseDiagnostic(
                 line_number, "error",
@@ -462,13 +439,8 @@ def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
     if errors:
         raise ValidationError(
             f"corpus failed validation: {errors[0].message}", issues)
-    return "".join([_document_text(document.id, (
-        ((t.form, t.lemma, t.pos, t.feats,
-          0 if t.dep_head is None else t.dep_head + 1, t.dep_rel, t.ner)
-         for t in sentence) for sentence in document.sentences),
-        [(c.id, list(map(_span_key, c.mentions)))
-         for c in document.clusters])
-        for document in corpus.documents])
+    return "".join([_document_text(*_rows(document))
+                    for document in corpus.documents])
 
 
 def strip_singletons(document: Document) -> Document:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from corefkit.conll import _GoldView, _PredictionView, _view
+from corefkit.conll import _GoldView, _PredictionView, _rows, _view
 from corefkit.errors import AlignmentError
 from corefkit.model import Corpus, Document
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
@@ -131,7 +131,8 @@ def _finish_lea(recall_num: float, recall_den: int,
 def lea(gold: Document, pred: Document,
         ignore_singletons: bool = False) -> LeaScore:
     """LEA precision, recall and F1 of one predicted document."""
-    return _finish_lea(*_lea_sums(_view(gold), _view(pred), ignore_singletons))
+    return _finish_lea(*_lea_sums(_view(_rows(gold)), _view(_rows(pred)),
+                                  ignore_singletons))
 
 
 def _check_same_grid(gold: _GoldView, pred: _PredictionView) -> None:
@@ -197,7 +198,8 @@ def pronoun_score(gold: Document, pred: Document,
     mention of the pronoun itself is consulted. A span listed by several
     clusters is judged in the first of them.
     """
-    return _pronoun_outcome([(_view(gold, _role_table(config)), _view(pred))])
+    return _pronoun_outcome([(_view(_rows(gold), _role_table(config)),
+                              _view(_rows(pred)))])
 
 
 def _pronoun_outcome(pairs: Sequence[tuple[_GoldView, _PredictionView]],
@@ -275,16 +277,16 @@ def evaluate(gold: Corpus, pred: Corpus,
     scores (documents without counted pronouns are left out).
     """
     roles = _role_table(config)  # one table for every document
-    return _evaluate_views([_view(d, roles) for d in gold.documents],
-                           list(map(_view, pred.documents)),
+    return _evaluate_views([_view(_rows(d), roles) for d in gold.documents],
+                           [_view(_rows(d)) for d in pred.documents],
                            ignore_singletons, macro_pronouns)
 
 
 def _evaluate_views(gold: Sequence[_GoldView], pred: Sequence[_PredictionView],
                     ignore_singletons: bool, macro_pronouns: bool
                     ) -> EvalReport:
-    """:func:`evaluate` of views, in corpus order on each side. ``score``
-    parses both corpora straight into them."""
+    """:func:`evaluate` of views, in corpus order on each side, as
+    ``score`` builds them from the rows it reads."""
     pairs = _pair_documents(gold, pred)
     pronouns = _pronoun_outcome(pairs, macro_pronouns)
     sums = (0.0, 0, 0.0, 0)

@@ -10,7 +10,7 @@ the fields they rewrite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -81,23 +81,8 @@ class MentionSpan:
             raise ValueError(f"span start {self.start} after end {self.end}")
 
 
-# The slot descriptors' setters, bound once for ``_span``.
-_set_span_sentence, _set_start, _set_end = (
-    MentionSpan.__dict__[f.name].__set__ for f in fields(MentionSpan))
-_new = object.__new__
-
 # The document order of spans as a sort key; cheaper than ``__lt__``.
 _span_key = attrgetter("sentence_index", "start", "end")
-
-
-def _span(sentence_index: int, start: int, end: int) -> MentionSpan:
-    """``MentionSpan(...)`` built through the slots, for a caller that
-    already knows ``start <= end``; ``__post_init__`` does not run."""
-    span = _new(MentionSpan)
-    _set_span_sentence(span, sentence_index)
-    _set_start(span, start)
-    _set_end(span, end)
-    return span
 
 
 @dataclass(frozen=True)
@@ -243,20 +228,20 @@ def _check_clusters(error: Callable[[str], None],
         for key in spans:
             si, _, end = key
             if not 0 <= si < len(sizes):
-                error(f"cluster {cid}: span {_span(*key)} outside the document")
+                error(f"cluster {cid}: span {MentionSpan(*key)} outside the document")
                 continue
             if end >= sizes[si]:
-                error(f"cluster {cid}: span {_span(*key)} outside its sentence")
+                error(f"cluster {cid}: span {MentionSpan(*key)} outside its sentence")
                 continue
             if previous is not None:
                 if key == previous:
-                    error(f"cluster {cid}: span {_span(*key)} listed twice")
+                    error(f"cluster {cid}: span {MentionSpan(*key)} listed twice")
                 elif key < previous:
                     error(f"cluster {cid}: mentions out of document order")
             previous = key
             owner = span_owner.setdefault(key, cid)
             if owner != cid:
-                warning(f"span {_span(*key)} appears in clusters {owner} "
+                warning(f"span {MentionSpan(*key)} appears in clusters {owner} "
                         f"and {cid}")
         # Two spans of one cluster may nest but not cross: the bracket
         # serialization cannot distinguish crossing same-id spans from
@@ -264,8 +249,8 @@ def _check_clusters(error: Callable[[str], None],
         # pairs are listed only for a cluster that fails the linear test.
         if len(spans) > 1 and not _nested(spans):
             for i, j in _crossing_pairs(spans):
-                error(f"cluster {cid}: spans {_span(*spans[i])} and "
-                      f"{_span(*spans[j])} cross")
+                error(f"cluster {cid}: spans {MentionSpan(*spans[i])} and "
+                      f"{MentionSpan(*spans[j])} cross")
 
 
 def _nested(spans) -> bool:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import starmap
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
-from corefkit.model import Cluster, Document, _span
+from corefkit.conll import _rows
+from corefkit.model import Cluster, Document, MentionSpan
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
                                 DEFAULT_CLASSIFIER_CONFIG, _role_table)
 
@@ -28,11 +29,11 @@ class ResolverConfig:
     enable_string_match: bool = True
 
 
-def _clusters(sentences, columns, config: ResolverConfig, roles
+def _clusters(sentences, config: ResolverConfig, roles
               ) -> list[tuple[int, list[tuple[int, int, int]]]]:
     """The ``(id, span keys)`` clusters :func:`resolve` predicts for
-    ``sentences``, whose tokens ``columns`` reads as ``(form, pos, feats,
-    ner)``; ``roles`` is a ``transform._role_table``."""
+    ``sentences`` of rows (``conll._Rows``); ``roles`` is a
+    ``transform._role_table``."""
     # Mentions, in document order: a name is a maximal run of name-like
     # tokens (a pronoun inside one is part of the name), kept as ``((si,
     # end), group key)``. Sieve 1 merges names by key, their lowercased forms.
@@ -48,8 +49,7 @@ def _clusters(sentences, columns, config: ResolverConfig, roles
 
     for si, sentence in enumerate(sentences):
         run: list[str] = []  # the forms of the current name run
-        for ti, token in enumerate(sentence):
-            form, pos, feats, ner = columns(token)
+        for ti, (form, _, pos, feats, _, _, ner) in enumerate(sentence):
             # The prefix test spares the regex on almost every token.
             if ner == "PER" or (form.startswith("ANON_")
                                 and ANON_FORM_RE.fullmatch(form)):
@@ -94,10 +94,9 @@ def resolve(document: Document,
     of the token grid, so repeated runs agree byte for byte.
     """
     return replace(document, clusters=tuple(
-        Cluster(cid, tuple(starmap(_span, spans)))
-        for cid, spans in _clusters(
-            document.sentences, attrgetter("form", "pos", "feats", "ner"),
-            config, _role_table(classifier))))
+        Cluster(cid, tuple(starmap(MentionSpan, spans)))
+        for cid, spans in _clusters(_rows(document).sentences, config,
+                                    _role_table(classifier))))
 
 
 def _resolve_rows(document, config: ResolverConfig, roles):
@@ -106,8 +105,4 @@ def _resolve_rows(document, config: ResolverConfig, roles):
     order, sorted spans inside their sentences, no span listed twice);
     ``roles`` is the ``transform._role_table`` of the run."""
     return document._replace(clusters=_clusters(
-        document.sentences, _ROW_COLUMNS, config, roles)), ()
-
-
-# A row's (form, pos, feats, ner).
-_ROW_COLUMNS = itemgetter(0, 2, 3, 6)
+        document.sentences, config, roles)), ()

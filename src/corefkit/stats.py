@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from corefkit.conll import _tally
+from corefkit.conll import _rows, _tally
 from corefkit.model import Corpus, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 PronounRole, _ByPosFeats, _role,
@@ -85,7 +85,8 @@ def grammatical_function(token: Token,
 def _count(tally: dict[tuple[str, str, str], int], wanted: tuple[str, ...],
            config: ClassifierConfig) -> FrequencyReport:
     """Per-form rows for ``wanted`` plus totals, from a ``(pos, feats,
-    form)`` tally (see :func:`corefkit.conll._tally`)."""
+    form)`` tally (see :func:`corefkit.conll._tally`); feats ``_`` and
+    empty feats count alike."""
     # Lowercased form -> every row that counts it; a form may be asked
     # for twice, in any spelling.
     index: dict[str, list[int]] = {}
@@ -145,5 +146,5 @@ def pronoun_frequencies(corpus: Corpus,
     that a corpus uses exclusively in other functions.
     """
     wanted = tuple(forms) if forms is not None else DEFAULT_REPORT_FORMS
-    return _count(_tally(corpus.documents), wanted, config)
+    return _count(_tally(map(_rows, corpus.documents)), wanted, config)
 

@@ -27,7 +27,6 @@ from corefkit.conll import (END_LINE, _strip_rows, parse_corpus,
                             serialize_corpus, strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
 from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
-import corefkit.model
 from corefkit.model import (_LINE_BREAKS, Cluster, Corpus, Document,
                             MentionSpan, Token, map_documents, validate_corpus)
 from corefkit.resolver import resolve
@@ -251,8 +250,8 @@ def test_a_writer_builds_no_token_grid(monkeypatch, command):
 def test_resolve_baseline_builds_no_span_objects(monkeypatch):
     """The resolver's clusters stay ``(sentence, start, end)`` keys from
     the sieves through the check to the written text: no
-    :class:`MentionSpan`, :class:`Cluster` or :class:`Document` is built,
-    neither through ``__init__`` nor through ``model._span``."""
+    :class:`MentionSpan`, :class:`Cluster` or :class:`Document` is
+    built."""
     expected = run(*WRITERS["resolve-baseline"])
     built = []
     for cls in (MentionSpan, Cluster, Document):
@@ -261,9 +260,6 @@ def test_resolve_baseline_builds_no_span_objects(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    new = corefkit.model._new
-    monkeypatch.setattr(corefkit.model, "_new",
-                        lambda cls: built.append(cls.__name__) or new(cls))
     # The library resolver builds all three, so the counting sees them.
     resolve(parse_corpus(E2E_TEXT)[0].documents[0])
     assert {"MentionSpan", "Cluster", "Document"} <= set(built)

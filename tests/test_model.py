@@ -12,7 +12,7 @@ import corefkit.model
 from corefkit.conll import serialize_corpus
 from corefkit.errors import ValidationError
 from corefkit.model import (Cluster, Corpus, Document, MentionSpan, Token,
-                            _span, _span_key, map_documents, validate_corpus,
+                            _span_key, map_documents, validate_corpus,
                             validate_document)
 
 import corpusgen
@@ -26,8 +26,8 @@ def test_token_feat_set():
 
 
 def test_token_init_takes_the_fields_in_order():
-    """``Token.__init__`` is written out by hand; its parameters must stay
-    the dataclass fields, in order and with their defaults."""
+    """The parser builds tokens positionally, so ``Token``'s parameters
+    must stay the dataclass fields, in order and with their defaults."""
     parameters = [(p.name, p.default)
                   for p in inspect.signature(Token).parameters.values()]
     assert parameters == [
@@ -68,22 +68,8 @@ def test_token_is_a_frozen_slots_value(args):
 
 
 @pytest.mark.parametrize("args", SPAN_ARGS)
-def test_slot_built_spans_match_public_ones(args):
-    built = _span(*args)
-    assert type(built) is MentionSpan
-    assert built == MentionSpan(*args)
-    check_frozen_slots_value(built, args)
-
-
-def test_slot_built_spans_order_like_public_ones():
-    built = [_span(*a) for a in SPAN_ARGS]
-    public = [MentionSpan(*a) for a in SPAN_ARGS]
-    for b, p in zip(built, public):
-        for other in public:
-            assert (b < other) == (p < other) and (other < b) == (other < p)
-            assert (b <= other) == (p <= other)
-    assert sorted(built) == sorted(public)
-    assert sorted(built, key=_span_key) == sorted(public)
+def test_span_is_a_frozen_slots_value(args):
+    check_frozen_slots_value(MentionSpan(*args), args)
 
 
 def test_span_document_order():

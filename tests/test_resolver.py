@@ -1,13 +1,12 @@
 import random
 import re
-from operator import attrgetter
 
 from hypothesis import given, settings
 
-from corefkit.conll import _read, serialize_corpus
+from corefkit.conll import _read, _rows, serialize_corpus
 from corefkit.lexicon import get_paradigm
 from corefkit.model import Corpus, Document, MentionSpan, _check_clusters
-from corefkit.resolver import _ROW_COLUMNS, ResolverConfig, _clusters, resolve
+from corefkit.resolver import ResolverConfig, _clusters, resolve
 from corefkit.transform import (ClassifierConfig, _role_table, classify_pronoun,
                                 pronoun_specific, swap_pronouns)
 
@@ -293,14 +292,15 @@ RESOLVER_CONFIGS = [ResolverConfig(), ResolverConfig(0),
 ROLES = _role_table(ClassifierConfig())
 
 
-def assert_clusters_pass_the_check(sentences, columns):
-    """The clusters of every resolver configuration draw neither an error
-    nor a warning from the cluster check, so the writer skips it."""
+def assert_clusters_pass_the_check(sentences):
+    """The clusters of every resolver configuration on ``sentences`` of
+    rows draw neither an error nor a warning from the cluster check, so
+    the writer skips it."""
     sizes = list(map(len, sentences))
     for config in RESOLVER_CONFIGS:
         reports = []
         _check_clusters(reports.append, reports.append,
-                        _clusters(sentences, columns, config, ROLES), sizes)
+                        _clusters(sentences, config, ROLES), sizes)
         assert reports == [], config
 
 
@@ -309,12 +309,11 @@ def test_resolved_clusters_of_generated_documents_pass_the_check():
     for _ in range(40):
         for document in (corpusgen.story_document(rng, "s", rng.randint(1, 12)),
                          corpusgen.random_document(rng, "r")):
-            assert_clusters_pass_the_check(
-                document.sentences, attrgetter("form", "pos", "feats", "ner"))
+            assert_clusters_pass_the_check(_rows(document).sentences)
 
 
 @settings(max_examples=150, deadline=None)
 @given(text=corpus_texts())
 def test_resolved_clusters_of_parsed_rows_pass_the_check(text):
     for rows in _read(text.splitlines(), []):
-        assert_clusters_pass_the_check(rows.sentences, _ROW_COLUMNS)
+        assert_clusters_pass_the_check(rows.sentences)

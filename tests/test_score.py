@@ -1,6 +1,8 @@
-"""``score`` parses ``--gold``, then ``--pred``, straight into the views
-that scoring reads of each kept document, with no token grid. It must
-report exactly what the serial library calls report.
+"""``score`` parses ``--gold``, then ``--pred``, and keeps of each kept
+document's rows only the view that scoring reads, with no token grid.
+It must report exactly what the serial library calls report. The row
+kernels behind it and ``stats``, ``conll._view`` and ``conll._tally``,
+must give what references built from a :class:`Document`'s tokens give.
 """
 import random
 import tempfile
@@ -18,11 +20,12 @@ from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
 from test_jobs import corpus_texts
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
-from corefkit.conll import _read, _tally, _view, parse_corpus, serialize_corpus
+from corefkit.conll import (_read, _rows, _tally, _view, parse_corpus,
+                            serialize_corpus)
 from corefkit.errors import CorefKitError, EmptyCorpusError
 from corefkit.metrics import (_evaluate_views, evaluate, format_report,
                               report_keyvalues)
-from corefkit.model import Corpus, Token
+from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token
 from corefkit.resolver import resolve
 from corefkit.transform import ClassifierConfig, _role_table
 
@@ -32,18 +35,108 @@ HERSTEL = str(FIXTURES / "herstel.conll")
 CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
 
 
+# --- references built from documents ---------------------------------------
+
+def reference_view(document, roles=None):
+    """What scoring reads of ``document``, from its tokens: its prediction
+    view, or its gold view given ``roles``."""
+    view = (document.id, tuple(map(len, document.sentences)),
+            tuple(tuple((m.sentence_index, m.start, m.end) for m in c.mentions)
+                  for c in document.clusters))
+    if roles is None:
+        return view
+    return view + (tuple(
+        (token.sentence_index, token.token_index, token.form.lower())
+        for sentence in document.sentences for token in sentence
+        if roles[token.pos, token.feats] is not None),)
+
+
+def reference_tally(documents):
+    """The tokens of ``documents`` counted by ``(pos, feats, form)``, with
+    empty feats as a :class:`Token` holds them."""
+    tally = {}
+    for document in documents:
+        for sentence in document.sentences:
+            for token in sentence:
+                key = token.pos, token.feats, token.form
+                tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+PRS = "Number=Sing|Person=3|PronType=Prs"
+
+
+def edge_documents():
+    """Documents that only the library hands over: one with an empty
+    sentence, which ``evaluate`` accepts, and one with a 300-token
+    sentence, a counted pronoun at each end."""
+    def token(si, ti, form, pos="X", feats="", ner="O"):
+        return Token(si, ti, form, form.lower(), pos, feats, None, "dep", ner)
+
+    gapped = Document("gapped", (
+        (token(0, 0, "Anna", "PROPN", ner="PER"), token(0, 1, "ziet"),
+         token(0, 2, "hem", "PRON", "Case=Acc|" + PRS)),
+        (),
+        (token(2, 0, "Zij", "PRON", "Case=Nom|" + PRS), token(2, 1, "lacht"),
+         token(2, 2, "haar", "PRON", "Poss=Yes|" + PRS))),
+        (Cluster(0, (MentionSpan(0, 0, 0), MentionSpan(2, 0, 0))),
+         Cluster(1, (MentionSpan(0, 2, 2), MentionSpan(2, 2, 2)))))
+    long = Document("long", ((
+        token(0, 0, "Hij", "PRON", "Case=Nom|" + PRS),
+        *(token(0, ti, "woord", feats="_" if ti % 2 else "")
+          for ti in range(1, 299)),
+        token(0, 299, "HEM", "PRON", "Case=Acc|" + PRS)),),
+        (Cluster(300, (MentionSpan(0, 0, 0), MentionSpan(0, 1, 298),
+                       MentionSpan(0, 299, 299))),))
+    return [gapped, long]
+
+
+def drawn_documents(rng, kind):
+    if kind == "edge":
+        return edge_documents()
+    make = (corpusgen.story_document if kind == "story"
+            else corpusgen.random_document)
+    return [make(rng, f"{kind}{i}") for i in range(rng.randint(1, 3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["story", "random", "edge"]),
+       config=st.sampled_from(["default", "good"]))
+def test_the_row_kernels_give_what_the_document_references_give(seed, kind,
+                                                                config):
+    config = (ClassifierConfig() if config == "default"
+              else ClassifierConfig.from_text(CONFIGS[config]))
+    documents = drawn_documents(random.Random(seed), kind)
+    for roles in (None, _role_table(config)):
+        for document in documents:
+            assert _view(_rows(document), roles) == reference_view(document,
+                                                                   roles)
+    assert dict(_tally(map(_rows, documents))) == reference_tally(documents)
+
+
+def test_the_edge_documents_count_pronouns_at_both_ends():
+    gapped, long = edge_documents()
+    roles = _role_table(ClassifierConfig())
+    assert _view(_rows(gapped), roles)[1:] == (
+        (3, 0, 3), (((0, 0, 0), (2, 0, 0)), ((0, 2, 2), (2, 2, 2))),
+        ((0, 2, "hem"), (2, 0, "zij"), (2, 2, "haar")))
+    assert _view(_rows(long), roles)[3] == ((0, 0, "hij"), (0, 299, "hem"))
+
+
 # --- the views a parse gives ----------------------------------------------
 
-def views_parse(lines, **mode):
+def views_parse(lines, roles=None):
     """The views of the kept documents of ``lines`` and the diagnostics,
-    as the views parse reads them given ``mode``."""
+    as ``score`` reads them given ``roles``."""
     diagnostics = []
-    return list(_read(lines, diagnostics, views=True, **mode)), diagnostics
+    return ([_view(rows, roles) for rows in _read(lines, diagnostics)],
+            diagnostics)
 
 
 def round_tripped(text):
-    """The diagnostics and views of the views parse of ``text``, without
-    roles, as ``score`` parses the prediction."""
+    """The diagnostics and prediction views of the rows parsed from
+    ``text``, as ``score`` reads the prediction."""
     views, diagnostics = views_parse(text.splitlines())
     return diagnostics, views
 
@@ -52,7 +145,7 @@ def scored(gold, views, config, ignore_singletons, macro):
     """The report of ``gold`` against the prediction ``views``, as
     ``score`` computes it."""
     roles = _role_table(config)
-    return _evaluate_views([_view(d, roles) for d in gold.documents],
+    return _evaluate_views([_view(_rows(d), roles) for d in gold.documents],
                            views, ignore_singletons, macro)
 
 
@@ -113,33 +206,32 @@ def test_the_view_holds_ids_lengths_and_span_keys_only():
         for c in pred.clusters)
 
 
-# --- the scoring-mode parse --------------------------------------------------
+# --- the rows the parse gives, seen as views and as a tally ------------------
 
 def views_of_the_full_parse(text, config):
-    """Assert that both scoring modes of the views parse report the
-    diagnostics of ``parse_corpus`` and keep its documents, as their
-    views, and that the tally of the views parse counts the kept
-    documents' tokens."""
+    """Assert that the views of the parsed rows, with and without roles,
+    and their tally report the diagnostics of ``parse_corpus``, that the
+    views are the references of its documents and that the tally counts
+    their tokens."""
     try:
         corpus, diagnostics = parse_corpus(text)
         documents = corpus.documents
     except EmptyCorpusError as exc:
         documents, diagnostics = (), exc.diagnostics
     lines = text.splitlines()
-    expected = _tally(documents)
     for roles in (None, _role_table(config)):
-        views, view_diagnostics = views_parse(lines, roles=roles)
+        views, view_diagnostics = views_parse(lines, roles)
         assert view_diagnostics == diagnostics
-        assert views == [_view(d, roles) for d in documents]
-        tally = {}
-        assert views_parse(lines, roles=roles,
-                           tally=tally) == (views, diagnostics)
-        # The full parse reads feats "_" as empty.
-        read = {}
-        for (pos, feats, form), count in tally.items():
-            key = pos, "" if feats == "_" else feats, form
-            read[key] = read.get(key, 0) + count
-        assert read == expected
+        assert views == [reference_view(d, roles) for d in documents]
+    tally_diagnostics = []
+    tally = _tally(_read(lines, tally_diagnostics))
+    assert tally_diagnostics == diagnostics
+    # The full parse reads feats "_" as empty.
+    read = {}
+    for (pos, feats, form), count in tally.items():
+        key = pos, "" if feats == "_" else feats, form
+        read[key] = read.get(key, 0) + count
+    assert read == reference_tally(documents)
 
 
 @settings(max_examples=150, deadline=None)
