@@ -10,14 +10,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from corefkit.errors import EmptyCorpusError
 from corefkit.lexicon import (GENDER_NEUTRAL_NAMES, NEOPRONOUN_NAMES,
                               RewriteLexicon, get_paradigm)
-from corefkit.model import Corpus, Document
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 TransformOptions, pronoun_specific)
+
+if TYPE_CHECKING:
+    from corefkit.model import Corpus, Document
 
 __all__ = [
     "PartitionSpec",
@@ -85,6 +87,8 @@ def build_cda(corpus: Corpus, seed: int = 0,
     receives the extra document. The returned corpus keeps the input
     document order. Also returns the document-to-paradigm assignment.
     """
+    from corefkit.model import Corpus
+
     if not corpus.documents:
         raise EmptyCorpusError("cannot augment an empty corpus")
     assignment = _cda_assignment(corpus.document_ids(), seed)
@@ -142,6 +146,8 @@ def build_unseen(corpus: Corpus, seed: int = 0, fixed: str | None = None,
     paradigm (any registered name) applies corpus-wide. Returns the
     rewritten corpus and the document-to-paradigm record.
     """
+    from corefkit.model import Corpus
+
     if not corpus.documents:
         raise EmptyCorpusError("cannot rewrite an empty corpus")
     assignment = _unseen_assignment(corpus.document_ids(), seed, fixed)

@@ -29,8 +29,13 @@ as split. :func:`parse_corpus` builds tokens from them; the command
 line writers rewrite and serialize them one document at a time; scoring
 reads its views of them (:func:`_view`) and ``stats`` its token tally
 (:func:`_tally`), which the library computes from a document's
-:func:`_rows`. Only the library parse shares equal field values among
-its tokens.
+:func:`_rows`, or a prediction view from its :func:`_shape`. Only the
+library parse shares equal field values among its tokens.
+
+A coref field that is one whole span of a small id, ``(N)``, is read by
+a table lookup; every other field goes through the general entry rule.
+The commands never load :mod:`corefkit.model`: only the library
+functions that take or build its types import it.
 """
 from __future__ import annotations
 
@@ -38,11 +43,12 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from itertools import chain, starmap
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, TextIO
 
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.model import (_SURROGATE, Cluster, Corpus, Document,
-                            MentionSpan, Token, _span_key, validate_corpus)
+
+if TYPE_CHECKING:
+    from corefkit.model import Corpus, Document
 
 __all__ = [
     "ParseDiagnostic",
@@ -58,6 +64,8 @@ END_LINE = "#end document"
 # ordinary documents; any other is read by ``_number``, written by ``str``.
 _NUMERALS = tuple(map(str, range(256)))
 _SMALL_NUMBERS = {numeral: n for n, numeral in enumerate(_NUMERALS)}
+# A coref field that is one whole span of such an id, ``(N)``, -> N.
+_WHOLE_SPAN_IDS = {f"({numeral})": n for n, numeral in enumerate(_NUMERALS)}
 
 
 def _number(text: str) -> int | None:
@@ -97,11 +105,20 @@ def _rows(document: Document) -> _Rows:
     """The :class:`_Rows` of ``document``; a row's feats are the token's,
     so empty feats are empty, not ``_`` (every reader of rows takes
     both)."""
-    return _Rows(document.id, [
+    return _shape(document)._replace(sentences=[
         [(t.form, t.lemma, t.pos, t.feats,
           0 if t.dep_head is None else t.dep_head + 1, t.dep_rel, t.ner)
-         for t in sentence] for sentence in document.sentences],
-        [(c.id, list(map(_span_key, c.mentions))) for c in document.clusters])
+         for t in sentence] for sentence in document.sentences])
+
+
+def _shape(document: Document) -> _Rows:
+    """``document``'s :class:`_Rows` as far as a prediction :func:`_view`
+    reads them, the lengths of its sentences: its id, its clusters, and
+    its own sentences of tokens in place of rows."""
+    from corefkit.model import _span_key
+
+    return _Rows(document.id, document.sentences, [
+        (c.id, list(map(_span_key, c.mentions))) for c in document.clusters])
 
 
 # What scoring reads of a document, as plain tuples of ints and strings.
@@ -198,8 +215,18 @@ class _DocumentReader:
             self.max_head = head
         tokens.append((form, lemma, pos, feats, head, dep_rel, ner))
         self.token_lines.append(line_number)
-        if coref != "-":
+        if coref == "-":
+            return
+        cid = _WHOLE_SPAN_IDS.get(coref)
+        if cid is None:
             self._coref_entries(line_number, coref, expected - 1)
+            return
+        span = (len(self.sentences), expected - 1, expected - 1)
+        mentions = self.spans.get(cid)
+        if mentions is None:
+            self.spans[cid] = [span]
+        else:
+            mentions.append(span)
 
     def _coref_entries(self, line_number: int, field: str, tok: int) -> None:
         sent = len(self.sentences)
@@ -266,8 +293,11 @@ class _DocumentReader:
             mentions = sorted(self.spans[cid])
             for a, b in zip(mentions, mentions[1:]):
                 if a == b:
-                    self.error(line_number, f"cluster {cid} contains span "
-                                            f"{MentionSpan(*a)} twice")
+                    # The span as ``MentionSpan``'s repr shows it.
+                    self.error(line_number, (
+                        f"cluster {cid} contains span MentionSpan("
+                        f"sentence_index={a[0]}, start={a[1]}, end={a[2]}) "
+                        "twice"))
             clusters.append((cid, mentions))
         if self.broken:
             return None
@@ -277,6 +307,8 @@ class _DocumentReader:
 def _document(doc_id: str, sentences, clusters, share) -> Document:
     """The :class:`Document` of a document's rows, its text values passed
     through ``share``, the ``setdefault`` of the parse's string table."""
+    from corefkit.model import Cluster, Document, MentionSpan, Token
+
     return Document(doc_id, tuple([tuple([
         Token(si, ti, share(form, form), share(lemma, lemma), share(pos, pos),
               "" if feats == "_" else share(feats, feats),
@@ -296,6 +328,8 @@ def parse_corpus(source: str | TextIO) -> tuple[Corpus, list[ParseDiagnostic]]:
     Raises :class:`EmptyCorpusError` when no document parses; I/O errors
     from the stream propagate unchanged.
     """
+    from corefkit.model import _SURROGATE, Corpus
+
     text = source.read() if hasattr(source, "read") else source
     lines = text.splitlines()
     # Strictly decoded UTF-8 has none, so a line is rarely searched.
@@ -434,6 +468,8 @@ def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
     With ``validate`` (the default) the corpus is checked first and a
     :class:`ValidationError` is raised instead of writing broken output.
     """
+    from corefkit.model import validate_corpus
+
     issues = validate_corpus(corpus) if validate else ()
     errors = [issue for issue in issues if issue.severity == "error"]
     if errors:

@@ -15,14 +15,17 @@ token is no gold mention at all is excluded but reported.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from corefkit.conll import _GoldView, _PredictionView, _rows, _view
+from corefkit.conll import _GoldView, _PredictionView, _rows, _shape, _view
 from corefkit.errors import AlignmentError
-from corefkit.model import Corpus, Document
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 _role_table)
+
+if TYPE_CHECKING:
+    from corefkit.model import Corpus, Document
 
 __all__ = [
     "LeaScore",
@@ -67,52 +70,87 @@ class EvalReport:
     documents: int
 
 
-def _resolution_sums(entities_a, entities_b) -> tuple[float, int]:
-    """Size-weighted LEA resolution of side A against side B.
+def _lea_sums(gold: _PredictionView, pred: _PredictionView,
+              ignore_singletons: bool) -> tuple[float, int, float, int]:
+    """LEA's recall and precision sums of one document's views, ``(recall
+    numerator, recall denominator, precision numerator, precision
+    denominator)``; a gold view serves as well.
 
-    Entities are sequences of mentions, each its ``_span_key``. For each
-    entity ``a`` the resolution is ``sum_b C(|a & b|, 2) / C(|a|, 2)``;
-    a singleton resolves to 1 when any B entity contains its mention
-    (self-link convention). Returns ``(sum_a |a| * resolution(a), sum_a
-    |a|)``, the numerator and denominator of the corresponding precision
-    or recall.
+    An entity is a sequence of mentions, each its ``_span_key``. The
+    resolution of an entity ``a`` against the other side is ``sum_b C(|a
+    & b|, 2) / C(|a|, 2)``, and a singleton resolves to 1 when any entity
+    of the other side contains its mention (self-link convention). A
+    side's numerator sums ``|a| * resolution(a)`` over its entities, in
+    order, and its denominator ``|a|``.
+
+    Both sides come from one pass over gold: each overlap ``|a & b|`` of
+    a gold entity of two or more mentions, counted through the
+    prediction's membership map, adds to the recall of ``a`` and to the
+    precision of ``b``. A gold singleton adds to no precision, as ``|a &
+    b|`` is then at most 1, unless ``b`` lists its mention twice; such
+    mentions are counted once each, after the pass.
     """
+    gold_entities, pred_entities = gold[2], pred[2]
+    if ignore_singletons:
+        gold_entities = [e for e in gold_entities if len(e) >= 2]
+        pred_entities = [e for e in pred_entities if len(e) >= 2]
+    # mention -> the predicted entities listing it, once per listing
     membership: dict[tuple[int, int, int], list[int]] = {}
-    for j, entity in enumerate(entities_b):
+    repeated = set()  # mentions some predicted entity lists twice
+    for j, entity in enumerate(pred_entities):
         for mention in entity:
-            membership.setdefault(mention, []).append(j)
+            held = membership.get(mention)
+            if held is None:
+                membership[mention] = [j]
+            else:
+                if held[-1] == j:
+                    repeated.add(mention)
+                held.append(j)
 
-    numerator = 0.0
-    denominator = 0
+    # predicted entity -> sum over gold entities a of C(|a & b|, 2)
+    links = [0] * len(pred_entities)
+    gold_spans = set()
+    singles: Counter = Counter()  # gold singletons of ``repeated`` mentions
+    recall_num = 0.0
+    recall_den = 0
     overlap: dict[int, int] = {}
-    for entity in entities_a:
+    for entity in gold_entities:
         size = len(entity)
-        denominator += size
+        recall_den += size
         if size == 1:
-            if entity[0] in membership:
-                numerator += 1.0
+            mention = entity[0]
+            gold_spans.add(mention)
+            if mention in membership:
+                recall_num += 1.0
+                if mention in repeated:
+                    singles[mention] += 1
             continue
+        gold_spans.update(entity)
         overlap.clear()
         for mention in entity:
             for j in membership.get(mention, ()):
                 overlap[j] = overlap.get(j, 0) + 1
         common = 0
-        for count in overlap.values():
-            common += count * (count - 1) // 2
-        numerator += size * (common / (size * (size - 1) // 2))
-    return numerator, denominator
+        for j, count in overlap.items():
+            if count > 1:
+                pairs = count * (count - 1) // 2
+                common += pairs
+                links[j] += pairs
+        recall_num += size * (common / (size * (size - 1) // 2))
+    for mention, n in singles.items():
+        for j, count in Counter(membership[mention]).items():
+            links[j] += n * (count * (count - 1) // 2)
 
-
-def _lea_sums(gold: _PredictionView, pred: _PredictionView,
-              ignore_singletons: bool) -> tuple[float, int, float, int]:
-    """LEA's recall and precision sums of one document's views; a gold
-    view serves as well."""
-    gold_entities, pred_entities = gold[2], pred[2]
-    if ignore_singletons:
-        gold_entities = [e for e in gold_entities if len(e) >= 2]
-        pred_entities = [e for e in pred_entities if len(e) >= 2]
-    recall_num, recall_den = _resolution_sums(gold_entities, pred_entities)
-    prec_num, prec_den = _resolution_sums(pred_entities, gold_entities)
+    prec_num = 0.0
+    prec_den = 0
+    for entity, common in zip(pred_entities, links):
+        size = len(entity)
+        prec_den += size
+        if size == 1:
+            if entity[0] in gold_spans:
+                prec_num += 1.0
+        else:
+            prec_num += size * (common / (size * (size - 1) // 2))
     return recall_num, recall_den, prec_num, prec_den
 
 
@@ -131,7 +169,7 @@ def _finish_lea(recall_num: float, recall_den: int,
 def lea(gold: Document, pred: Document,
         ignore_singletons: bool = False) -> LeaScore:
     """LEA precision, recall and F1 of one predicted document."""
-    return _finish_lea(*_lea_sums(_view(_rows(gold)), _view(_rows(pred)),
+    return _finish_lea(*_lea_sums(_view(_shape(gold)), _view(_shape(pred)),
                                   ignore_singletons))
 
 
@@ -199,7 +237,7 @@ def pronoun_score(gold: Document, pred: Document,
     clusters is judged in the first of them.
     """
     return _pronoun_outcome([(_view(_rows(gold), _role_table(config)),
-                              _view(_rows(pred)))])
+                              _view(_shape(pred)))])
 
 
 def _pronoun_outcome(pairs: Sequence[tuple[_GoldView, _PredictionView]],
@@ -278,7 +316,7 @@ def evaluate(gold: Corpus, pred: Corpus,
     """
     roles = _role_table(config)  # one table for every document
     return _evaluate_views([_view(_rows(d), roles) for d in gold.documents],
-                           [_view(_rows(d)) for d in pred.documents],
+                           [_view(_shape(d)) for d in pred.documents],
                            ignore_singletons, macro_pronouns)
 
 

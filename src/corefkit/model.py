@@ -3,9 +3,11 @@
 A :class:`Document` holds a token grid plus clusters of token spans,
 ``(sentence_index, start, end)`` with inclusive 0-based offsets, so
 nested and crossing mentions are representable. Values are immutable
-and safe to share across threads. The command line writers build no
-grid and no span objects; their one check is :func:`_check_values` of
-the fields they rewrite.
+and safe to share across threads. No command imports this module:
+the commands read rows (``conll._Rows``) and build no grid and no span
+objects. The writers' one check, :func:`_check_values` of the fields
+they rewrite, is imported only when a rewritten value fails the cheap
+printable test.
 """
 from __future__ import annotations
 

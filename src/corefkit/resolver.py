@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import starmap
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from corefkit.conll import _rows
-from corefkit.model import Cluster, Document, MentionSpan
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
                                 DEFAULT_CLASSIFIER_CONFIG, _role_table)
+
+if TYPE_CHECKING:
+    from corefkit.model import Document
 
 __all__ = ["ResolverConfig", "resolve"]
 
@@ -93,6 +96,8 @@ def resolve(document: Document,
     contain at least two mentions each. The procedure is a pure function
     of the token grid, so repeated runs agree byte for byte.
     """
+    from corefkit.model import Cluster, MentionSpan
+
     return replace(document, clusters=tuple(
         Cluster(cid, tuple(starmap(MentionSpan, spans)))
         for cid, spans in _clusters(_rows(document).sentences, config,

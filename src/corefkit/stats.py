@@ -9,12 +9,15 @@ singular ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from corefkit.conll import _rows, _tally
-from corefkit.model import Corpus, Token
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 PronounRole, _ByPosFeats, _role,
                                 classify_pronoun)
+
+if TYPE_CHECKING:
+    from corefkit.model import Corpus, Token
 
 __all__ = [
     "FUNCTIONS",

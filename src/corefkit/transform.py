@@ -6,18 +6,25 @@ and the coreference layer untouched; only forms (and where documented,
 lemmas) change. Classification of third-person singular pronouns is
 driven by POS tags and morphological feats, not by surface forms, so
 rewritten corpora stay classifiable.
+
+The commands rewrite rows (``conll._Rows``) and classify each distinct
+``(pos, feats)`` pair once (:class:`_ByPosFeats`), building no token, so
+they never load :mod:`corefkit.model`; only the library functions that
+take or build a :class:`Document` import it.
 """
 from __future__ import annotations
 
 import enum
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from corefkit.errors import ConfigFormatError
 from corefkit.lexicon import (RewriteLexicon, PronounParadigm,
                               builtin_noun_lexicon, transfer_case)
-from corefkit.model import Document, Token, _check_values
+
+if TYPE_CHECKING:
+    from corefkit.model import Document, Token
 
 __all__ = [
     "PronounRole",
@@ -153,22 +160,40 @@ class _ByPosFeats(dict):
     once per distinct ``(pos, feats)`` pair.
 
     Index it with ``table[pos, feats]``, feats ``_`` read as empty. A
-    pair seen for the first time runs ``decide`` on a token carrying just
-    those two columns. A document holds a handful of distinct pairs, so
-    a table lives for one call and is never shared between calls.
+    pair seen for the first time runs ``decide`` on its :class:`_Tags`,
+    which :func:`classify_pronoun` and ``stats.grammatical_function``
+    read as they read a token. A document holds a handful of distinct
+    pairs, so a table lives for one call and is never shared between
+    calls.
     """
 
     __slots__ = ("decide",)
 
-    def __init__(self, decide: Callable[[Token], object]):
+    def __init__(self, decide: Callable[[_Tags], object]):
         super().__init__()
         self.decide = decide
 
     def __missing__(self, key: tuple[str, str]) -> object:
         pos, feats = key
         value = self[key] = self.decide(
-            Token(0, 0, "_", "_", pos, "" if feats == "_" else feats))
+            _Tags(pos, "" if feats == "_" else feats))
         return value
+
+
+class _Tags:
+    """The two columns of a token that classification reads, ``pos`` and
+    ``feats`` (empty, not ``_``), with :class:`~corefkit.model.Token`'s
+    ``feat_set``: what a :class:`_ByPosFeats` decision is made on, with
+    no token built."""
+
+    __slots__ = ("pos", "feats")
+
+    def __init__(self, pos: str, feats: str):
+        self.pos = pos
+        self.feats = feats
+
+    def feat_set(self) -> frozenset[str]:
+        return frozenset(self.feats.split("|")) if self.feats else frozenset()
 
 
 def _role_table(config: ClassifierConfig) -> _ByPosFeats:
@@ -228,6 +253,8 @@ def _rewrite(document: Document, rule, names: dict[str, str] | None = None
              ) -> Document:
     """``document`` rewritten by ``rule`` (see :func:`_rewriter`) with
     ``names``. An unchanged sentence or document is returned as it is."""
+    from corefkit.model import Token
+
     names = {} if names is None else names
     sentences = []
     changed = False
@@ -271,6 +298,8 @@ def _rewrite_rows(document, rule) -> tuple[object, list[str]]:
                     where = f"document {document.id!r}: sentence {si} token {ti}"
                     if not new_form:
                         errors.append(f"{where}: empty form")
+                    from corefkit.model import _check_values
+
                     _check_values(errors.append, where, ("form", "lemma"),
                                   (new_form, new_lemma))
     return document, errors

@@ -4,7 +4,7 @@ import textwrap
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefkit import conll
@@ -430,8 +430,11 @@ def parse_outcome(text):
     return corpus, diagnostics
 
 
-# Several spellings of the ids 0, 1 and 3, so brackets still pair up.
-coref_ids = st.sampled_from(["0", "00", "1", "01", "\u0661", "3", "\uff13"])
+# Several spellings of the ids 0, 1, 3, 255 and 256, so brackets still
+# pair up; 255 is the last id of the reader's one-span table.
+coref_ids = st.sampled_from(["0", "00", "1", "01", "\u0661", "3", "\uff13",
+                             "255", "0255", "\u0662\u0665\u0665", "256",
+                             "\u0662\u0665\u0666"])
 well_formed = st.one_of(st.builds("({}".format, coref_ids),
                         st.builds("{})".format, coref_ids),
                         st.builds("({})".format, coref_ids))
@@ -447,19 +450,39 @@ def coref_documents(entries):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(coref_documents(well_formed),
-                 coref_documents(st.one_of(well_formed, noise))))
-def test_coref_column_parses_like_the_reference_rule(sentences):
+                 coref_documents(st.one_of(well_formed, noise))),
+       st.booleans())
+# Whole fields on both sides of the reader's one-span table, and an open
+# bracket at the end of the input.
+@example([["(254)", "(255)", "(0255)", "(\u0662\u0665\u0665)", "(256)"],
+          ["(255)|(256)", "(256)"]], True)
+@example([["(255)", "(255"]], False)
+def test_coref_column_parses_like_the_reference_rule(sentences, ended):
+    # Without ``#end document`` the input ends inside the document, which
+    # must still be reported before any bracket left open.
     text = "#begin document d\n" + "\n\n".join(
         "\n".join(f"{ti}\tw\tw\tX\t_\t0\tdep\tO\t{field}"
                   for ti, field in enumerate(fields, 1))
-        for fields in sentences) + "\n#end document\n"
+        for fields in sentences) + ("\n#end document\n" if ended else "\n")
     corpus, diagnostics = parse_outcome(text)
     with pytest.MonkeyPatch.context() as patch:
+        # The reference reads every field by the rule, the table bypassed.
+        patch.setattr(conll, "_WHOLE_SPAN_IDS", {})
         patch.setattr(conll._DocumentReader, "_coref_entries",
                       reference_coref_entries)
         expected_corpus, expected_diagnostics = parse_outcome(text)
     assert diagnostics == expected_diagnostics
     assert corpus == expected_corpus
+
+
+def test_the_end_of_input_is_reported_before_an_open_bracket():
+    text = ("#begin document d\n1\tw\tw\tX\t_\t0\tdep\tO\t(255)\n"
+            "2\tw\tw\tX\t_\t0\tdep\tO\t(255\n")
+    assert parse_outcome(text) == (None, [
+        ParseDiagnostic(4, "error",
+                        "document 'd': input ends before '#end document'"),
+        ParseDiagnostic(3, "error", "document 'd': coreference bracket "
+                                    "'(255' is never closed")])
 
 
 # The writer as it was before each cluster's brackets were built once and

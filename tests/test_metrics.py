@@ -649,3 +649,21 @@ def test_scoring_loops_compute_what_the_replaced_loops_computed(gold, pred):
         assert _lea_sums(gold, pred, ignore_singletons) == reference_lea_sums(
             gold, pred, ignore_singletons)
     assert _antecedent_hits(gold, pred) == reference_antecedent_hits(gold, pred)
+
+
+@st.composite
+def repeating_span_views(draw):
+    """A prediction view whose clusters draw from :data:`SHARED_SPANS`
+    and may list a span twice, which only a library document can do."""
+    clusters = tuple(tuple(draw(st.lists(st.sampled_from(SHARED_SPANS),
+                                         min_size=1, max_size=5)))
+                     for _ in range(draw(st.integers(0, 8))))
+    return "d", (3, 2), clusters
+
+
+@settings(max_examples=400, deadline=None)
+@given(gold=repeating_span_views(), pred=repeating_span_views())
+def test_lea_sums_of_entities_listing_a_span_twice(gold, pred):
+    for ignore_singletons in (False, True):
+        assert _lea_sums(gold, pred, ignore_singletons) == reference_lea_sums(
+            gold, pred, ignore_singletons)

@@ -73,9 +73,26 @@ def test_importing_the_cli_loads_no_layer(baseline):
 def test_pipeline_command_loads_only_its_layers(baseline, args, own):
     added = loaded_modules(_PROBE, *args) - baseline
     common = {"corefkit.cli", "corefkit.errors", "corefkit.lexicon",
-              "corefkit.conll", "corefkit.model", "corefkit.transform"}
+              "corefkit.conll", "corefkit.transform"}
     assert {m for m in added if m.startswith("corefkit.")} == common | own
     assert not added & set(HEAVY)
+
+
+@pytest.mark.parametrize("args", [
+    ("stats", HERSTEL), ("strip-singletons", HERSTEL),
+    ("transform", HERSTEL, "--paradigm", "die", "--anonymize",
+     "--neutralize-nouns"),
+    ("delex", HERSTEL), ("cda", HERSTEL, "--assignments", "-", "-o", "{out}"),
+    ("sample", HERSTEL, "--count", "1", "--partitions", "2"),
+    ("unseen", HERSTEL, "--assignments", "-", "-o", "{out}"),
+    ("resolve-baseline", HERSTEL),
+    ("score", "--gold", HERSTEL, "--pred", HERSTEL),
+], ids=lambda args: args[0])
+def test_no_command_loads_the_model(tmp_path, args):
+    # The commands read rows and classify (pos, feats) pairs; only the
+    # library functions that take or build documents import the model.
+    args = [arg.format(out=tmp_path / "out.conll") for arg in args]
+    assert "corefkit.model" not in loaded_modules(_PROBE, *args)
 
 
 def test_score_loads_what_transform_loads_and_the_scorer(baseline):

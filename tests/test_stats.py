@@ -234,11 +234,9 @@ def test_the_configuration_changes_what_stats_counts():
 
 
 def test_stats_builds_no_token_grid(monkeypatch):
-    """Only the ``(pos, feats)`` classification builds tokens, one probe
-    per distinct pair."""
+    """No token is built, not even to classify a ``(pos, feats)``
+    pair."""
     e2e = str(FIXTURES / "e2e.conll")
-    corpus = parse_corpus(Path(e2e).read_text("utf-8"))[0]
-    pairs = {(t.pos, t.feats) for d in corpus.documents for t in d.tokens()}
     expected = run("stats", e2e)
     built = []
     init = Token.__init__
@@ -250,5 +248,4 @@ def test_stats_builds_no_token_grid(monkeypatch):
     monkeypatch.setattr(Token, "__init__", counting)
     assert run("stats", e2e) == expected
     assert expected[0] == 0
-    tokens = sum(d.token_count for d in corpus.documents)
-    assert 0 < len(built) <= len(pairs) < tokens
+    assert built == []
