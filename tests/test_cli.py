@@ -495,6 +495,20 @@ def test_failed_stdout_write_is_an_io_error(capsys, monkeypatch, error):
     assert stdout.closed  # nothing is left buffered for the exit to retry
 
 
+@pytest.mark.parametrize("failing", [False, True], ids=["none", "failing"])
+def test_a_closed_stderr_changes_no_exit_code(capsys, monkeypatch, failing):
+    stderr = _FailingStdout(OSError(errno.EBADF, os.strerror(errno.EBADF))
+                            ) if failing else None
+    monkeypatch.setattr("sys.stderr", stderr)
+    monkeypatch.setattr("sys.stdin", io.StringIO("not a corpus\n"))
+    assert main(["stats", "--summary-only", HERSTEL]) == 0
+    assert main(["stats", "-"]) == 2  # the diagnostic and the error are lost
+    out = capsys.readouterr().out
+    assert out.startswith("token_count=")
+    assert "error" not in out  # nothing goes to stdout in its place
+    assert stderr is None or stderr.closed
+
+
 def test_closed_pipe_is_an_io_error_with_one_line():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before anything is written
@@ -509,6 +523,86 @@ def test_closed_pipe_is_an_io_error_with_one_line():
     assert done.returncode == 2
     assert done.stderr.decode("utf-8") == (
         f"corefkit: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n")
+
+
+# --- closed standard streams --------------------------------------------------
+
+BAD_FD_LINE = (f"corefkit: error: [Errno {errno.EBADF}] "
+               f"{os.strerror(errno.EBADF)}\n")
+
+
+def closed_stream_run(fd, *argv, cwd):
+    """A ``corefkit`` process whose descriptor ``fd`` (0, 1 or 2) is
+    closed before ``exec``: (exit code, stdout, stderr). Stdin is empty
+    and the other streams are pipes; a closed one reads as empty."""
+    done = subprocess.run(
+        [sys.executable, "-c", "from corefkit.cli import run; run()", *argv],
+        input=b"", capture_output=True, cwd=cwd, timeout=120, env=child_env(),
+        preexec_fn=lambda: os.close(fd))
+    return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "-"),
+    ("transform", "-", "-o", "out.conll"),
+    ("score", "--gold", "-", "--pred", HERSTEL),
+], ids=lambda argv: argv[0])
+def test_closed_stdin_is_an_io_error_with_one_line(tmp_path, argv):
+    assert closed_stream_run(0, *argv, cwd=tmp_path) == (2, "", BAD_FD_LINE)
+    assert list(tmp_path.iterdir()) == []
+
+
+def only_output(directory, *others: str) -> bytes:
+    """The bytes of ``out.conll``, the one file in ``directory`` besides
+    ``others``: no temp file is left beside it."""
+    assert sorted(p.name for p in directory.iterdir()) == sorted(
+        ["out.conll", *others])
+    return (directory / "out.conll").read_bytes()
+
+
+def test_closed_stdin_is_not_read_when_the_input_is_a_file(tmp_path):
+    assert closed_stream_run(0, "transform", HERSTEL, "-o", "out.conll",
+                             cwd=tmp_path) == (0, "", "")
+    assert only_output(tmp_path) == (FIXTURES / "herstel.conll").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", HERSTEL, "--paradigm", "hen"),
+    ("score", "--gold", HERSTEL, "--pred", HERSTEL),
+    ("stats", HERSTEL),
+    # The corpus would go to a file and the sidecar to stdout.
+    ("cda", HERSTEL, "-o", "out.conll", "--assignments", "-"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_is_an_io_error_with_one_line(tmp_path, argv):
+    assert closed_stream_run(1, *argv, cwd=tmp_path) == (2, "", BAD_FD_LINE)
+    assert list(tmp_path.iterdir()) == []  # no -o file, no temp file
+
+
+def test_closed_stdout_is_not_needed_with_an_output_file(tmp_path):
+    assert closed_stream_run(1, "transform", HERSTEL, "-o", "out.conll",
+                             cwd=tmp_path) == (0, "", "")
+    assert only_output(tmp_path) == (FIXTURES / "herstel.conll").read_bytes()
+
+
+def test_closed_stderr_loses_only_the_warnings(cli, tmp_path):
+    (tmp_path / "dup.tsv").write_text("x\teerste\t0\nx\ttweede\t1\n", "utf-8")
+    for argv in (("transform", HERSTEL, "-o", "out.conll"),
+                 ("transform", HERSTEL, "--neutralize-nouns", "--lexicon",
+                  "dup.tsv", "-o", "out.conll")):
+        assert closed_stream_run(2, *argv, cwd=tmp_path) == (0, "", "")
+        assert only_output(tmp_path, "dup.tsv") == (
+            FIXTURES / "herstel.conll").read_bytes()
+    code, out, _ = closed_stream_run(2, "stats", HERSTEL, cwd=tmp_path)
+    assert (code, out) == (0, cli("stats", HERSTEL)[1])
+
+
+def test_closed_stderr_keeps_the_exit_code_of_an_error(tmp_path):
+    (tmp_path / "junk.conll").write_text("not a corpus\n", "utf-8")
+    for argv in (("stats", "missing.conll"), ("stats", "junk.conll"),
+                 ("transform", "junk.conll", "-o", "out.conll")):
+        # Nothing goes to stdout in place of the closed stderr.
+        assert closed_stream_run(2, *argv, cwd=tmp_path) == (2, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["junk.conll"]
 
 
 def process_run(*argv, stdin=b"", encoding="utf-8:surrogateescape"):
