@@ -7,12 +7,11 @@ reproducible from its arguments alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from typing import TYPE_CHECKING, Sequence
 
-from corefkit.errors import EmptyCorpusError
+from corefkit.errors import EmptyCorpusError, _value_type
 from corefkit.lexicon import (GENDER_NEUTRAL_NAMES, NEOPRONOUN_NAMES,
                               RewriteLexicon, get_paradigm)
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class PartitionSpec:
     """How to draw training partitions: size fraction, count and seed. A
     float fraction means its shortest repr, as in ``sample --fraction``."""

@@ -4,8 +4,8 @@ Every subcommand reads the corpus format from a file path (or ``-`` for
 stdin) and writes to stdout unless ``-o`` names a file. Exit codes:
 0 success, 1 usage error, 2 data or I/O error. All output is assembled
 before anything is written, and output files are moved into place only
-once every one of them is written, so a failing run produces no partial
-output.
+once every one of them and stdout are written, so a failing run produces
+no partial output.
 Identical arguments and inputs give byte-identical outputs. Every
 command runs in this one process, which :func:`run` ends with
 ``os._exit`` once stdout and stderr are flushed, skipping the
@@ -19,13 +19,13 @@ import gc
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 # Each handler imports the modules it runs, so a command loads only its
 # own layers; the top imports only what every command needs.
 from corefkit import __version__
-from corefkit.errors import CorefKitError, EmptyCorpusError
+from corefkit.errors import (CorefKitError, EmptyCorpusError, _Fresh,
+                             _value_type)
 from corefkit.lexicon import builtin_paradigms, get_paradigm
 
 if TYPE_CHECKING:
@@ -36,17 +36,41 @@ _PARADIGM_NAMES = tuple(p.name for p in builtin_paradigms())
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1.
+
+    A subcommand's parser gets its arguments from ``_arguments(parser)``
+    only when it first parses or formats its usage or help, so a run
+    builds the arguments of its own subcommand alone.
+    """
+
+    _arguments = None
+
+    def _added(self) -> None:
+        arguments, self._arguments = self._arguments, None
+        if arguments is not None:
+            arguments(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._added()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._added()
+        return super().format_usage()
+
+    def format_help(self):
+        self._added()
+        return super().format_help()
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
+@_value_type(frozen=False)
 class _Output:
     stdout: str | None = None
-    files: list[tuple[str, str]] = field(default_factory=list)  # (path, text)
+    files: list[tuple[str, str]] = _Fresh(list)  # (path, text)
 
 
 def _stdio(name: str):
@@ -466,29 +490,20 @@ def _add_shared(parser, *names: str) -> None:
         parser.add_argument(*flags, **kwargs)
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="corefkit",
-        description="Rewrite coreference corpora into pronoun-specific "
-                    "variants and score predictions.")
-    parser.add_argument("--version", action="version", version=__version__)
-    commands = parser.add_subparsers(dest="command", required=True,
-                                     metavar="COMMAND")
-
-    p = commands.add_parser("stats", help="pronoun frequency report")
+def _stats_arguments(p) -> None:
     _add_shared(p, "input", "config")
     p.add_argument("--forms", nargs="+", help="forms to tabulate")
     p.add_argument("--summary-only", action="store_true",
                    help="print corpus totals without the per-form table")
     p.set_defaults(handler=_cmd_stats)
 
-    p = commands.add_parser("strip-singletons",
-                            help="drop all size-1 clusters")
+
+def _strip_singletons_arguments(p) -> None:
     _add_shared(p, "input", "output")
     p.set_defaults(handler=_cmd_strip_singletons)
 
-    p = commands.add_parser("transform",
-                            help="rewrite pronouns, names and nouns")
+
+def _transform_arguments(p) -> None:
     _add_shared(p, "input", "output")
     p.add_argument("--paradigm", choices=_PARADIGM_NAMES,
                    help="target pronoun paradigm (omit for the baseline "
@@ -500,18 +515,19 @@ def build_parser() -> _ArgumentParser:
     _add_shared(p, "config", "lexicon", "jobs")
     p.set_defaults(handler=_cmd_transform)
 
-    p = commands.add_parser("delex",
-                            help="replace pronouns by <SUBJ>/<OBJ>/<POSS> tags")
+
+def _delex_arguments(p) -> None:
     _add_shared(p, "input", "output", "config", "jobs")
     p.set_defaults(handler=_cmd_delex)
 
-    p = commands.add_parser("cda",
-                            help="counterfactually augment with hen/die")
+
+def _cda_arguments(p) -> None:
     _add_shared(p, "input", "output", "seed", "assignments", "config",
                 "lexicon", "no-anonymize", "no-neutralize-nouns")
     p.set_defaults(handler=_cmd_cda)
 
-    p = commands.add_parser("sample", help="draw training partitions")
+
+def _sample_arguments(p) -> None:
     _add_shared(p, "input")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fraction", type=_fraction,
@@ -526,7 +542,8 @@ def build_parser() -> _ArgumentParser:
                    help="write each partition to PREFIX<i>.txt instead of stdout")
     p.set_defaults(handler=_cmd_sample)
 
-    p = commands.add_parser("unseen", help="rewrite with neopronouns")
+
+def _unseen_arguments(p) -> None:
     _add_shared(p, "input", "output", "seed")
     p.add_argument("--fixed", choices=_PARADIGM_NAMES,
                    help="use this paradigm for every document instead of "
@@ -535,8 +552,8 @@ def build_parser() -> _ArgumentParser:
                 "no-neutralize-nouns")
     p.set_defaults(handler=_cmd_unseen)
 
-    p = commands.add_parser("resolve-baseline",
-                            help="run the two-sieve baseline resolver")
+
+def _resolve_baseline_arguments(p) -> None:
     _add_shared(p, "input", "output")
     p.add_argument("--window", type=_at_least(0), default=2,
                    help="pronoun antecedent window in sentences (default 2)")
@@ -545,7 +562,8 @@ def build_parser() -> _ArgumentParser:
     _add_shared(p, "config", "jobs")
     p.set_defaults(handler=_cmd_resolve_baseline)
 
-    p = commands.add_parser("score", help="evaluate predictions against gold")
+
+def _score_arguments(p) -> None:
     p.add_argument("--gold", required=True, help="gold corpus file")
     p.add_argument("--pred", required=True, help="predicted corpus file")
     p.add_argument("--macro", action="store_true",
@@ -555,11 +573,40 @@ def build_parser() -> _ArgumentParser:
     _add_shared(p, "config", "output")
     p.set_defaults(handler=_cmd_score)
 
+
+# Each subcommand's name, its line in the top-level help, and what adds
+# its arguments, in the order of that help.
+_COMMANDS = (
+    ("stats", "pronoun frequency report", _stats_arguments),
+    ("strip-singletons", "drop all size-1 clusters",
+     _strip_singletons_arguments),
+    ("transform", "rewrite pronouns, names and nouns", _transform_arguments),
+    ("delex", "replace pronouns by <SUBJ>/<OBJ>/<POSS> tags",
+     _delex_arguments),
+    ("cda", "counterfactually augment with hen/die", _cda_arguments),
+    ("sample", "draw training partitions", _sample_arguments),
+    ("unseen", "rewrite with neopronouns", _unseen_arguments),
+    ("resolve-baseline", "run the two-sieve baseline resolver",
+     _resolve_baseline_arguments),
+    ("score", "evaluate predictions against gold", _score_arguments),
+)
+
+
+def build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(
+        prog="corefkit",
+        description="Rewrite coreference corpora into pronoun-specific "
+                    "variants and score predictions.")
+    parser.add_argument("--version", action="version", version=__version__)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    for name, help_line, arguments in _COMMANDS:
+        commands.add_parser(name, help=help_line)._arguments = arguments
     return parser
 
 
-def _write_files(files: list[tuple[str, str]]) -> None:
-    """Write all files or none.
+def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
+    """Write all files or none, and ``stdout`` (unless None) to stdout.
 
     Two paths that resolve to one file (the same spelling, ``./X`` for
     ``X``, or a symlink to it) are an error, raised before anything is
@@ -571,7 +618,8 @@ def _write_files(files: list[tuple[str, str]]) -> None:
     every write has succeeded; on any error the temp files are removed.
     A target that exists but is not a regular file (a FIFO, say) cannot
     be replaced: it is written directly, after every temp file, so that
-    write alone is not all-or-nothing.
+    write alone is not all-or-nothing. Stdout is written last, before the
+    targets are replaced, so a stdout that fails leaves no file either.
     """
     targets: dict[str, str] = {}
     for path, _ in files:
@@ -609,6 +657,8 @@ def _write_files(files: list[tuple[str, str]]) -> None:
         for target, content in direct:
             with open(target, "w", encoding="utf-8", newline="") as handle:
                 handle.write(content)
+        if stdout is not None:
+            _write_stdout(stdout)
         for temp, target in staged:
             os.replace(temp, target)
     except BaseException:
@@ -645,9 +695,7 @@ def main(argv=None) -> int:
         result = args.handler(args)
         if result.stdout is not None:
             _stdio("stdout")  # a closed stdout fails before any file is written
-        _write_files(result.files)
-        if result.stdout is not None:
-            _write_stdout(result.stdout)
+        _write(result.files, result.stdout)
     except (CorefKitError, ValueError, OSError) as exc:
         _report(f"corefkit: error: {exc}\n")
         return 2

@@ -40,12 +40,11 @@ functions that take or build its types import it.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
 from itertools import chain, starmap
 from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator, TextIO
 
-from corefkit.errors import EmptyCorpusError, ValidationError
+from corefkit.errors import EmptyCorpusError, ValidationError, _value_type
 
 if TYPE_CHECKING:
     from corefkit.model import Corpus, Document
@@ -83,7 +82,7 @@ def _number(text: str) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
+@_value_type
 class ParseDiagnostic:
     """A problem found while parsing, tied to a 1-based line number."""
 
@@ -481,6 +480,8 @@ def serialize_corpus(corpus: Corpus, validate: bool = True) -> str:
 
 def strip_singletons(document: Document) -> Document:
     """Drop all size-1 clusters; ids of the survivors are kept."""
+    from dataclasses import replace
+
     kept = tuple(c for c in document.clusters if len(c.mentions) >= 2)
     return replace(document, clusters=kept)
 

@@ -9,10 +9,10 @@ becomes the generic "familielid").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, TextIO
 
-from corefkit.errors import LexiconFormatError, UnknownParadigmError
+from corefkit.errors import (LexiconFormatError, UnknownParadigmError,
+                             _value_type)
 
 __all__ = [
     "PronounParadigm",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class PronounParadigm:
     """A pronoun set: one form each for subject, object and possessive use."""
 
@@ -78,13 +78,13 @@ def get_paradigm(name: str) -> PronounParadigm:
             f"unknown pronoun paradigm {name!r} (known: {known})") from None
 
 
-@dataclass(frozen=True)
+@_value_type
 class RewriteEntry:
     replacement: str
     lossy: bool
 
 
-@dataclass(frozen=True)
+@_value_type
 class RewriteLexicon:
     """Mapping from lowercase gendered noun form to its neutral rewrite."""
 

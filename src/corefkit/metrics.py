@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from corefkit.conll import _GoldView, _PredictionView, _rows, _shape, _view
-from corefkit.errors import AlignmentError
+from corefkit.errors import AlignmentError, _Fresh, _value_type
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 _role_table)
 
@@ -38,14 +37,14 @@ __all__ = [
     "report_keyvalues",
 ]
 
-@dataclass(frozen=True)
+@_value_type
 class LeaScore:
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
+@_value_type
 class PronounScoreResult:
     """Pronoun resolution outcome.
 
@@ -58,12 +57,12 @@ class PronounScoreResult:
     score: float | None
     resolved: int
     total: int
-    per_form: dict[str, tuple[int, int]] = field(default_factory=dict)
+    per_form: dict[str, tuple[int, int]] = _Fresh(dict)
     non_mention: int = 0
     first_mentions: int = 0
 
 
-@dataclass(frozen=True)
+@_value_type
 class EvalReport:
     lea: LeaScore
     pronouns: PronounScoreResult

@@ -11,12 +11,12 @@ dropped from the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import starmap
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from corefkit.conll import _rows
+from corefkit.errors import _value_type
 from corefkit.transform import (ANON_FORM_RE, ClassifierConfig,
                                 DEFAULT_CLASSIFIER_CONFIG, _role_table)
 
@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 __all__ = ["ResolverConfig", "resolve"]
 
 
-@dataclass(frozen=True)
+@_value_type
 class ResolverConfig:
     pronoun_window_sentences: int = 2
     enable_string_match: bool = True
@@ -96,6 +96,8 @@ def resolve(document: Document,
     contain at least two mentions each. The procedure is a pure function
     of the token grid, so repeated runs agree byte for byte.
     """
+    from dataclasses import replace
+
     from corefkit.model import Cluster, MentionSpan
 
     return replace(document, clusters=tuple(

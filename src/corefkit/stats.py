@@ -8,10 +8,10 @@ singular ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from corefkit.conll import _rows, _tally
+from corefkit.errors import _value_type
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
                                 PronounRole, _ByPosFeats, _role,
                                 classify_pronoun)
@@ -48,7 +48,7 @@ RELATIVE_FEATS = frozenset({"PronType=Rel"})
 DEMONSTRATIVE_FEATS = frozenset({"PronType=Dem"})
 
 
-@dataclass(frozen=True)
+@_value_type
 class FormFrequency:
     form: str
     total: int
@@ -56,7 +56,7 @@ class FormFrequency:
     third_singular: int
 
 
-@dataclass(frozen=True)
+@_value_type
 class FrequencyReport:
     forms: tuple[FormFrequency, ...]
     token_count: int

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, TextIO
 
-from corefkit.errors import ConfigFormatError
+from corefkit.errors import ConfigFormatError, _value_type
 from corefkit.lexicon import (RewriteLexicon, PronounParadigm,
                               builtin_noun_lexicon, transfer_case)
 
@@ -59,7 +58,7 @@ DELEX_TAGS = {
 }
 
 
-@dataclass(frozen=True)
+@_value_type
 class ClassifierConfig:
     """Declarative predicates that pick out third-person singular pronouns.
 
@@ -119,7 +118,7 @@ _CONFIG_FIELDS = {key: key.replace(".", "_") for key in (
 DEFAULT_CLASSIFIER_CONFIG = ClassifierConfig()
 
 
-@dataclass(frozen=True)
+@_value_type
 class TransformOptions:
     """Which optional rewrite steps :func:`pronoun_specific` applies."""
 
@@ -253,6 +252,8 @@ def _rewrite(document: Document, rule, names: dict[str, str] | None = None
              ) -> Document:
     """``document`` rewritten by ``rule`` (see :func:`_rewriter`) with
     ``names``. An unchanged sentence or document is returned as it is."""
+    from dataclasses import replace
+
     from corefkit.model import Token
 
     names = {} if names is None else names

@@ -495,6 +495,23 @@ def test_failed_stdout_write_is_an_io_error(capsys, monkeypatch, error):
     assert stdout.closed  # nothing is left buffered for the exit to retry
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_stdout_write_leaves_no_output_file(capsys, monkeypatch,
+                                                   tmp_path, existing):
+    # The -o file is staged before stdout is written and moved into place
+    # only after, so a stdout that fails leaves it as it was.
+    error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr("sys.stdout", _FailingStdout(error))
+    out = tmp_path / "out.conll"
+    if existing:
+        out.write_text("old\n", "utf-8")
+    assert main(["cda", E2E, "-o", str(out), "--assignments", "-"]) == 2
+    assert capsys.readouterr().err == f"corefkit: error: {error}\n"
+    assert os.listdir(tmp_path) == (["out.conll"] if existing else [])
+    if existing:
+        assert out.read_text("utf-8") == "old\n"
+
+
 @pytest.mark.parametrize("failing", [False, True], ids=["none", "failing"])
 def test_a_closed_stderr_changes_no_exit_code(capsys, monkeypatch, failing):
     stderr = _FailingStdout(OSError(errno.EBADF, os.strerror(errno.EBADF))

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import corefkit
-from corefkit.cli import main
+from corefkit.cli import build_parser, main
 
 from conftest import FIXTURES, child_env
 
@@ -25,6 +25,8 @@ HERSTEL = str(FIXTURES / "herstel.conll")
 LAYERS = ("corefkit.builder", "corefkit.metrics", "corefkit.resolver",
           "corefkit.stats")
 HEAVY = ("logging", "concurrent.futures", "statistics", "fractions")
+# What ``dataclasses`` costs a process: itself and the ``inspect`` it loads.
+DATACLASSES = {"dataclasses", "inspect"}
 
 # Print the loaded modules as the last stderr line, after running the
 # CLI on the arguments, if any.
@@ -60,7 +62,7 @@ def test_importing_the_cli_loads_no_layer(baseline):
     added = loaded_modules("import corefkit.cli\n" + _PROBE) - baseline
     assert {m for m in added if m.startswith("corefkit.")} == {
         "corefkit.cli", "corefkit.errors", "corefkit.lexicon"}
-    assert not added & {*LAYERS, *HEAVY}
+    assert not added & {*LAYERS, *HEAVY, *DATACLASSES}
 
 
 @pytest.mark.parametrize("args,own", [
@@ -78,7 +80,8 @@ def test_pipeline_command_loads_only_its_layers(baseline, args, own):
     assert not added & set(HEAVY)
 
 
-@pytest.mark.parametrize("args", [
+# One run of each of the nine subcommands, ``{out}`` an output path.
+COMMANDS = [
     ("stats", HERSTEL), ("strip-singletons", HERSTEL),
     ("transform", HERSTEL, "--paradigm", "die", "--anonymize",
      "--neutralize-nouns"),
@@ -87,12 +90,23 @@ def test_pipeline_command_loads_only_its_layers(baseline, args, own):
     ("unseen", HERSTEL, "--assignments", "-", "-o", "{out}"),
     ("resolve-baseline", HERSTEL),
     ("score", "--gold", HERSTEL, "--pred", HERSTEL),
-], ids=lambda args: args[0])
+]
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
 def test_no_command_loads_the_model(tmp_path, args):
     # The commands read rows and classify (pos, feats) pairs; only the
     # library functions that take or build documents import the model.
     args = [arg.format(out=tmp_path / "out.conll") for arg in args]
     assert "corefkit.model" not in loaded_modules(_PROBE, *args)
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=lambda args: args[0])
+def test_no_command_loads_dataclasses(baseline, tmp_path, args):
+    # The configuration and report types are declared without it; only
+    # the model's types are dataclasses.
+    args = [arg.format(out=tmp_path / "out.conll") for arg in args]
+    assert not (loaded_modules(_PROBE, *args) - baseline) & DATACLASSES
 
 
 def test_score_loads_what_transform_loads_and_the_scorer(baseline):
@@ -156,6 +170,19 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.out == golden
     assert captured.err == ""
+
+
+def test_a_run_adds_the_arguments_of_its_own_subcommand_only(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    parser.parse_args(["stats", HERSTEL])
+    # Until then a subcommand's parser holds its -h alone.
+    assert {name for name, sub in subparsers.items()
+            if len(sub._actions) > 1} == {"stats"}
+    assert subparsers["score"].format_help() == _golden_help()["score"]
+    assert subparsers["delex"].format_usage() == (
+        _golden_help()["delex"].split("\n\n")[0] + "\n")
 
 
 def test_duplicate_lexicon_key_warning_line(tmp_path):
