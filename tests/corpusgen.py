@@ -202,3 +202,46 @@ def perturb_clusters(rng: random.Random, document: Document,
     groups.sort(key=lambda g: min(g))
     clusters = tuple(Cluster(i, tuple(sorted(g))) for i, g in enumerate(groups))
     return Document(document.id, document.sentences, clusters)
+
+
+# The words of the edge corpus's sentences, cycled: (form, pos, feats, ner).
+EDGE_WORDS = [
+    ("Anna", "PROPN", "_", "PER"), ("ziet", "VERB", "_", "O"),
+    ("hem", "PRON", "Case=Acc|Number=Sing|Person=3|PronType=Prs", "O"),
+    ("en", "CCONJ", "_", "O"),
+    ("haar", "PRON", "Number=Sing|Person=3|Poss=Yes|PronType=Prs", "O"),
+    ("moeder", "NOUN", "_", "O"), (".", "PUNCT", "_", "O")]
+# The coref column of the 300-token sentence, by token number.
+EDGE_COREF = {1: "(256|(256|(300)", 3: "(1000)", 6: "256)", 8: "(300)",
+              10: "(1000)", 15: "(254)", 17: "(255)", 22: "(254)",
+              24: "(255)", 255: "(1000", 257: "(257)|1000)",
+              299: "(300|(300)", 300: "256)|300)"}
+
+
+def lenient_and_edge_texts(e2e_text: str) -> dict[str, str]:
+    """Two corpora at the edges of the reader and the writer, by name.
+
+    "lenient" is ``e2e_text`` with every token index and head spelled
+    with a leading zero. "edge" holds two documents, each a 300-token
+    sentence and an 8-token one: heads go above 255, and the coref
+    column holds ids 254 to 257 and 1000 and several entries on one
+    token, among them same-id spans sharing a start.
+    """
+    lenient = []
+    for line in e2e_text.splitlines(keepends=True):
+        fields = line.split("\t")
+        if len(fields) == 9:
+            fields[0], fields[5] = "0" + fields[0], "0" + fields[5]
+        lenient.append("\t".join(fields))
+    lines = []
+    for doc_id in ("edge", "edge2"):
+        lines.append(f"#begin document {doc_id}")
+        for n in (300, 8):
+            for i in range(1, n + 1):
+                form, pos, feats, ner = EDGE_WORDS[(i - 1) % len(EDGE_WORDS)]
+                coref = EDGE_COREF.get(i, "-") if n == 300 else "-"
+                lines.append(f"{i}\t{form}\t{form.lower()}\t{pos}\t{feats}\t"
+                             f"{i * 37 % (n + 1)}\tdep\t{ner}\t{coref}")
+            lines.append("")
+        lines[-1] = "#end document"
+    return {"lenient": "".join(lenient), "edge": "\n".join(lines) + "\n"}

@@ -35,8 +35,10 @@ def buffered_env() -> dict[str, str]:
 
 
 def child(code: str, *argv: str, cwd=None, **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
-                          env=buffered_env(), timeout=120, **kwargs)
+    """A fresh interpreter in development mode, where any warning fails."""
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code, *argv],
+        cwd=cwd, env=buffered_env(), timeout=120, **kwargs)
 
 
 def written(directory) -> dict[str, bytes]:

@@ -7,11 +7,12 @@ library calls, on hostile corpora, at every job count it takes.
 import errno
 import os
 import random
+import re
 import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
@@ -29,6 +30,7 @@ from corefkit.transform import (ClassifierConfig, TransformOptions,
 
 E2E = str(FIXTURES / "e2e.conll")
 E2E_TEXT = (FIXTURES / "e2e.conll").read_text("utf-8")
+LENIENT_AND_EDGE = corpusgen.lenient_and_edge_texts(E2E_TEXT)
 
 
 def document_lines(sizes):
@@ -149,7 +151,7 @@ def test_errors_take_the_serial_precedence(monkeypatch, plan, expected):
     assert_no_child_left()
 
 
-def test_an_id_kept_in_two_shards_is_kept_once(tmp_path):
+def test_a_duplicate_id_is_kept_once_at_every_job_count():
     text = E2E_TEXT.replace("#begin document verhaal3",
                             "#begin document verhaal1")
     begin = text.splitlines().index("#begin document verhaal1", 1) + 1
@@ -363,9 +365,24 @@ def run_in(directory, argv, text):
     return code, out, files, err
 
 
+def test_the_lenient_and_edge_corpora_hold_what_they_are_built_for():
+    lenient, edge = LENIENT_AND_EDGE["lenient"], LENIENT_AND_EDGE["edge"]
+    assert lenient != E2E_TEXT
+    # Past the writer's numeral table, and several entries on a token.
+    assert re.search(r"^300\t", edge, re.M)
+    assert re.search(r"^7\t([^\t]*\t){4}259\t", edge, re.M)
+    assert "\t(256|(256|(300)\n" in edge and "\t(257)|1000)\n" in edge
+    for text, written in ((lenient, E2E_TEXT), (edge, edge)):
+        corpus, diagnostics = parse_corpus(text)
+        assert diagnostics == [] and serialize_corpus(corpus) == written
+
+
 @settings(max_examples=120, deadline=None)
 @given(text=corpus_texts())
-def test_shards_report_what_the_serial_run_reports(text):
+@example(text=LENIENT_AND_EDGE["lenient"])
+@example(text=LENIENT_AND_EDGE["edge"])
+def test_every_job_count_reports_what_the_serial_run_reports(text):
+    """Each writer, at each job count it takes, on a drawn corpus."""
     import corefkit.builder
     import corefkit.conll
     import corefkit.lexicon

@@ -11,13 +11,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
 from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
                       lines_of, run)
-from test_jobs import corpus_texts
+from test_jobs import LENIENT_AND_EDGE, corpus_texts
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
 from corefkit.conll import (_read, _rows, _tally, _view, parse_corpus,
@@ -33,6 +33,10 @@ GOLD = str(FIXTURES / "dialogue_gold.conll")
 PRED = str(FIXTURES / "dialogue_pred.conll")
 HERSTEL = str(FIXTURES / "herstel.conll")
 CONFIGS = {"good": "third_singular.feats = PronType=Prs\n", "bad": "nonsense\n"}
+# The lenient and edge corpora, each with its baseline resolution.
+RESOLVED = {name: (text, serialize_corpus(Corpus(tuple(
+    map(resolve, parse_corpus(text)[0].documents)))))
+    for name, text in LENIENT_AND_EDGE.items()}
 
 
 # --- references built from documents ---------------------------------------
@@ -182,8 +186,12 @@ def test_the_sent_view_scores_what_the_parsed_corpus_scores(ignore_singletons,
 
 def test_the_sent_view_agrees_with_the_oracles():
     rng = random.Random(11)
-    for k in range(40):
-        gold, pred = random_pair(rng, f"d{k}")
+    pairs = [random_pair(rng, f"d{k}") for k in range(40)]
+    for texts in RESOLVED.values():
+        for gold, resolved in zip(*(parse_corpus(text)[0].documents
+                                    for text in texts)):
+            pairs += [(gold, gold), (gold, resolved)]
+    for gold, pred in pairs:
         views = round_tripped(serialize_corpus(Corpus((pred,)), validate=False))[1]
         report = scored(Corpus((gold,)), views, ClassifierConfig(), False,
                         False)
@@ -450,10 +458,13 @@ def test_score_reports_what_the_serial_calls_report(texts, gold_kind, pred_kind,
 
 @settings(max_examples=100, deadline=None)
 @given(gold_text=corpus_texts(), pred_text=corpus_texts())
+@example(*RESOLVED["lenient"])
+@example(*RESOLVED["edge"])
 def test_score_on_hostile_corpora_reports_what_the_serial_calls_report(
         gold_text, pred_text):
     """Two drawn corpora, then the first as both sides: each may hold
-    broken, duplicate or unterminated documents, or none."""
+    broken, duplicate or unterminated documents, or none. The examples
+    pair a corpus with its baseline resolution."""
     with tempfile.TemporaryDirectory() as tmp:
         gold = str(Path(tmp) / "gold.conll")
         pred = str(Path(tmp) / "pred.conll")

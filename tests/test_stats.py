@@ -3,7 +3,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from corefkit.cli import _render_stats
 from corefkit.conll import parse_corpus
@@ -15,7 +15,7 @@ from corefkit.transform import ClassifierConfig, classify_pronoun
 
 import corpusgen
 from conftest import FIXTURES, run
-from test_jobs import corpus_texts
+from test_jobs import LENIENT_AND_EDGE, corpus_texts
 
 PRS_3SG = "Number=Sing|Person=3|PronType=Prs"
 
@@ -149,8 +149,10 @@ def naive_recount(corpus, wanted):
 def test_frequencies_match_a_naive_recount():
     rng = random.Random(606)
     wanted = ("hij", "hem", "zijn", "haar", "die", "ze")
-    for _ in range(25):
-        corpus = corpusgen.random_corpus(rng, rng.randint(1, 4))
+    corpora = [parse_corpus(text)[0] for text in LENIENT_AND_EDGE.values()]
+    corpora += [corpusgen.random_corpus(rng, rng.randint(1, 4))
+                for _ in range(25)]
+    for corpus in corpora:
         report = pronoun_frequencies(corpus, forms=wanted)
         counts, tokens, pronouns, third, masculine = naive_recount(corpus, wanted)
         assert report.token_count == tokens
@@ -218,6 +220,8 @@ def stats_reference(text, argv):
 
 @settings(max_examples=100, deadline=None)
 @given(text=corpus_texts())
+@example(text=LENIENT_AND_EDGE["lenient"])
+@example(text=LENIENT_AND_EDGE["edge"])
 def test_stats_reports_what_the_serial_calls_report(text):
     with tempfile.TemporaryDirectory() as directory:
         config = os.path.join(directory, "prs.cfg")
@@ -231,6 +235,16 @@ def test_stats_reports_what_the_serial_calls_report(text):
 def test_the_configuration_changes_what_stats_counts():
     text = (FIXTURES / "dialogue_gold.conll").read_text("utf-8")
     assert stats_reference(text, ["--config"]) != stats_reference(text, [])
+
+
+def test_the_configuration_changes_what_score_reports(tmp_path):
+    config = tmp_path / "prs.cfg"
+    config.write_text(PRS, encoding="utf-8")
+    argv = ("score", "--gold", str(FIXTURES / "dialogue_gold.conll"),
+            "--pred", str(FIXTURES / "dialogue_pred.conll"))
+    plain, counted = run(*argv), run(*argv, "--config", str(config))
+    assert plain[0] == counted[0] == 0
+    assert plain != counted
 
 
 def test_stats_builds_no_token_grid(monkeypatch):
