@@ -1,9 +1,10 @@
 import math
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from corefkit.builder import (PartitionSpec, build_cda, build_unseen,
                               sample_partitions)
@@ -15,7 +16,7 @@ from corefkit.transform import classify_pronoun
 
 import corpusgen
 from conftest import FIXTURES, run
-from test_jobs import corpus_texts
+from test_jobs import E2E_TEXT, corpus_texts, run_in
 
 
 def tiny_corpus(n_docs):
@@ -201,7 +202,8 @@ def test_unseen_rejects_empty_corpus():
 
 def sample_reference(text, fraction, partitions, seed):
     """What ``sample --fraction`` reports for ``text``, built from the
-    serial library calls: (exit code, stdout, stderr)."""
+    serial library calls: (exit code, stdout, stderr, the id lines of
+    each partition, which ``--out-prefix`` writes one file each)."""
     try:
         corpus, diagnostics = parse_corpus(text)
     except EmptyCorpusError as exc:
@@ -215,20 +217,28 @@ def sample_reference(text, fraction, partitions, seed):
         except ValueError as exc:
             failure = str(exc)
         else:
-            return 0, "\n".join(
-                f"# partition {i}\n" + "".join(f"{x}\n" for x in ids)
-                for i, ids in enumerate(drawn)), stderr
-    return 2, "", stderr + f"corefkit: error: {failure}\n"
+            parts = ["".join(f"{x}\n" for x in ids) for ids in drawn]
+            return 0, "\n".join(f"# partition {i}\n{ids}"
+                                 for i, ids in enumerate(parts)), stderr, parts
+    return 2, "", stderr + f"corefkit: error: {failure}\n", []
 
 
 @settings(max_examples=60, deadline=None)
 @given(text=corpus_texts())
+@example(text=E2E_TEXT)
 def test_sample_reports_what_the_serial_call_reports(text):
-    for fraction, partitions, seed in (("1/2", 3, 4), ("1", 1, 0),
-                                       ("1/3", 2, 9)):
-        got = run("sample", "--fraction", fraction, "--partitions",
-                  str(partitions), "--seed", str(seed), stdin_text=text)
-        assert got == sample_reference(text, fraction, partitions, seed)
+    """On stdout, and as the files ``--out-prefix`` names."""
+    with tempfile.TemporaryDirectory() as directory:
+        for fraction, partitions, seed in (("1/2", 3, 4), ("1", 1, 0),
+                                           ("1/3", 2, 9), ("1/2", 3, 5)):
+            argv = ["sample", "--fraction", fraction, "--partitions",
+                    str(partitions), "--seed", str(seed)]
+            code, out, err, parts = sample_reference(text, fraction,
+                                                     partitions, seed)
+            assert run(*argv, stdin_text=text) == (code, out, err)
+            files = {f"part-{i}.txt": ids for i, ids in enumerate(parts)}
+            assert run_in(directory, [*argv, "--out-prefix", "{dir}/part-"],
+                          text) == (code, "", files, err)
 
 
 @pytest.mark.parametrize("fraction,documents,size", [(0.3, 10, 3),

@@ -375,6 +375,11 @@ def test_the_lenient_and_edge_corpora_hold_what_they_are_built_for():
     for text, written in ((lenient, E2E_TEXT), (edge, edge)):
         corpus, diagnostics = parse_corpus(text)
         assert diagnostics == [] and serialize_corpus(corpus) == written
+        # Each writer succeeds, and writes every output it names.
+        for command, argv in COMMANDS.items():
+            code, out, files, err = serial_reference(command, text)
+            assert (code, err) == (0, "") and all(files.values()), command
+            assert bool(out) == ("-o" not in argv or "--assignments" in argv)
 
 
 @settings(max_examples=120, deadline=None)

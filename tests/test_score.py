@@ -477,6 +477,17 @@ def test_score_on_hostile_corpora_reports_what_the_serial_calls_report(
                        "--pred", pred_arg) == tuple(expected)
 
 
+def test_lenient_and_edge_score_against_themselves_and_resolved(tmp_path):
+    for name, texts in RESOLVED.items():
+        paths = [str(tmp_path / f"{name}{i}.conll") for i in (0, 1)]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text, "utf-8", newline="")
+        for pred in paths:
+            code, out, err, _ = serial_reference(paths[0], pred, None, "",
+                                                 set(), False)
+            assert (code, err) == (0, "") and out, pred
+
+
 # --- spans held by many clusters -------------------------------------------
 
 def test_many_one_token_clusters_on_one_token_score_in_linear_time(tmp_path):

@@ -232,6 +232,13 @@ def test_stats_reports_what_the_serial_calls_report(text):
             assert got == stats_reference(text, argv), argv
 
 
+def test_the_lenient_and_edge_corpora_are_counted_cleanly():
+    for name, text in LENIENT_AND_EDGE.items():
+        for argv in STATS_ARGUMENTS:
+            code, out, err = stats_reference(text, argv)
+            assert (code, err) == (0, "") and out, (name, argv)
+
+
 def test_the_configuration_changes_what_stats_counts():
     text = (FIXTURES / "dialogue_gold.conll").read_text("utf-8")
     assert stats_reference(text, ["--config"]) != stats_reference(text, [])
