@@ -15,10 +15,10 @@ from corefkit.errors import EmptyCorpusError, _value_type
 from corefkit.lexicon import (GENDER_NEUTRAL_NAMES, NEOPRONOUN_NAMES,
                               RewriteLexicon, get_paradigm)
 from corefkit.transform import (ClassifierConfig, DEFAULT_CLASSIFIER_CONFIG,
-                                TransformOptions, pronoun_specific)
+                                TransformOptions, _rewrite, _specific)
 
 if TYPE_CHECKING:
-    from corefkit.model import Corpus, Document
+    from corefkit.model import Corpus
 
 __all__ = [
     "PartitionSpec",
@@ -49,15 +49,25 @@ class PartitionSpec:
             raise ValueError("need at least one partition")
 
 
-def _rewrite(documents, assignment: dict[str, str],
-             config: ClassifierConfig, lexicon: RewriteLexicon | None,
-             options: TransformOptions) -> tuple[Document, ...]:
-    """Rewrite each document with the paradigm assigned to its id."""
-    paradigms = {name: get_paradigm(name) for name in set(assignment.values())}
-    return tuple(
-        pronoun_specific(document, paradigms[assignment[document.id]],
-                         config, lexicon, options)
-        for document in documents)
+def _rules(assignment: dict[str, str], config: ClassifierConfig,
+           lexicon: RewriteLexicon | None, options: TransformOptions) -> dict:
+    """The :func:`~corefkit.transform.pronoun_specific` rule of each
+    paradigm that ``assignment`` names, by name, built once per paradigm."""
+    return {name: _specific(get_paradigm(name), config, lexicon, options)
+            for name in set(assignment.values())}
+
+
+def _rewrite_assigned(corpus: Corpus, assignment: dict[str, str],
+                      config: ClassifierConfig, lexicon: RewriteLexicon | None,
+                      options: TransformOptions
+                      ) -> tuple[Corpus, dict[str, str]]:
+    """``corpus`` with each document rewritten with the paradigm that
+    ``assignment`` gives its id, and ``assignment``."""
+    from corefkit.model import Corpus
+
+    rules = _rules(assignment, config, lexicon, options)
+    return Corpus(tuple(_rewrite(document, rules[assignment[document.id]])
+                        for document in corpus.documents)), assignment
 
 
 def _cda_assignment(ids: Sequence[str], seed: int) -> dict[str, str]:
@@ -86,13 +96,10 @@ def build_cda(corpus: Corpus, seed: int = 0,
     receives the extra document. The returned corpus keeps the input
     document order. Also returns the document-to-paradigm assignment.
     """
-    from corefkit.model import Corpus
-
     if not corpus.documents:
         raise EmptyCorpusError("cannot augment an empty corpus")
     assignment = _cda_assignment(corpus.document_ids(), seed)
-    documents = _rewrite(corpus.documents, assignment, config, lexicon, options)
-    return Corpus(documents), assignment
+    return _rewrite_assigned(corpus, assignment, config, lexicon, options)
 
 
 def _sample_ids(ids: Sequence[str], spec: PartitionSpec) -> list[list[str]]:
@@ -145,10 +152,7 @@ def build_unseen(corpus: Corpus, seed: int = 0, fixed: str | None = None,
     paradigm (any registered name) applies corpus-wide. Returns the
     rewritten corpus and the document-to-paradigm record.
     """
-    from corefkit.model import Corpus
-
     if not corpus.documents:
         raise EmptyCorpusError("cannot rewrite an empty corpus")
     assignment = _unseen_assignment(corpus.document_ids(), seed, fixed)
-    documents = _rewrite(corpus.documents, assignment, config, lexicon, options)
-    return Corpus(documents), assignment
+    return _rewrite_assigned(corpus, assignment, config, lexicon, options)

@@ -67,7 +67,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@_value_type(frozen=False)
+@_value_type
 class _Output:
     stdout: str | None = None
     files: list[tuple[str, str]] = _Fresh(list)  # (path, text)
@@ -167,9 +167,10 @@ def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Out
         if result.stdout is not None:
             raise CorefKitError("--assignments - needs -o FILE: the corpus "
                                 "would also go to stdout")
-        result.stdout = _assignment_tsv(assignment)
-    elif path is not None:
-        result.files.append((path, _assignment_tsv(assignment)))
+        return _Output(_assignment_tsv(assignment), result.files)
+    if path is not None:
+        return _Output(result.stdout,
+                       [*result.files, (path, _assignment_tsv(assignment))])
     return result
 
 
@@ -307,17 +308,16 @@ def _variant_output(args, assign) -> _Output:
     assignment: dict[str, str] = {}
 
     def prepare(lines):
+        from corefkit.builder import _rules
         from corefkit.conll import _read
-        from corefkit.transform import (TransformOptions, _rewrite_rows,
-                                        _specific)
+        from corefkit.transform import TransformOptions, _rewrite_rows
 
         config = _load_classifier(args.config)
         lexicon, warnings = _load_lexicon(args.lexicon)
         options = TransformOptions(anonymize=not args.no_anonymize,
                                    neutralize_nouns=not args.no_neutralize_nouns)
         assignment.update(assign([rows.id for rows in _read(lines, [])]))
-        rules = {name: _specific(get_paradigm(name), config, lexicon, options)
-                 for name in set(assignment.values())}
+        rules = _rules(assignment, config, lexicon, options)
         return lambda document: _rewrite_rows(
             document, rules[assignment[document.id]]), warnings
 
@@ -615,7 +615,8 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
     Each file first goes to a temp file beside its target, with the mode
     of the file it replaces. A symlink is followed, so the file it names
     is written and the link stays. The targets are replaced only once
-    every write has succeeded; on any error the temp files are removed.
+    every write has succeeded; on any error the temp files are removed,
+    and so are the missing parent directories that were made for them.
     A target that exists but is not a regular file (a FIFO, say) cannot
     be replaced: it is written directly, after every temp file, so that
     write alone is not all-or-nothing. Stdout is written last, before the
@@ -630,6 +631,7 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
         targets[real] = path
     staged: list[tuple[str, str]] = []
     direct: list[tuple[str, str]] = []
+    made: list[str] = []  # missing parent directories, in creation order
     try:
         for i, (path, content) in enumerate(files):
             target = os.path.realpath(path) if os.path.islink(path) else path
@@ -647,6 +649,11 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                 continue
             directory, name = os.path.split(target)
             if directory:
+                missing, parent = [], directory
+                while parent and not os.path.exists(parent):
+                    missing.append(parent)
+                    parent = os.path.dirname(parent)
+                made += reversed(missing)  # before any is made
                 os.makedirs(directory, exist_ok=True)
             temp = os.path.join(directory, f".{name}.{os.getpid()}.{i}.tmp")
             with open(temp, "x", encoding="utf-8", newline="") as handle:
@@ -665,6 +672,11 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
         for temp, _ in staged:
             try:
                 os.remove(temp)
+            except OSError:
+                pass
+        for directory in reversed(made):  # deepest first
+            try:
+                os.rmdir(directory)
             except OSError:
                 pass
         raise

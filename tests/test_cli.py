@@ -438,11 +438,12 @@ def test_unwritable_output_path_is_an_io_error(cli, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
+@pytest.mark.parametrize("output", ["out.conll", "new/out.conll"])
 @pytest.mark.parametrize("command", ["cda", "unseen"])
-def test_failed_sidecar_write_leaves_no_output(cli, tmp_path, command):
+def test_failed_sidecar_write_leaves_no_output(cli, tmp_path, command, output):
     blocker = tmp_path / "afile"
     blocker.write_text("", "utf-8")
-    code, out, err = cli(command, E2E, "-o", str(tmp_path / "out.conll"),
+    code, out, err = cli(command, E2E, "-o", str(tmp_path / output),
                          "--assignments", str(blocker / "a.tsv"))
     assert code == 2
     assert out == ""

@@ -399,7 +399,7 @@ def test_every_job_count_reports_what_the_serial_run_reports(text):
         for module, name in ((corefkit.transform, "_rewrite_rows"),
                              (corefkit.resolver, "_resolve_rows"),
                              (corefkit.conll, "_strip_rows"),
-                             (corefkit.builder, "pronoun_specific")):
+                             (corefkit.builder, "_rewrite")):
             patch.setattr(module, name, booming(getattr(module, name)))
         patch.setattr(corefkit.lexicon, "_read_lexicon",
                       lambda text: (POISON, []))

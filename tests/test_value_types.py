@@ -1,17 +1,21 @@
 """The configuration and report types behave as the dataclasses they
 were declared as.
 
-Each is compared with a twin that ``dataclasses.make_dataclass`` builds
-from its field names, defaults and frozen flag: construction (its
-errors included), ``repr``, ``==``, ``hash``, defaults, assignment and
-deletion must agree.
+Each is compared with a frozen twin that ``dataclasses.make_dataclass``
+builds from its field names and defaults: construction (its errors
+included), signature, ``repr``, ``==``, ``hash``, defaults, class
+attributes, assignment and deletion must agree.
 """
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import corefkit
 from corefkit import (builder, cli, conll, errors, lexicon, metrics, resolver,
                       stats, transform)
 
@@ -21,7 +25,6 @@ TYPES = (cli._Output, lexicon.PronounParadigm, lexicon.RewriteEntry,
          metrics.LeaScore, metrics.PronounScoreResult, metrics.EvalReport,
          resolver.ResolverConfig, stats.FormFrequency, stats.FrequencyReport,
          builder.PartitionSpec)
-MUTABLE = (cli._Output,)
 
 LEA = metrics.LeaScore(0.5, 1.0, 0.75)
 PRONOUNS = metrics.PronounScoreResult(50.0, 1, 2)
@@ -52,22 +55,34 @@ def names(cls) -> tuple:
 
 def twin(cls):
     """``cls`` as ``dataclasses.make_dataclass`` builds it."""
+    parameters = inspect.signature(cls).parameters
     specs = []
     for name in names(cls):
         default = cls.__dict__.get(name, dataclasses.MISSING)
-        if isinstance(default, errors._Fresh):
-            spec = dataclasses.field(default_factory=default.factory)
+        fresh = parameters[name].default  # the class no longer holds it
+        if isinstance(fresh, errors._Fresh):
+            spec = dataclasses.field(default_factory=fresh.factory)
         else:
             spec = dataclasses.field(default=default)
         specs.append((name, cls.__annotations__[name], spec))
     namespace = ({"__post_init__": cls.__post_init__}
                  if hasattr(cls, "__post_init__") else {})
     return dataclasses.make_dataclass(cls.__qualname__, specs,
-                                      namespace=namespace,
-                                      frozen=cls not in MUTABLE)
+                                      namespace=namespace, frozen=True)
 
 
 TWINS = {cls: twin(cls) for cls in TYPES}
+
+
+def test_every_value_type_is_compared_with_its_twin():
+    declared = set()
+    for module in pkgutil.iter_modules(corefkit.__path__):
+        found = vars(importlib.import_module(f"corefkit.{module.name}"))
+        declared.update(
+            value for value in found.values() if isinstance(value, type)
+            and getattr(value.__eq__, "__module__", None) == errors.__name__)
+    assert declared == set(TYPES)
+
 
 TEXTS = st.text("aZé'\n", max_size=3)
 # Python 3.13's dataclasses compare field by field and earlier ones as
@@ -153,6 +168,10 @@ def test_each_type_behaves_as_its_dataclass_twin(drawn):
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__qualname__)
 def test_defaults_positional_and_keyword_construction_agree(cls):
+    twin_cls = TWINS[cls]
+    assert str(inspect.signature(cls)) == str(inspect.signature(twin_cls))
+    for name in names(cls):
+        assert hasattr(cls, name) == hasattr(twin_cls, name), name
     args = REQUIRED[cls]
     value = cls(*args)
     assert value == cls(**dict(zip(names(cls), args)))
@@ -176,10 +195,8 @@ def test_assignment_and_deletion(cls):
         for call, rest in ((setattr, (name, 1)), (delattr, (name,))):
             done = outcome(call, value, *rest)
             assert done == outcome(call, twin_value, *rest)
-            if cls not in MUTABLE:
-                assert done[1][0] is AttributeError
-    if cls not in MUTABLE:
-        assert value == cls(*REQUIRED[cls])
+            assert done[1][0] is AttributeError
+    assert value == cls(*REQUIRED[cls])
 
 
 def test_paradigm_forms_are_lowercased():
