@@ -4,8 +4,8 @@ Every subcommand reads the corpus format from a file path (or ``-`` for
 stdin) and writes to stdout unless ``-o`` names a file. Exit codes:
 0 success, 1 usage error, 2 data or I/O error. All output is assembled
 before anything is written, and output files are moved into place only
-once every one of them and stdout are written, so a failing run produces
-no partial output.
+once every one of them is written, and moved back if a later one or
+stdout fails, so a failing run produces no partial output.
 Identical arguments and inputs give byte-identical outputs. Every
 command runs in this one process, which :func:`run` ends with
 ``os._exit`` once stdout and stderr are flushed, skipping the
@@ -606,7 +606,7 @@ def build_parser() -> _ArgumentParser:
 
 
 def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
-    """Write all files or none, and ``stdout`` (unless None) to stdout.
+    """Write all files and ``stdout`` (unless None) to stdout, or none.
 
     Two paths that resolve to one file (the same spelling, ``./X`` for
     ``X``, or a symlink to it) are an error, raised before anything is
@@ -614,13 +614,17 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
 
     Each file first goes to a temp file beside its target, with the mode
     of the file it replaces. A symlink is followed, so the file it names
-    is written and the link stays. The targets are replaced only once
-    every write has succeeded; on any error the temp files are removed,
-    and so are the missing parent directories that were made for them.
-    A target that exists but is not a regular file (a FIFO, say) cannot
-    be replaced: it is written directly, after every temp file, so that
-    write alone is not all-or-nothing. Stdout is written last, before the
-    targets are replaced, so a stdout that fails leaves no file either.
+    is written and the link stays. A target that exists but is not a
+    regular file (a FIFO, say) cannot be replaced: it is written
+    directly, after every temp file, so that write alone is not
+    all-or-nothing. Then each target is replaced in turn, and stdout is
+    written last. An existing target that a later step could still fail
+    after is first hard-linked to a backup beside it, so a run with one
+    file and no stdout takes no backup. On any error the replaced
+    targets are put back from their backups, or removed where none
+    existed before; the temp files, the backups and the missing parent
+    directories made for them are removed. A target that cannot be put
+    back is named in the error, and its backup, if any, is kept.
     """
     targets: dict[str, str] = {}
     for path, _ in files:
@@ -629,9 +633,11 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
             raise CorefKitError(f"outputs {targets[real]!r} and {path!r} "
                                 "name the same file")
         targets[real] = path
-    staged: list[tuple[str, str]] = []
+    staged: list[tuple[str, str, bool]] = []  # (temp, target, existed)
     direct: list[tuple[str, str]] = []
     made: list[str] = []  # missing parent directories, in creation order
+    backups: dict[str, str] = {}  # target -> its backup
+    replaced = 0
     try:
         for i, (path, content) in enumerate(files):
             target = os.path.realpath(path) if os.path.islink(path) else path
@@ -657,21 +663,42 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                 os.makedirs(directory, exist_ok=True)
             temp = os.path.join(directory, f".{name}.{os.getpid()}.{i}.tmp")
             with open(temp, "x", encoding="utf-8", newline="") as handle:
-                staged.append((temp, target))
+                staged.append((temp, target, mode is not None))
                 if mode is not None:
                     os.chmod(temp, stat.S_IMODE(mode))
                 handle.write(content)
         for target, content in direct:
             with open(target, "w", encoding="utf-8", newline="") as handle:
                 handle.write(content)
+        # Without stdout, nothing can fail after the last replace.
+        last = len(staged) - (stdout is None)
+        for temp, target, existed in staged[:last]:
+            if existed:
+                backup = os.path.splitext(temp)[0] + ".old"
+                os.link(target, backup)
+                backups[target] = backup
+        for temp, target, _ in staged:
+            os.replace(temp, target)
+            replaced += 1
         if stdout is not None:
             _write_stdout(stdout)
-        for temp, target in staged:
-            os.replace(temp, target)
-    except BaseException:
-        for temp, _ in staged:
+    except BaseException as exc:
+        failed = []
+        for _, target, existed in reversed(staged[:replaced]):
+            backup = backups.pop(target, None)  # moved back, or kept
             try:
-                os.remove(temp)
+                if backup is not None:
+                    os.replace(backup, target)
+                elif not existed:
+                    os.remove(target)
+            except OSError as error:
+                failed.append(f"could not restore {target!r}"
+                              + (f" from {backup!r}" if backup else "")
+                              + f": {error}")
+        unused = [temp for temp, _, _ in staged[replaced:]]
+        for path in unused + list(backups.values()):
+            try:
+                os.remove(path)
             except OSError:
                 pass
         for directory in reversed(made):  # deepest first
@@ -679,7 +706,14 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                 os.rmdir(directory)
             except OSError:
                 pass
+        if failed and isinstance(exc, (CorefKitError, ValueError, OSError)):
+            raise CorefKitError("; ".join([str(exc), *failed])) from exc
         raise
+    for backup in backups.values():
+        try:
+            os.remove(backup)
+        except OSError:
+            pass  # the outputs are all in place
 
 
 def _write_stdout(text: str) -> None:

@@ -47,6 +47,19 @@ def run(*argv, stdin_text=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_in(directory, argv, stdin_text=""):
+    """``run(*argv)`` as ``reference`` reports it, with the files it left
+    in ``directory`` (and removes) by path."""
+    code, out, err = run(*argv, stdin_text=stdin_text)
+    files = {}
+    for name in os.listdir(directory):
+        path = os.path.join(directory, name)
+        with open(path, encoding="utf-8", newline="") as handle:
+            files[path] = handle.read()
+        os.remove(path)
+    return code, out, files, err
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -11,12 +11,13 @@ from corefkit.builder import (PartitionSpec, build_cda, build_unseen,
 from corefkit.conll import parse_corpus
 from corefkit.errors import EmptyCorpusError, UnknownParadigmError
 from corefkit.lexicon import GENDER_NEUTRAL_NAMES, NEOPRONOUN_NAMES
-from corefkit.model import Corpus, Token
+from corefkit.model import Corpus
 from corefkit.transform import classify_pronoun
 
 import corpusgen
-from conftest import FIXTURES, run
-from test_jobs import E2E_TEXT, corpus_texts, run_in
+from conftest import run, run_in
+from reference import reference
+from test_jobs import E2E_TEXT, corpus_texts
 
 
 def tiny_corpus(n_docs):
@@ -198,30 +199,7 @@ def test_unseen_rejects_empty_corpus():
         build_unseen(Corpus(()))
 
 
-# --- the sample command against the library call ---------------------------
-
-def sample_reference(text, fraction, partitions, seed):
-    """What ``sample --fraction`` reports for ``text``, built from the
-    serial library calls: (exit code, stdout, stderr, the id lines of
-    each partition, which ``--out-prefix`` writes one file each)."""
-    try:
-        corpus, diagnostics = parse_corpus(text)
-    except EmptyCorpusError as exc:
-        corpus, diagnostics, failure = None, exc.diagnostics, str(exc)
-    stderr = "".join(f"-:{d.line_number}: {d.severity}: {d.message}\n"
-                     for d in diagnostics)
-    if corpus is not None:
-        try:
-            drawn = sample_partitions(
-                corpus, PartitionSpec(Fraction(fraction), partitions, seed))
-        except ValueError as exc:
-            failure = str(exc)
-        else:
-            parts = ["".join(f"{x}\n" for x in ids) for ids in drawn]
-            return 0, "\n".join(f"# partition {i}\n{ids}"
-                                 for i, ids in enumerate(parts)), stderr, parts
-    return 2, "", stderr + f"corefkit: error: {failure}\n", []
-
+# --- the sample command against the reference -----------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(text=corpus_texts())
@@ -233,12 +211,8 @@ def test_sample_reports_what_the_serial_call_reports(text):
                                            ("1/3", 2, 9), ("1/2", 3, 5)):
             argv = ["sample", "--fraction", fraction, "--partitions",
                     str(partitions), "--seed", str(seed)]
-            code, out, err, parts = sample_reference(text, fraction,
-                                                     partitions, seed)
-            assert run(*argv, stdin_text=text) == (code, out, err)
-            files = {f"part-{i}.txt": ids for i, ids in enumerate(parts)}
-            assert run_in(directory, [*argv, "--out-prefix", "{dir}/part-"],
-                          text) == (code, "", files, err)
+            for argv in (argv, [*argv, "--out-prefix", f"{directory}/part-"]):
+                assert run_in(directory, argv, text) == reference(argv, text)
 
 
 @pytest.mark.parametrize("fraction,documents,size", [(0.3, 10, 3),
@@ -253,20 +227,3 @@ def test_a_float_fraction_draws_what_sample_draws(fraction, documents, size):
                "--seed", "5", stdin_text=text) == (0, "\n".join(
                    f"# partition {i}\n" + "".join(f"{x}\n" for x in ids)
                    for i, ids in enumerate(drawn)), "")
-
-
-def test_sample_builds_no_token_grid(monkeypatch):
-    e2e = str(FIXTURES / "e2e.conll")
-    argv = ("sample", e2e, "--fraction", "1/2", "--partitions", "3")
-    expected = run(*argv)
-    built = []
-    init = Token.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Token, "__init__", counting)
-    assert run(*argv) == expected
-    assert expected[0] == 0 and expected[1]
-    assert built == []

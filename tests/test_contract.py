@@ -1,22 +1,32 @@
 """The command line contract, for every subcommand, on hostile corpora.
 
-Each run must exit 0 or 2 without a traceback, a corpus it writes must
-parse back with no diagnostic, a second run must give the same bytes,
-and a failing run must leave no output and no temp file behind.
+Each run must exit 0 or 2 without a traceback, report what ``reference``
+reports, and a corpus it writes must parse back with no diagnostic; a
+second run must give the same bytes, and a failing run must leave no
+output and no temp file behind.
 """
+import ast
+import errno
+import functools
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import corefkit.lexicon
-from conftest import FIXTURES, assert_no_child_left, child_env
+from conftest import FIXTURES, assert_no_child_left, child_env, run, run_in
 from corefkit import cli
-from corefkit.conll import parse_corpus
-from test_jobs import POISON, corpus_texts, run_in
+from corefkit.conll import parse_corpus, serialize_corpus
+from reference import reference
+from test_jobs import (COMMANDS, E2E_TEXT, LENIENT_AND_EDGE, POISON,
+                       corpus_texts, filled)
+from test_score import RESOLVED
+from test_stats import PRS, STATS_ARGUMENTS
 
 try:
     import resource
@@ -45,6 +55,8 @@ RUNS = [
     ["sample", "{input}", "--count", "2", "--partitions", "3"],
     ["unseen", "{input}", "-o", "{dir}/u.conll"],
     ["unseen", "{input}", "--fixed", "hen", "--assignments", "-"],
+    ["unseen", "{input}", "--fixed", "hen", "-o", "{dir}/f.conll",
+     "--assignments", "-"],
     ["resolve-baseline", "{input}", "--jobs", "2", "-o", "{dir}/r.conll"],
     ["score", "--gold", "{input}", "--pred", "{input}",
      "-o", "{dir}/score.txt"],
@@ -73,9 +85,9 @@ def test_every_subcommand_keeps_the_contract(text):
         out = os.path.join(directory, "out")
         os.mkdir(out)
         for template in RUNS:
-            argv = [a.replace("{input}", source) for a in template]
-            first = run_in(out, argv, None)
-            assert run_in(out, argv, None) == first, argv
+            argv = [a.replace("{input}", source) for a in filled(template, out)]
+            first = run_in(out, argv)
+            assert run_in(out, argv) == first == reference(argv), argv
             code, stdout, files, stderr = first
             assert code in (0, 2), argv
             assert "Traceback" not in stderr, argv
@@ -84,10 +96,58 @@ def test_every_subcommand_keeps_the_contract(text):
                 assert stdout == "" and files == {}, argv
                 assert stderr.splitlines()[-1].startswith("corefkit: error: ")
             elif argv[0] in CORPUS_WRITERS:
-                written = (files[os.path.basename(argv[argv.index("-o") + 1])]
-                           if "-o" in argv else stdout)
+                written = (files[argv[argv.index("-o") + 1]] if "-o" in argv
+                           else stdout)
                 assert parse_corpus(written)[1] == [], argv
     assert_no_child_left()
+
+
+def test_the_lenient_and_edge_corpora_run_cleanly(tmp_path, monkeypatch):
+    """The argument sets of the writers', ``stats``' and ``score``'s
+    property tests run cleanly on both, writing to each output named."""
+    lenient, edge = LENIENT_AND_EDGE["lenient"], LENIENT_AND_EDGE["edge"]
+    assert lenient != E2E_TEXT
+    # Past the writer's numeral table, and several entries on a token.
+    assert re.search(r"^300\t", edge, re.M)
+    assert re.search(r"^7\t([^\t]*\t){4}259\t", edge, re.M)
+    assert "\t(256|(256|(300)\n" in edge and "\t(257)|1000)\n" in edge
+    config = tmp_path / "prs.cfg"
+    config.write_text(PRS, "utf-8")
+    monkeypatch.setattr(corefkit.lexicon, "_read_lexicon",
+                        lambda text: (POISON, []))
+    for name, texts in RESOLVED.items():
+        corpus, diagnostics = parse_corpus(texts[0])
+        assert diagnostics == []
+        assert serialize_corpus(corpus) == (E2E_TEXT if name == "lenient"
+                                            else edge)
+        paths = [str(tmp_path / f"{name}{i}.conll") for i in (0, 1)]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text, "utf-8", newline="")
+        runs = [filled(argv, str(tmp_path)) for argv in COMMANDS.values()]
+        runs += [["stats", *(a.replace("{config}", str(config)) for a in argv)]
+                 for argv in STATS_ARGUMENTS]
+        runs += [["score", "--gold", paths[0], "--pred", pred] for pred in paths]
+        for argv in runs:
+            code, out, files, err = reference(argv, texts[0])
+            assert (code, err) == (0, "") and all(files.values()), argv
+            assert bool(files) == ("-o" in argv)
+            assert bool(out) == ("-o" not in argv or "--assignments" in argv)
+
+
+def test_the_reference_is_built_from_public_library_names():
+    """``tests/reference.py`` imports nothing of ``corefkit.cli`` and no
+    name starting with ``_`` from ``corefkit``, nor reads such a name."""
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(
+        "utf-8"))
+    imported = [f"{node.module}.{alias.name}" if isinstance(
+        node, ast.ImportFrom) else alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names]
+    assert {"corefkit.conll", "corefkit.model.Corpus"} <= set(imported)
+    assert [name for name in imported if name.startswith("corefkit.cli")
+            or name.startswith("corefkit") and "._" in name] == []
+    assert [node.attr for node in ast.walk(tree) if isinstance(
+        node, ast.Attribute) and node.attr.startswith("_")] == []
 
 
 # Writers whose every output file is larger than ``FILE_SIZE_LIMIT`` bytes.
@@ -121,3 +181,120 @@ def test_write_past_the_file_size_limit_fails_cleanly(template, tmp_path):
               if line.startswith("corefkit: error: ")]
     assert len(errors) == 1, done.stderr
     assert os.listdir(tmp_path) == []
+
+
+# --- every I/O call of the write failing in turn ---------------------------
+
+WRITE = cli._write
+
+
+class Faults:
+    """Counts the I/O calls ``cli._write`` makes, by kind, and fails the
+    ``k``-th call of kind ``failing``."""
+
+    def __init__(self, failing=None, k=0):
+        self.failing, self.k = failing, k
+        self.calls = dict.fromkeys(("makedirs", "open", "chmod", "write",
+                                    "link", "replace", "stdout"), 0)
+
+    def call(self, kind, fn, *args, **kwargs):
+        self.calls[kind] += 1
+        if (kind, self.calls[kind]) == (self.failing, self.k):
+            raise OSError(errno.EIO, f"no {kind} {self.k}")
+        return fn(*args, **kwargs)
+
+    def write(self, files, stdout):
+        """``cli._write`` with its calls counted, and one failing."""
+        faults = self
+
+        class Handle:
+            def __init__(self, *args, **kwargs):
+                self.handle = faults.call("open", open, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return self.handle.__exit__(*exc_info)
+
+            def write(self, text):
+                return faults.call("write", self.handle.write, text)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for kind, owner, name in (("makedirs", os, "makedirs"),
+                                      ("chmod", os, "chmod"),
+                                      ("link", os, "link"),
+                                      ("replace", os, "replace"),
+                                      ("stdout", cli, "_write_stdout")):
+                patch.setattr(owner, name, functools.partial(
+                    self.call, kind, getattr(owner, name)))
+            patch.setattr(cli, "open", Handle, raising=False)
+            WRITE(files, stdout)
+
+
+def tree(directory):
+    """Each path under ``directory``: its mode, and a file's bytes."""
+    return {str(path): (path.lstat().st_mode,
+                        path.read_bytes() if path.is_file() else None)
+            for path in Path(directory).rglob("*")}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("template", RUNS, ids=lambda argv: argv[0])
+def test_a_failing_write_call_leaves_the_tree_as_it_was(
+        tmp_path, monkeypatch, template, existing):
+    """Each I/O call of the write fails in turn, once for each of its
+    calls on e2e.conll, with every output already there or none: the
+    run exits 2 with one error line, prints nothing and leaves every
+    name, byte and mode under its directory as they were."""
+    monkeypatch.setattr(corefkit.lexicon, "_read_lexicon",
+                        lambda text: (POISON, []))
+
+    def prepared(name):
+        directory = tmp_path / name
+        directory.mkdir()
+        argv = [a.replace("{input}", E2E) for a in filled(template,
+                                                          str(directory))]
+        for path in reference(argv)[2] if existing else ():
+            Path(path).write_text(f"old {path}\n", "utf-8")
+            os.chmod(path, 0o604)
+        return directory, argv
+
+    counted = Faults()
+    monkeypatch.setattr(cli, "_write", counted.write)
+    directory, argv = prepared("clean")
+    expected = reference(argv)
+    assert run_in(str(directory), argv) == expected
+    assert (expected[0] == 0) == any(counted.calls.values())
+    for kind, calls in counted.calls.items():
+        for k in range(1, calls + 1):
+            monkeypatch.setattr(cli, "_write", Faults(kind, k).write)
+            directory, argv = prepared(f"{kind}{k}")
+            before = tree(directory)
+            assert run(*argv) == (
+                2, "", f"corefkit: error: [Errno {errno.EIO}] no {kind} {k}\n")
+            assert tree(directory) == before, (kind, k)
+
+
+def test_a_failed_restore_is_named_and_its_backup_kept(tmp_path, monkeypatch):
+    """The second target cannot be replaced, nor the first put back: the
+    error line names the first and the backup that holds its old bytes."""
+    real, calls = os.replace, []
+
+    def replace(source, target):
+        calls.append(target)
+        if len(calls) > 1:
+            raise OSError(errno.EIO, "no replace")
+        real(source, target)
+
+    out = tmp_path / "c.conll"
+    out.write_text("old\n", "utf-8")
+    backup = tmp_path / f".c.conll.{os.getpid()}.0.old"
+    monkeypatch.setattr(os, "replace", replace)
+    assert run("cda", E2E, "-o", str(out), "--assignments",
+               str(tmp_path / "c.tsv")) == (
+        2, "", f"corefkit: error: [Errno {errno.EIO}] no replace; could not "
+               f"restore {str(out)!r} from {str(backup)!r}: [Errno {errno.EIO}] "
+               "no replace\n")
+    assert sorted(os.listdir(tmp_path)) == [backup.name, "c.conll"]
+    assert backup.read_text("utf-8") == "old\n"

@@ -1,13 +1,12 @@
 """``--jobs N`` is accepted and has no effect: every job count must
-report exactly what one serial run reports, and no run forks.
+report exactly what one serial run reports, and no run forks or builds a
+token grid.
 
-The property test checks each corpus-writing command against the serial
-library calls, on hostile corpora, at every job count it takes.
+The property test checks each corpus-writing command against
+``reference``, on hostile corpora, at every job count it takes.
 """
-import errno
 import os
 import random
-import re
 import tempfile
 from dataclasses import replace
 
@@ -17,16 +16,12 @@ from hypothesis import strategies as st
 
 import corpusgen
 from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
-                      lines_of, run)
-from corefkit.builder import build_cda, build_unseen
-from corefkit.conll import (END_LINE, parse_corpus, serialize_corpus,
-                            strip_singletons)
-from corefkit.errors import CorefKitError, EmptyCorpusError
-from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
-from corefkit.model import map_documents, validate_corpus
-from corefkit.resolver import ResolverConfig, resolve
-from corefkit.transform import (ClassifierConfig, TransformOptions,
-                                delexicalize, pronoun_specific)
+                      lines_of, run, run_in)
+from corefkit.conll import END_LINE
+from corefkit.errors import CorefKitError
+from corefkit.lexicon import RewriteEntry, RewriteLexicon
+from corefkit.model import Token
+from reference import reference
 
 E2E = str(FIXTURES / "e2e.conll")
 E2E_TEXT = (FIXTURES / "e2e.conll").read_text("utf-8")
@@ -45,7 +40,7 @@ def document_lines(sizes):
 
 def forbid_fork(monkeypatch):
     def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
 
@@ -66,11 +61,8 @@ def test_every_document_is_written_once_in_order_at_every_job_count(
         assert err.endswith("corefkit delex: error: argument --jobs: must be "
                             f"at least 1, not {jobs}\n")
         return
-    corpus, _ = parse_corpus(text)
-    config = ClassifierConfig()
+    assert (code, out, {}, err) == reference(["delex"], text)
     assert code == 0
-    assert out == serialize_corpus(
-        map_documents(corpus, lambda d: delexicalize(d, config)))
     ids = [line.removeprefix("#begin document ") for line in out.splitlines()
            if line.startswith("#begin document ")]
     assert ids == [f"d{i}" for i in range(documents)]
@@ -182,18 +174,8 @@ def test_a_load_error_follows_the_parse_report(tmp_path, jobs):
                "'stray'\ncorefkit: error: no parseable document in input\n")
 
 
-def test_one_job_runs_in_this_process(monkeypatch):
-    # Fewer jobs are a usage error (see tests/test_cli.py).
-    expected = run("transform", E2E, "--paradigm", "hen", "--jobs", "2")
-
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert run("transform", E2E, "--paradigm", "hen", "--jobs", "1") == expected
-
-
-@pytest.mark.parametrize("argv", [
+# One run of each subcommand on e2e.conll.
+ONE_RUN_EACH = [
     ["stats", E2E],
     ["strip-singletons", E2E],
     ["transform", E2E, "--paradigm", "die", "--anonymize", "--neutralize-nouns",
@@ -204,12 +186,33 @@ def test_one_job_runs_in_this_process(monkeypatch):
     ["unseen", E2E, "--seed", "2"],
     ["resolve-baseline", E2E, "--jobs", "3"],
     ["score", "--gold", E2E, "--pred", E2E],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_EACH, ids=lambda argv: argv[0])
 def test_no_command_forks(monkeypatch, argv):
     expected = run(*argv)
     assert expected[0] == 0
     forbid_fork(monkeypatch)
     assert run(*argv) == expected
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_EACH, ids=lambda argv: argv[0])
+def test_no_command_builds_a_token_grid(monkeypatch, argv):
+    """Every command reads rows: no token is built, not even to classify
+    a ``(pos, feats)`` pair."""
+    expected = run(*argv)
+    built = []
+    init = Token.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Token, "__init__", counting)
+    assert run(*argv) == expected
+    assert expected[0] == 0 and expected[1]
+    assert built == []
 
 
 def test_output_file_is_the_same_at_every_job_count(tmp_path):
@@ -297,89 +300,9 @@ COMMANDS = {
 JOBS_COMMANDS = ("transform", "delex", "resolve-baseline")
 
 
-def serial_reference(command, text):
-    """What one serial run reports, built from the library calls:
-    (exit code, stdout, the written files by name, stderr)."""
-    config = ClassifierConfig()
-    options = TransformOptions(True, True)
-
-    def each(fn):
-        return lambda corpus: (map_documents(corpus, booming(fn)), None)
-
-    build = {
-        "transform": each(lambda d: pronoun_specific(
-            d, get_paradigm("die"), config, POISON, options)),
-        "delex": each(lambda d: delexicalize(d, config)),
-        "resolve-baseline": each(lambda d: resolve(d, ResolverConfig(), config)),
-        "strip-singletons": each(strip_singletons),
-        "cda": lambda corpus: build_cda(corpus, 3, config, POISON, options),
-        "unseen": lambda corpus: build_unseen(
-            corpus, 5, None, config, POISON, TransformOptions(False, True)),
-        "unseen --fixed": lambda corpus: build_unseen(corpus, fixed="zem"),
-    }[command]
-    try:
-        corpus, diagnostics = parse_corpus(text)
-    except EmptyCorpusError as exc:
-        corpus, diagnostics, failure = None, exc.diagnostics, str(exc)
-    stderr = "".join(f"-:{d.line_number}: {d.severity}: {d.message}\n"
-                     for d in diagnostics)
-    if corpus is not None:
-        try:
-            mapped, assignment = build(corpus)
-        except CorefKitError as exc:
-            failure = str(exc)
-        else:
-            errors = [i.message for i in validate_corpus(mapped)
-                      if i.severity == "error"]
-            if not errors:
-                return (0, *placed(COMMANDS[command], serialize_corpus(mapped),
-                                   assignment), stderr)
-            failure = f"corpus failed validation: {errors[0]}"
-    return 2, "", {}, stderr + f"corefkit: error: {failure}\n"
-
-
-def placed(argv, corpus_text, assignment):
-    """(stdout, files by name) of a successful run of ``argv``."""
-    if "-o" not in argv:
-        return corpus_text, {}
-    files = {"out.conll": corpus_text}
-    tsv = "".join(f"{doc_id}\t{name}\n" for doc_id, name in assignment.items())
-    if "--assignments" in argv:  # "-", the only value used here
-        return tsv, files
-    files["out.conll.assignments.tsv"] = tsv
-    return "", files
-
-
-def run_in(directory, argv, text):
-    """``run`` with "{dir}" in ``argv`` naming ``directory``:
-    (exit code, stdout, the files left there by name, stderr). The
-    files are removed."""
-    code, out, err = run(*(a.replace("{dir}", directory) for a in argv),
-                         stdin_text=text)
-    files = {}
-    for name in os.listdir(directory):
-        with open(os.path.join(directory, name), encoding="utf-8",
-                  newline="") as handle:
-            files[name] = handle.read()
-        os.remove(os.path.join(directory, name))
-    return code, out, files, err
-
-
-def test_the_lenient_and_edge_corpora_hold_what_they_are_built_for():
-    lenient, edge = LENIENT_AND_EDGE["lenient"], LENIENT_AND_EDGE["edge"]
-    assert lenient != E2E_TEXT
-    # Past the writer's numeral table, and several entries on a token.
-    assert re.search(r"^300\t", edge, re.M)
-    assert re.search(r"^7\t([^\t]*\t){4}259\t", edge, re.M)
-    assert "\t(256|(256|(300)\n" in edge and "\t(257)|1000)\n" in edge
-    for text, written in ((lenient, E2E_TEXT), (edge, edge)):
-        corpus, diagnostics = parse_corpus(text)
-        assert diagnostics == [] and serialize_corpus(corpus) == written
-        # Each writer succeeds, and writes every output it names.
-        for command, argv in COMMANDS.items():
-            code, out, files, err = serial_reference(command, text)
-            assert (code, err) == (0, "") and all(files.values()), command
-            assert bool(out) == ("-o" not in argv or "--assignments" in argv)
+def filled(template, directory):
+    """``template`` with "{dir}" naming ``directory``."""
+    return [arg.replace("{dir}", directory) for arg in template]
 
 
 @settings(max_examples=120, deadline=None)
@@ -396,19 +319,23 @@ def test_every_job_count_reports_what_the_serial_run_reports(text):
 
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as directory:
+        # The kernels of the command and the library calls of the reference.
         for module, name in ((corefkit.transform, "_rewrite_rows"),
                              (corefkit.resolver, "_resolve_rows"),
                              (corefkit.conll, "_strip_rows"),
-                             (corefkit.builder, "_rewrite")):
+                             (corefkit.builder, "_rewrite"),
+                             (corefkit.transform, "pronoun_specific"),
+                             (corefkit.transform, "delexicalize"),
+                             (corefkit.resolver, "resolve"),
+                             (corefkit.conll, "strip_singletons")):
             patch.setattr(module, name, booming(getattr(module, name)))
         patch.setattr(corefkit.lexicon, "_read_lexicon",
                       lambda text: (POISON, []))
-        for command, argv in COMMANDS.items():
-            expected = serial_reference(command, text)
-            if command not in JOBS_COMMANDS:
-                assert run_in(directory, argv, text) == expected, command
-                continue
-            for jobs in (1, 2, 3):
-                got = run_in(directory, [*argv, "--jobs", str(jobs)], text)
-                assert got == expected, (command, jobs)
+        for command, template in COMMANDS.items():
+            argv = filled(template, directory)
+            expected = reference(argv, text)
+            for jobs in ([["--jobs", str(n)] for n in (1, 2, 3)]
+                         if command in JOBS_COMMANDS else [[]]):
+                assert run_in(directory, argv + jobs, text) == expected, (
+                    command, jobs)
     assert_no_child_left()

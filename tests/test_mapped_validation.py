@@ -6,12 +6,11 @@ changed: a rewritten form or lemma, or a resolver's new clusters. That
 is sound only because the parser returns nothing ``validate_corpus``
 rejects; this premise is tested here. So is what follows from it: each
 writer reports and writes what ``serialize_corpus`` of the library
-mapping does, on lenient input and on hostile rewritten values, builds
-no token grid and holds one document at a time.
+mapping does, on lenient input and on hostile rewritten values, and
+holds one document at a time.
 """
 import random
 import tempfile
-from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,19 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import FIXTURE_DOCUMENTS, FIXTURES, lines_of, run
+from conftest import FIXTURE_DOCUMENTS, FIXTURES, lines_of, run, run_in
 from corefkit import cli, conll
-from corefkit.builder import build_cda, build_unseen
 from corefkit.conll import (END_LINE, _strip_rows, parse_corpus,
                             serialize_corpus, strip_singletons)
 from corefkit.errors import EmptyCorpusError, ValidationError
-from corefkit.lexicon import RewriteEntry, RewriteLexicon, get_paradigm
+from corefkit.lexicon import RewriteEntry, RewriteLexicon
 from corefkit.model import (_LINE_BREAKS, Cluster, Corpus, Document,
-                            MentionSpan, Token, map_documents, validate_corpus)
+                            MentionSpan, validate_corpus)
 from corefkit.resolver import resolve
-from corefkit.transform import (TransformOptions, _rewrite, _rewrite_rows,
-                                pronoun_specific)
-from test_jobs import COMMANDS, E2E, E2E_TEXT, POISON, run_in, serial_reference
+from corefkit.transform import _rewrite, _rewrite_rows
+from reference import reference
+from test_jobs import (COMMANDS, E2E, E2E_TEXT, ONE_RUN_EACH, POISON,
+                       filled)
 
 
 def errors(issues):
@@ -152,8 +151,8 @@ def empty_forms(form, lemma, pos, feats, ner, names):
 def test_cli_reports_what_serialize_corpus_would(tmp_path):
     parsed = CORPORA[0]
     with pytest.raises(ValidationError) as full:
-        serialize_corpus(map_documents(
-            parsed, lambda document: _rewrite(document, empty_forms)))
+        serialize_corpus(Corpus(tuple(
+            _rewrite(document, empty_forms) for document in parsed.documents)))
     path = tmp_path / "in.conll"
     path.write_text(serialize_corpus(parsed), "utf-8")
     args = SimpleNamespace(input=str(path), output=None)
@@ -163,7 +162,7 @@ def test_cli_reports_what_serialize_corpus_would(tmp_path):
     assert str(checked.value) == str(full.value)
     result = cli._mapped_output(args, lambda lines: (_strip_rows, ""))
     assert result.stdout == serialize_corpus(
-        map_documents(parsed, strip_singletons))
+        Corpus(tuple(map(strip_singletons, parsed.documents))))
 
 
 # --- hostile rewritten values ------------------------------------------------
@@ -171,19 +170,11 @@ def test_cli_reports_what_serialize_corpus_would(tmp_path):
 # Replacements for "zeeman" that no form or lemma may hold.
 HOSTILE = {"empty": "", "tab": "zee\tvaarder", "surrogate": "zee\udcffvaarder",
            **{f"break-{ord(c):x}": f"zee{c}vaarder" for c in _LINE_BREAKS}}
-# Each writer that takes --lexicon, and its library mapping.
-LEXICON_WRITERS = {
-    "transform": (["transform", "--paradigm", "die", "--neutralize-nouns"],
-                  lambda corpus, lexicon: map_documents(
-                      corpus, lambda d: pronoun_specific(
-                          d, get_paradigm("die"), lexicon=lexicon,
-                          options=TransformOptions(False, True)))),
-    "cda": (["cda", "--seed", "3"],
-            lambda corpus, lexicon: build_cda(corpus, 3, lexicon=lexicon)[0]),
-    "unseen": (["unseen", "--seed", "5"],
-               lambda corpus, lexicon: build_unseen(
-                   corpus, 5, lexicon=lexicon)[0]),
-}
+# Each writer that takes --lexicon.
+LEXICON_WRITERS = {"transform": ["transform", "--paradigm", "die",
+                                 "--neutralize-nouns"],
+                   "cda": ["cda", "--seed", "3"],
+                   "unseen": ["unseen", "--seed", "5"]}
 
 
 @pytest.mark.parametrize("at", [0, 2], ids=["first", "later"])
@@ -200,51 +191,17 @@ def test_a_hostile_rewrite_fails_as_serialize_corpus_fails(
         corpusgen.tok("De"), corpusgen.tok("zeeman" if i == at else "huis",
                                            pos="NOUN")]]),)))
         for i in range(3))
-    argv, mapping = LEXICON_WRITERS[command]
-    with pytest.raises(ValidationError) as library:
-        serialize_corpus(mapping(parse_corpus(text)[0], lexicon))
-    assert f"document 'd{at}'" in str(library.value)
-    assert run(*argv, "--lexicon", E2E, stdin_text=text) == (
-        2, "", f"corefkit: error: {library.value}\n")
+    argv = [*LEXICON_WRITERS[command], "--lexicon", E2E]
+    code, out, files, err = reference(argv, text)
+    assert err.startswith("corefkit: error: corpus failed validation: "
+                          f"document 'd{at}'")
+    assert run(*argv, stdin_text=text) == (code, out, err)
 
 
 # --- the shape of the write path ---------------------------------------------
 
-WRITERS = {
-    "transform": ["transform", E2E, "--paradigm", "die", "--anonymize",
-                  "--neutralize-nouns"],
-    "delex": ["delex", E2E],
-    "cda": ["cda", E2E, "--seed", "4"],
-    "unseen": ["unseen", E2E, "--seed", "2"],
-    "resolve-baseline": ["resolve-baseline", E2E],
-    "strip-singletons": ["strip-singletons", E2E],
-}
-# How many (pos, feats) tables a writer keeps on e2e: one per paradigm.
-TABLES = {"transform": 1, "delex": 1, "cda": 2, "unseen": 3,
-          "resolve-baseline": 1, "strip-singletons": 0}
-
-
-@pytest.mark.parametrize("command", sorted(WRITERS))
-def test_a_writer_builds_no_token_grid(monkeypatch, command):
-    """The only tokens built are the ``(pos, feats)`` probes of the role
-    tables, each pair probed at most once per table."""
-    rows = [line.split("\t") for line in E2E_TEXT.splitlines()]
-    pairs = Counter((row[3], row[4]) for row in rows if len(row) == 9)
-    expected = run(*WRITERS[command])
-    built = []
-    init = Token.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Token, "__init__", counting)
-    assert run(*WRITERS[command]) == expected
-    assert expected[0] == 0
-    probes = {(0, 0, "_", "_", pos, "" if feats == "_" else feats)
-              for pos, feats in pairs}
-    assert set(built) <= probes
-    assert len(built) <= TABLES[command] * len(pairs) < sum(pairs.values())
+WRITERS = {argv[0]: argv for argv in ONE_RUN_EACH
+           if argv[0] not in ("stats", "sample", "score")}
 
 
 def test_resolve_baseline_builds_no_span_objects(monkeypatch):
@@ -317,6 +274,7 @@ def test_every_writer_writes_lenient_input_as_the_library_does(text):
             tempfile.TemporaryDirectory() as directory:
         patch.setattr(corefkit.lexicon, "_read_lexicon",
                       lambda text: (POISON, []))
-        for command, argv in COMMANDS.items():
-            assert run_in(directory, argv, text) == serial_reference(
-                command, text), command
+        for command, template in COMMANDS.items():
+            argv = filled(template, directory)
+            assert run_in(directory, argv, text) == reference(argv, text), \
+                command

@@ -1,6 +1,6 @@
 """``score`` parses ``--gold``, then ``--pred``, and keeps of each kept
 document's rows only the view that scoring reads, with no token grid.
-It must report exactly what the serial library calls report. The row
+It must report exactly what ``reference`` reports. The row
 kernels behind it and ``stats``, ``conll._view`` and ``conll._tally``,
 must give what references built from a :class:`Document`'s tokens give.
 """
@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 import corpusgen
 from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
                       lines_of, run)
+from reference import reference
 from test_jobs import LENIENT_AND_EDGE, corpus_texts
 from test_metrics import lea_oracle, naive_pronoun_oracle, random_pair
 from corefkit import cli
 from corefkit.conll import (_read, _rows, _tally, _view, parse_corpus,
                             serialize_corpus)
-from corefkit.errors import CorefKitError, EmptyCorpusError
-from corefkit.metrics import (_evaluate_views, evaluate, format_report,
-                              report_keyvalues)
+from corefkit.errors import EmptyCorpusError
+from corefkit.metrics import _evaluate_views, evaluate
 from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token
 from corefkit.resolver import resolve
 from corefkit.transform import ClassifierConfig, _role_table
@@ -250,24 +250,6 @@ def test_the_scoring_parse_is_the_full_parse_seen_through_views(text, config):
     views_of_the_full_parse(text, config)
 
 
-def test_score_builds_no_token_grid(monkeypatch):
-    """No token is built, not even to classify a ``(pos, feats)``
-    pair, over both sides' parses."""
-    e2e = str(FIXTURES / "e2e.conll")
-    expected = run("score", "--gold", e2e, "--pred", e2e)
-    built = []
-    init = Token.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Token, "__init__", counting)
-    assert run("score", "--gold", e2e, "--pred", e2e) == expected
-    assert expected[0] == 0
-    assert built == []
-
-
 # --- failure modes -----------------------------------------------------------
 
 @pytest.mark.parametrize("gold", ["missing", "empty"])
@@ -351,48 +333,6 @@ def corpus_pairs_texts(draw):
                  for blocks in (gold_blocks, pred_blocks))
 
 
-def serial_reference(gold_arg, pred_arg, config_arg, stdin_text, options,
-                     output):
-    """(exit code, stdout, stderr, output file text or None) of one serial
-    run, built from ``parse_corpus``, ``evaluate``, ``format_report`` and
-    ``report_keyvalues``."""
-    stdin = [stdin_text]
-    stderr = []
-
-    def read(path):
-        if path == "-":
-            text, stdin[0] = stdin[0], ""
-            return text
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-
-    def parsed(path):
-        try:
-            corpus, diagnostics = parse_corpus(read(path))
-        except EmptyCorpusError as exc:
-            corpus, diagnostics = exc, exc.diagnostics
-        stderr.extend(f"{path}:{d.line_number}: {d.severity}: {d.message}\n"
-                      for d in diagnostics)
-        if isinstance(corpus, Exception):
-            raise corpus
-        return corpus
-
-    try:
-        gold = parsed(gold_arg)
-        pred = parsed(pred_arg)
-        config = (ClassifierConfig() if config_arg is None
-                  else ClassifierConfig.from_text(read(config_arg)))
-        report = evaluate(gold, pred, config=config,
-                          ignore_singletons="--ignore-singletons" in options,
-                          macro_pronouns="--macro" in options)
-    except (CorefKitError, ValueError, OSError) as exc:
-        return 2, "", "".join(stderr) + f"corefkit: error: {exc}\n", None
-    text = format_report(report) + "\n\n" + report_keyvalues(report) + "\n"
-    if output:
-        return 0, "", "".join(stderr), text
-    return 0, text, "".join(stderr), None
-
-
 @pytest.mark.parametrize("argv, stdin_text", [
     (["--gold", GOLD, "--pred", PRED], ""),
     (["--gold", GOLD, "--pred", PRED, "--macro", "--ignore-singletons"], ""),
@@ -403,9 +343,8 @@ def serial_reference(gold_arg, pred_arg, config_arg, stdin_text, options,
     (["--gold", GOLD, "--pred", str(FIXTURES)], ""),  # a directory
 ])
 def test_fixed_pairs_report_what_the_serial_calls_report(argv, stdin_text):
-    *expected, _ = serial_reference(argv[1], argv[3], None, stdin_text,
-                                    set(argv[4:]), False)
-    assert run("score", *argv, stdin_text=stdin_text) == tuple(expected)
+    code, out, _, err = reference(["score", *argv], stdin_text)
+    assert run("score", *argv, stdin_text=stdin_text) == (code, out, err)
 
 
 # Weighted so that about a third of the runs score.
@@ -438,20 +377,17 @@ def test_score_reports_what_the_serial_calls_report(texts, gold_kind, pred_kind,
         # stdin holds the text of the first side that reads it.
         stdin_text = gold_text if gold_arg == "-" else pred_text
         argv = ["score", "--gold", gold_arg, "--pred", pred_arg, *sorted(options)]
-        config_arg = None
         if config_kind is not None:
-            config_arg = str(tmp / f"{config_kind}.cfg")
-            argv += ["--config", config_arg]
+            argv += ["--config", str(tmp / f"{config_kind}.cfg")]
         target = tmp / "out" / "score.txt"
         if output:
             argv += ["-o", str(target)]
         before = set(tmp.rglob("*"))
 
-        expected = serial_reference(gold_arg, pred_arg, config_arg, stdin_text,
-                                    options, output)
         code, out, err = run(*argv, stdin_text=stdin_text)
-        written = target.read_text("utf-8") if target.exists() else None
-        assert (code, out, err, written) == expected
+        written = ({str(target): target.read_text("utf-8")} if target.exists()
+                   else {})
+        assert (code, out, written, err) == reference(argv, stdin_text)
         assert set(tmp.rglob("*")) - before <= {target, target.parent}
     assert_no_child_left()
 
@@ -471,21 +407,9 @@ def test_score_on_hostile_corpora_reports_what_the_serial_calls_report(
         Path(gold).write_text(gold_text, "utf-8", newline="")
         Path(pred).write_text(pred_text, "utf-8", newline="")
         for pred_arg in (pred, gold):
-            *expected, _ = serial_reference(gold, pred_arg, None, "", set(),
-                                            False)
-            assert run("score", "--gold", gold,
-                       "--pred", pred_arg) == tuple(expected)
-
-
-def test_lenient_and_edge_score_against_themselves_and_resolved(tmp_path):
-    for name, texts in RESOLVED.items():
-        paths = [str(tmp_path / f"{name}{i}.conll") for i in (0, 1)]
-        for path, text in zip(paths, texts):
-            Path(path).write_text(text, "utf-8", newline="")
-        for pred in paths:
-            code, out, err, _ = serial_reference(paths[0], pred, None, "",
-                                                 set(), False)
-            assert (code, err) == (0, "") and out, pred
+            argv = ["score", "--gold", gold, "--pred", pred_arg]
+            code, out, _, err = reference(argv)
+            assert run(*argv) == (code, out, err)
 
 
 # --- spans held by many clusters -------------------------------------------

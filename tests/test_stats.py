@@ -5,16 +5,15 @@ from pathlib import Path
 
 from hypothesis import example, given, settings
 
-from corefkit.cli import _render_stats
 from corefkit.conll import parse_corpus
-from corefkit.errors import EmptyCorpusError
-from corefkit.model import Corpus, Token
+from corefkit.model import Corpus
 from corefkit.stats import (DEFAULT_REPORT_FORMS, FUNCTIONS, MASCULINE_FORMS,
                             grammatical_function, pronoun_frequencies)
-from corefkit.transform import ClassifierConfig, classify_pronoun
+from corefkit.transform import classify_pronoun
 
 import corpusgen
 from conftest import FIXTURES, run
+from reference import reference
 from test_jobs import LENIENT_AND_EDGE, corpus_texts
 
 PRS_3SG = "Number=Sing|Person=3|PronType=Prs"
@@ -188,34 +187,12 @@ def test_document_order_never_matters():
             == pronoun_frequencies(shuffled, ()))
 
 
-# --- the stats command against the library calls ---------------------------
+# --- the stats command against the reference -------------------------------
 
 PRS = "third_singular.feats = PronType=Prs\n"
 # Argument sets of the property test; "{config}" names a file holding PRS.
 STATS_ARGUMENTS = ([], ["--summary-only"], ["--forms", "hen", "HEN", "die"],
                    ["--config", "{config}"])
-
-
-def stats_reference(text, argv):
-    """What ``stats`` reports for ``text``, built from the serial library
-    calls: (exit code, stdout, stderr)."""
-    try:
-        corpus, diagnostics = parse_corpus(text)
-    except EmptyCorpusError as exc:
-        corpus, diagnostics = None, exc.diagnostics
-    stderr = "".join(f"-:{d.line_number}: {d.severity}: {d.message}\n"
-                     for d in diagnostics)
-    if corpus is None:
-        return 2, "", (stderr + "corefkit: error: "
-                       "no parseable document in input\n")
-    config = (ClassifierConfig.from_text(PRS) if "--config" in argv
-              else ClassifierConfig())
-    if "--summary-only" in argv:
-        report = pronoun_frequencies(corpus, (), config)
-    else:
-        forms = tuple(argv[1:]) if "--forms" in argv else None
-        report = pronoun_frequencies(corpus, forms, config)
-    return 0, _render_stats(report), stderr
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,21 +204,17 @@ def test_stats_reports_what_the_serial_calls_report(text):
         config = os.path.join(directory, "prs.cfg")
         Path(config).write_text(PRS, encoding="utf-8")
         for argv in STATS_ARGUMENTS:
-            got = run("stats", *(a.replace("{config}", config) for a in argv),
-                      stdin_text=text)
-            assert got == stats_reference(text, argv), argv
+            argv = ["stats", *(a.replace("{config}", config) for a in argv)]
+            code, out, files, err = reference(argv, text)
+            assert run(*argv, stdin_text=text) == (code, out, err), argv
+            assert files == {}
 
 
-def test_the_lenient_and_edge_corpora_are_counted_cleanly():
-    for name, text in LENIENT_AND_EDGE.items():
-        for argv in STATS_ARGUMENTS:
-            code, out, err = stats_reference(text, argv)
-            assert (code, err) == (0, "") and out, (name, argv)
-
-
-def test_the_configuration_changes_what_stats_counts():
-    text = (FIXTURES / "dialogue_gold.conll").read_text("utf-8")
-    assert stats_reference(text, ["--config"]) != stats_reference(text, [])
+def test_the_configuration_changes_what_stats_counts(tmp_path):
+    config = tmp_path / "prs.cfg"
+    config.write_text(PRS, encoding="utf-8")
+    argv = ["stats", str(FIXTURES / "dialogue_gold.conll")]
+    assert reference([*argv, "--config", str(config)]) != reference(argv)
 
 
 def test_the_configuration_changes_what_score_reports(tmp_path):
@@ -252,21 +225,3 @@ def test_the_configuration_changes_what_score_reports(tmp_path):
     plain, counted = run(*argv), run(*argv, "--config", str(config))
     assert plain[0] == counted[0] == 0
     assert plain != counted
-
-
-def test_stats_builds_no_token_grid(monkeypatch):
-    """No token is built, not even to classify a ``(pos, feats)``
-    pair."""
-    e2e = str(FIXTURES / "e2e.conll")
-    expected = run("stats", e2e)
-    built = []
-    init = Token.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Token, "__init__", counting)
-    assert run("stats", e2e) == expected
-    assert expected[0] == 0
-    assert built == []
