@@ -33,6 +33,8 @@ if TYPE_CHECKING:
     from corefkit.transform import ClassifierConfig
 
 _PARADIGM_NAMES = tuple(p.name for p in builtin_paradigms())
+# The errors a run reports with exit code 2 and one error line.
+_FAILURES = (CorefKitError, ValueError, OSError)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -150,7 +152,7 @@ def _load_lexicon(path: str | None):
 
 def _to_output(args, text: str) -> _Output:
     """``text`` bound for the ``-o`` file, or for stdout without one."""
-    if args.output and args.output != "-":
+    if args.output not in (None, "-"):
         return _Output(files=[(args.output, text)])
     return _Output(stdout=text)
 
@@ -161,7 +163,7 @@ def _assignment_tsv(assignment: dict[str, str]) -> str:
 
 def _with_assignments(args, result: _Output, assignment: dict[str, str]) -> _Output:
     path = args.assignments
-    if path is None and args.output and args.output != "-":
+    if path is None and args.output not in (None, "-"):
         path = args.output + ".assignments.tsv"
     if path == "-":
         if result.stdout is not None:
@@ -195,7 +197,7 @@ def _mapped_output(args, prepare) -> _Output:
     try:
         mapping, warnings = prepare(lines)
         failure = None
-    except (CorefKitError, ValueError, OSError) as exc:
+    except _FAILURES as exc:
         mapping, warnings, failure = None, "", exc
     texts: list[str] = []
     invalid = None
@@ -347,7 +349,7 @@ def _cmd_sample(args) -> _Output:
         fraction = args.fraction
     partitions = _sample_ids(
         ids, PartitionSpec(fraction, args.partitions, args.seed))
-    if args.out_prefix:
+    if args.out_prefix is not None:
         return _Output(files=[(f"{args.out_prefix}{i}.txt",
                                "".join(f"{x}\n" for x in ids))
                               for i, ids in enumerate(partitions)])
@@ -402,7 +404,7 @@ def _cmd_score(args) -> _Output:
     lines = _read_text(args.gold).splitlines()
     try:
         roles = _role_table(_load_classifier(args.config))
-    except (CorefKitError, ValueError, OSError) as exc:
+    except _FAILURES as exc:
         config_failure, roles = exc, None  # raised after the prediction's report
     else:
         config_failure = None
@@ -435,6 +437,14 @@ def _fraction(text: str):
 _fraction.__name__ = "Fraction"
 
 
+def _output_path(path: str) -> str:
+    """``-o``, ``--assignments`` and ``--out-prefix``: never empty, since
+    an empty path names no file to write."""
+    if not path:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return path
+
+
 def _file_path(path: str) -> str:
     """``--config`` and ``--lexicon``: a file, never ``-``. Stdin is
     where a corpus is read from, so reading it again for the option
@@ -463,7 +473,7 @@ def _at_least(low: int):
 _SHARED_OPTIONS = {
     "input": (("input",), dict(nargs="?", default="-", metavar="INPUT",
                                help="corpus file, or - for stdin (default)")),
-    "output": (("-o", "--output"), dict(default=None,
+    "output": (("-o", "--output"), dict(type=_output_path,
                                         help="output file (default: stdout)")),
     "config": (("--config",), dict(type=_file_path,
                                    help="classifier configuration file")),
@@ -475,7 +485,8 @@ _SHARED_OPTIONS = {
                                     "in one process")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "assignments": (("--assignments",),
-                    dict(help="write the document-to-paradigm TSV here "
+                    dict(type=_output_path,
+                         help="write the document-to-paradigm TSV here "
                               "(default: OUTPUT.assignments.tsv when -o is "
                               "used)")),
     "no-anonymize": (("--no-anonymize",), dict(action="store_true")),
@@ -538,7 +549,7 @@ def _sample_arguments(p) -> None:
     p.add_argument("--partitions", type=_at_least(1), required=True,
                    help="number of partitions to draw")
     _add_shared(p, "seed")
-    p.add_argument("--out-prefix",
+    p.add_argument("--out-prefix", type=_output_path,
                    help="write each partition to PREFIX<i>.txt instead of stdout")
     p.set_defaults(handler=_cmd_sample)
 
@@ -706,7 +717,7 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                 os.rmdir(directory)
             except OSError:
                 pass
-        if failed and isinstance(exc, (CorefKitError, ValueError, OSError)):
+        if failed and isinstance(exc, _FAILURES):
             raise CorefKitError("; ".join([str(exc), *failed])) from exc
         raise
     for backup in backups.values():
@@ -742,7 +753,7 @@ def main(argv=None) -> int:
         if result.stdout is not None:
             _stdio("stdout")  # a closed stdout fails before any file is written
         _write(result.files, result.stdout)
-    except (CorefKitError, ValueError, OSError) as exc:
+    except _FAILURES as exc:
         _report(f"corefkit: error: {exc}\n")
         return 2
     return 0

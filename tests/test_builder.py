@@ -1,10 +1,8 @@
 import math
 import random
-import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
 
 from corefkit.builder import (PartitionSpec, build_cda, build_unseen,
                               sample_partitions)
@@ -15,9 +13,7 @@ from corefkit.model import Corpus
 from corefkit.transform import classify_pronoun
 
 import corpusgen
-from conftest import run, run_in
-from reference import reference
-from test_jobs import E2E_TEXT, corpus_texts
+from conftest import run
 
 
 def tiny_corpus(n_docs):
@@ -199,21 +195,7 @@ def test_unseen_rejects_empty_corpus():
         build_unseen(Corpus(()))
 
 
-# --- the sample command against the reference -----------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(text=corpus_texts())
-@example(text=E2E_TEXT)
-def test_sample_reports_what_the_serial_call_reports(text):
-    """On stdout, and as the files ``--out-prefix`` names."""
-    with tempfile.TemporaryDirectory() as directory:
-        for fraction, partitions, seed in (("1/2", 3, 4), ("1", 1, 0),
-                                           ("1/3", 2, 9), ("1/2", 3, 5)):
-            argv = ["sample", "--fraction", fraction, "--partitions",
-                    str(partitions), "--seed", str(seed)]
-            for argv in (argv, [*argv, "--out-prefix", f"{directory}/part-"]):
-                assert run_in(directory, argv, text) == reference(argv, text)
-
+# --- the sample command --------------------------------------------------
 
 @pytest.mark.parametrize("fraction,documents,size", [(0.3, 10, 3),
                                                       (0.29, 100, 29)])

@@ -174,13 +174,12 @@ def test_assignments_dash_with_the_corpus_on_stdout_is_an_error(
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("jobs", ["1", "3"])
-def test_lexicon_warnings_follow_the_parse_diagnostics(cli, tmp_path, jobs):
+def test_lexicon_warnings_follow_the_parse_diagnostics(cli, tmp_path):
     lexicon = tmp_path / "dup.tsv"
     lexicon.write_text("x\teerste\t0\nx\ttweede\t1\n", "utf-8")
     text = "stray\n" + (FIXTURES / "e2e.conll").read_text("utf-8")
     code, out, err = cli("transform", "--neutralize-nouns", "--lexicon",
-                         str(lexicon), "--jobs", jobs, stdin_text=text)
+                         str(lexicon), stdin_text=text)
     assert code == 0
     # The lexicon holds no noun of the corpus.
     assert out == (FIXTURES / "e2e.conll").read_text("utf-8")
@@ -285,9 +284,15 @@ def test_stdin_for_config_or_lexicon_is_a_usage_error(cli, argv):
     (["transform", HERSTEL, "--jobs", "x"], "--jobs: invalid int value: 'x'"),
     (["resolve-baseline", HERSTEL, "--window", "1.5"],
      "--window: invalid int value: '1.5'"),
+    # An empty path names no file to write.
+    (["transform", HERSTEL, "-o", ""],
+     "-o/--output: an empty path names no file"),
+    (["unseen", HERSTEL, "--assignments", ""],
+     "--assignments: an empty path names no file"),
+    (["sample", HERSTEL, "--count", "1", "--partitions", "1",
+      "--out-prefix", ""], "--out-prefix: an empty path names no file"),
 ])
-def test_jobs_below_one_or_window_below_zero_is_a_usage_error(cli, argv,
-                                                              message):
+def test_a_bad_option_value_is_a_usage_error(cli, argv, message):
     code, out, err = cli(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("usage: ")

@@ -1,4 +1,5 @@
-"""The command line contract, for every subcommand, on hostile corpora.
+"""The command line contract, for every subcommand and option, on
+hostile corpora.
 
 Each run must exit 0 or 2 without a traceback, report what ``reference``
 reports, and a corpus it writes must parse back with no diagnostic; a
@@ -16,17 +17,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import corefkit.lexicon
 from conftest import FIXTURES, assert_no_child_left, child_env, run, run_in
 from corefkit import cli
 from corefkit.conll import parse_corpus, serialize_corpus
-from reference import reference
+from reference import parsed, reference
 from test_jobs import (COMMANDS, E2E_TEXT, LENIENT_AND_EDGE, POISON,
                        corpus_texts, filled)
 from test_score import RESOLVED
-from test_stats import PRS, STATS_ARGUMENTS
+from test_stats import PRS
 
 try:
     import resource
@@ -35,59 +36,104 @@ except ImportError:  # not on every platform
 
 E2E = str(FIXTURES / "e2e.conll")
 
-# Every subcommand, writing to stdout, -o, --assignments or --out-prefix.
-# "{input}" names the corpus file and "{dir}" an empty output directory.
+# Sends the corpus and the assignment TSV both to stdout: exit 2 on any input.
+BOTH_ON_STDOUT = ["unseen", "{input}", "--fixed", "hen", "--assignments", "-"]
+# Every subcommand and option, writing to stdout, -o, --assignments or
+# --out-prefix. "{input}" and "{other}" name the two drawn corpora, and
+# "{config}" a file holding PRS; a run with no input reads "{input}"'s
+# text on stdin. "{dir}" is an empty output directory.
 RUNS = [
     ["stats", "{input}"],
     ["stats", "{input}", "--forms", "hij", "Die", "hij", "--summary-only"],
     ["stats", "{input}", "--forms", "hij", "Die", "hij"],
+    ["stats"],
+    ["stats", "--summary-only"],
+    ["stats", "--forms", "hen", "HEN", "die"],
+    ["stats", "--config", "{config}"],
     ["strip-singletons", "{input}", "-o", "{dir}/s.conll"],
     ["transform", "{input}", "--paradigm", "zem", "--anonymize",
-     "--neutralize-nouns", "--lexicon", E2E, "--jobs", "2",
-     "-o", "{dir}/t.conll"],
+     "--neutralize-nouns", "--lexicon", E2E, "--config", "{config}",
+     "--jobs", "2", "-o", "{dir}/t.conll"],
     ["transform", "{input}"],
-    ["delex", "{input}", "--jobs", "3"],
-    ["cda", "{input}", "--seed", "7", "-o", "{dir}/c.conll",
-     "--assignments", "{dir}/c.tsv"],
-    ["cda", "{input}", "--lexicon", E2E],
+    ["delex", "{input}", "--config", "{config}", "--jobs", "3",
+     "-o", "{dir}/d.conll"],
+    ["cda", "{input}", "--seed", "7", "--no-neutralize-nouns",
+     "-o", "{dir}/c.conll", "--assignments", "{dir}/c.tsv"],
+    ["cda", "{input}", "--lexicon", E2E, "--config", "{config}",
+     "--no-anonymize"],
     ["sample", "{input}", "--fraction", "1/2", "--partitions", "2",
      "--out-prefix", "{dir}/part"],
     ["sample", "{input}", "--count", "2", "--partitions", "3"],
-    ["unseen", "{input}", "-o", "{dir}/u.conll"],
-    ["unseen", "{input}", "--fixed", "hen", "--assignments", "-"],
+    *(["sample", "--fraction", fraction, "--partitions", partitions,
+       "--seed", seed, *prefix]
+      for fraction, partitions, seed in (("1/2", "3", "4"), ("1", "1", "0"),
+                                         ("1/3", "2", "9"), ("1/2", "3", "5"))
+      for prefix in ([], ["--out-prefix", "{dir}/part-"])),
+    ["unseen", "{input}", "--config", "{config}", "--no-neutralize-nouns",
+     "-o", "{dir}/u.conll"],
+    BOTH_ON_STDOUT,
     ["unseen", "{input}", "--fixed", "hen", "-o", "{dir}/f.conll",
      "--assignments", "-"],
-    ["resolve-baseline", "{input}", "--jobs", "2", "-o", "{dir}/r.conll"],
-    ["score", "--gold", "{input}", "--pred", "{input}",
-     "-o", "{dir}/score.txt"],
-    ["score", "--gold", E2E, "--pred", "{input}"],
+    ["resolve-baseline", "{input}", "--window", "1", "--no-string-match",
+     "--config", "{config}", "--jobs", "2", "-o", "{dir}/r.conll"],
+    ["score", "--gold", "{input}", "--pred", "{other}"],
+    ["score", "--gold", "{input}", "--pred", "{input}"],
+    ["score", "--gold", "{input}", "--pred", "{input}", "--ignore-singletons",
+     "--config", "{config}", "-o", "{dir}/score.txt"],
+    ["score", "--gold", E2E, "--pred", "{input}", "--macro"],
 ]
 CORPUS_WRITERS = {"strip-singletons", "transform", "delex", "cda", "unseen",
                   "resolve-baseline"}
 
 
+def inputs(directory, text, other):
+    """The paths of "{input}", "{other}" and "{config}", written in
+    ``directory``."""
+    paths = {}
+    for name, content in (("input", text), ("other", other), ("config", PRS)):
+        paths[name] = os.path.join(directory, f"{name}.txt")
+        with open(paths[name], "w", encoding="utf-8", newline="") as handle:
+            handle.write(content)
+    return paths
+
+
 def test_every_subcommand_is_run():
-    assert {argv[0] for argv in RUNS} == set(
-        cli.build_parser()._subparsers._group_actions[0].choices)
+    """Every subcommand, and each of its options but -h, runs in ``RUNS``
+    or ``COMMANDS``."""
+    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in RUNS} == set(subcommands)
+    unrun = []
+    for name, parser in subcommands.items():
+        parser.format_usage()  # adds the subcommand's arguments
+        used = {arg for argv in [*RUNS, *COMMANDS.values()] if argv[0] == name
+                for arg in argv}
+        unrun += [(name, action.option_strings) for action in parser._actions
+                  if action.option_strings and "-h" not in action.option_strings
+                  and not used & set(action.option_strings)]
+    assert unrun == []
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=corpus_texts())
-def test_every_subcommand_keeps_the_contract(text):
+@given(text=corpus_texts(), other=corpus_texts())
+@example(*RESOLVED["lenient"])
+@example(*RESOLVED["edge"])
+@example(E2E_TEXT, "")
+def test_every_subcommand_keeps_the_contract(text, other):
+    """The examples pair a corpus with its baseline resolution, and
+    e2e.conll with an empty corpus."""
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as directory:
         # A lexicon that fails validation, so that corpus writers fail too.
         patch.setattr(corefkit.lexicon, "_read_lexicon",
                       lambda text: (POISON, []))
-        source = os.path.join(directory, "in.conll")
-        with open(source, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        paths = inputs(directory, text, other)
         out = os.path.join(directory, "out")
         os.mkdir(out)
         for template in RUNS:
-            argv = [a.replace("{input}", source) for a in filled(template, out)]
-            first = run_in(out, argv)
-            assert run_in(out, argv) == first == reference(argv), argv
+            argv = filled(template, out, **paths)
+            first = run_in(out, argv, text)
+            assert run_in(out, argv, text) == first == reference(argv, text), \
+                argv
             code, stdout, files, stderr = first
             assert code in (0, 2), argv
             assert "Traceback" not in stderr, argv
@@ -102,36 +148,46 @@ def test_every_subcommand_keeps_the_contract(text):
     assert_no_child_left()
 
 
+def corpora(template):
+    """The corpus inputs that ``template`` names, ``-`` for stdin."""
+    command, options = parsed(template)
+    return ({options["--gold"], options["--pred"]} if command == "score"
+            else {options["input"]})
+
+
 def test_the_lenient_and_edge_corpora_run_cleanly(tmp_path, monkeypatch):
-    """The argument sets of the writers', ``stats``' and ``score``'s
-    property tests run cleanly on both, writing to each output named."""
+    """Each run of ``RUNS`` whose inputs are "{input}" and "{other}" only
+    runs cleanly on both, with "{other}" the baseline resolution, writing
+    to each output named; ``BOTH_ON_STDOUT`` fails as on any input."""
     lenient, edge = LENIENT_AND_EDGE["lenient"], LENIENT_AND_EDGE["edge"]
     assert lenient != E2E_TEXT
     # Past the writer's numeral table, and several entries on a token.
     assert re.search(r"^300\t", edge, re.M)
     assert re.search(r"^7\t([^\t]*\t){4}259\t", edge, re.M)
     assert "\t(256|(256|(300)\n" in edge and "\t(257)|1000)\n" in edge
-    config = tmp_path / "prs.cfg"
-    config.write_text(PRS, "utf-8")
     monkeypatch.setattr(corefkit.lexicon, "_read_lexicon",
                         lambda text: (POISON, []))
+    runs = [template for template in RUNS
+            if corpora(template) <= {"{input}", "{other}"}]
     for name, texts in RESOLVED.items():
         corpus, diagnostics = parse_corpus(texts[0])
         assert diagnostics == []
         assert serialize_corpus(corpus) == (E2E_TEXT if name == "lenient"
                                             else edge)
-        paths = [str(tmp_path / f"{name}{i}.conll") for i in (0, 1)]
-        for path, text in zip(paths, texts):
-            Path(path).write_text(text, "utf-8", newline="")
-        runs = [filled(argv, str(tmp_path)) for argv in COMMANDS.values()]
-        runs += [["stats", *(a.replace("{config}", str(config)) for a in argv)]
-                 for argv in STATS_ARGUMENTS]
-        runs += [["score", "--gold", paths[0], "--pred", pred] for pred in paths]
-        for argv in runs:
+        paths = inputs(str(tmp_path), *texts)
+        for template in runs:
+            argv = filled(template, str(tmp_path), **paths)
             code, out, files, err = reference(argv, texts[0])
+            if template is BOTH_ON_STDOUT:
+                assert (code, out, files) == (2, "", {})
+                assert err.endswith("the corpus would also go to stdout\n")
+                continue
             assert (code, err) == (0, "") and all(files.values()), argv
-            assert bool(files) == ("-o" in argv)
-            assert bool(out) == ("-o" not in argv or "--assignments" in argv)
+            named = [argv[i + 1] for i, arg in enumerate(argv)
+                     if arg in ("-o", "--assignments", "--out-prefix")]
+            assert bool(files) == any(path != "-" for path in named), argv
+            assert bool(out) == ("-" in named or not {
+                "-o", "--out-prefix"} & set(argv)), argv
 
 
 def test_the_reference_is_built_from_public_library_names():
@@ -244,18 +300,19 @@ def tree(directory):
 def test_a_failing_write_call_leaves_the_tree_as_it_was(
         tmp_path, monkeypatch, template, existing):
     """Each I/O call of the write fails in turn, once for each of its
-    calls on e2e.conll, with every output already there or none: the
-    run exits 2 with one error line, prints nothing and leaves every
-    name, byte and mode under its directory as they were."""
+    calls on e2e.conll (as every input, and on stdin), with every output
+    already there or none: the run exits 2 with one error line, prints
+    nothing and leaves every name, byte and mode under its directory as
+    they were."""
     monkeypatch.setattr(corefkit.lexicon, "_read_lexicon",
                         lambda text: (POISON, []))
+    paths = {**inputs(str(tmp_path), "", ""), "input": E2E, "other": E2E}
 
     def prepared(name):
         directory = tmp_path / name
         directory.mkdir()
-        argv = [a.replace("{input}", E2E) for a in filled(template,
-                                                          str(directory))]
-        for path in reference(argv)[2] if existing else ():
+        argv = filled(template, str(directory), **paths)
+        for path in reference(argv, E2E_TEXT)[2] if existing else ():
             Path(path).write_text(f"old {path}\n", "utf-8")
             os.chmod(path, 0o604)
         return directory, argv
@@ -263,15 +320,15 @@ def test_a_failing_write_call_leaves_the_tree_as_it_was(
     counted = Faults()
     monkeypatch.setattr(cli, "_write", counted.write)
     directory, argv = prepared("clean")
-    expected = reference(argv)
-    assert run_in(str(directory), argv) == expected
+    expected = reference(argv, E2E_TEXT)
+    assert run_in(str(directory), argv, E2E_TEXT) == expected
     assert (expected[0] == 0) == any(counted.calls.values())
     for kind, calls in counted.calls.items():
         for k in range(1, calls + 1):
             monkeypatch.setattr(cli, "_write", Faults(kind, k).write)
             directory, argv = prepared(f"{kind}{k}")
             before = tree(directory)
-            assert run(*argv) == (
+            assert run(*argv, stdin_text=E2E_TEXT) == (
                 2, "", f"corefkit: error: [Errno {errno.EIO}] no {kind} {k}\n")
             assert tree(directory) == before, (kind, k)
 

@@ -1,17 +1,15 @@
-"""``--jobs N`` is accepted and has no effect: every job count must
-report exactly what one serial run reports, and no run forks or builds a
-token grid.
+"""``--jobs N`` is accepted and has no effect: a run with it gives the
+bytes of the same run without it. No run forks or builds a token grid,
+and each writer reports its errors in the serial order, in this process.
 
-The property test checks each corpus-writing command against
-``reference``, on hostile corpora, at every job count it takes.
+Here too are the hostile corpora that the property tests draw
+(``corpus_texts``) and the writers' command lines (``COMMANDS``).
 """
 import os
 import random
-import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
@@ -48,19 +46,13 @@ def forbid_fork(monkeypatch):
 # --- the job count through the CLI -----------------------------------------
 
 @pytest.mark.parametrize("documents", [1, 2, 5, 40, 200])
-@pytest.mark.parametrize("jobs", [-3, 0, 1, 2, 3, 7, 64, 10**9])
 @pytest.mark.parametrize("tail", [[], ["stray"]])
-def test_every_document_is_written_once_in_order_at_every_job_count(
-        monkeypatch, documents, jobs, tail):
+def test_every_document_is_written_once_in_order(monkeypatch, documents,
+                                                 tail):
     forbid_fork(monkeypatch)
     lines = document_lines([1 + i % 4 for i in range(documents)]) + tail
     text = "\n".join(lines) + "\n"
-    code, out, err = run("delex", "--jobs", str(jobs), stdin_text=text)
-    if jobs < 1:  # a usage error, caught before the input is read
-        assert (code, out) == (1, "")
-        assert err.endswith("corefkit delex: error: argument --jobs: must be "
-                            f"at least 1, not {jobs}\n")
-        return
+    code, out, err = run("delex", stdin_text=text)
     assert (code, out, {}, err) == reference(["delex"], text)
     assert code == 0
     ids = [line.removeprefix("#begin document ") for line in out.splitlines()
@@ -70,20 +62,35 @@ def test_every_document_is_written_once_in_order_at_every_job_count(
                    "document: 'stray'\n" if tail else "")
 
 
-@pytest.mark.parametrize("lines", [[], ["stray"], ["#begin document a", "x"]])
-def test_no_end_line_gives_what_one_job_gives(monkeypatch, lines):
-    text = "".join(line + "\n" for line in lines)
-    expected = run("resolve-baseline", "--jobs", "1", stdin_text=text)
-    assert expected[0] == 2
-    assert expected[2].endswith("corefkit: error: no parseable document "
-                                "in input\n")
+# Each command that takes --jobs, and its inputs: e2e.conll, and on stdin
+# three texts with no end line, which hold no parseable document.
+JOBS_COMMANDS = {"transform": ["transform", "--paradigm", "die", "--anonymize",
+                               "--neutralize-nouns"],
+                 "delex": ["delex"], "resolve-baseline": ["resolve-baseline"]}
+NO_END_LINE = ["", "stray\n", "#begin document a\nx\n"]
+
+
+@pytest.mark.parametrize("command", sorted(JOBS_COMMANDS))
+def test_jobs_changes_no_byte(tmp_path, monkeypatch, command):
+    """With ``--jobs N``, a run gives the exit code, stdout, stderr and
+    files of the same run without it, to stdout and to ``-o``."""
     forbid_fork(monkeypatch)
-    assert run("resolve-baseline", "--jobs", "4", stdin_text=text) == expected
+    for source, text in [(E2E, ""), *(("-", text) for text in NO_END_LINE)]:
+        for output in ([], ["-o", str(tmp_path / "out.conll")]):
+            argv = [*JOBS_COMMANDS[command], source, *output]
+            expected = run_in(str(tmp_path), argv, text)
+            assert expected[0] == (0 if source == E2E else 2), argv
+            if source == "-":
+                assert expected[3].endswith("corefkit: error: no parseable "
+                                            "document in input\n")
+            for jobs in (2, 64, 10**9):
+                assert run_in(str(tmp_path), [*argv, "--jobs", str(jobs)],
+                              text) == expected, (argv, jobs)
+    assert_no_child_left()
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_a_failing_mapping_fails_the_run_in_this_process(
-        tmp_path, monkeypatch, jobs):
+def test_a_failing_mapping_fails_the_run_in_this_process(tmp_path,
+                                                         monkeypatch):
     import corefkit.transform
 
     parent = os.getpid()
@@ -100,8 +107,7 @@ def test_a_failing_mapping_fails_the_run_in_this_process(
     monkeypatch.setattr(corefkit.transform, "_rewrite_rows", failing)
     forbid_fork(monkeypatch)
     output = tmp_path / "out.conll"
-    assert run("transform", E2E, "--paradigm", "die", "--jobs", str(jobs),
-               "-o", str(output)) == (
+    assert run("transform", E2E, "--paradigm", "die", "-o", str(output)) == (
         2, "", "corefkit: error: cannot rewrite verhaal2\n")
     assert os.listdir(tmp_path) == []  # no output, no .tmp file
     assert mapped == ["verhaal1", "verhaal2"]  # the error stops the mapping
@@ -136,40 +142,31 @@ def test_errors_take_the_serial_precedence(monkeypatch, plan, expected):
                         else rule)
 
     monkeypatch.setattr(corefkit.transform, "_rewrite_rows", mapping)
-    results = {jobs: run("delex", E2E, "--jobs", str(jobs))
-               for jobs in (1, 2, 3)}
-    assert results[1] == (2, "", f"corefkit: error: {expected}\n")
-    assert results[2] == results[3] == results[1]
+    assert run("delex", E2E) == (2, "", f"corefkit: error: {expected}\n")
     assert_no_child_left()
 
 
-def test_a_duplicate_id_is_kept_once_at_every_job_count():
+def test_a_duplicate_id_is_kept_once():
     text = E2E_TEXT.replace("#begin document verhaal3",
                             "#begin document verhaal1")
     begin = text.splitlines().index("#begin document verhaal1", 1) + 1
-    results = {jobs: run("resolve-baseline", "--jobs", str(jobs),
-                         stdin_text=text) for jobs in (1, 2, 3)}
-    code, out, err = results[1]
+    code, out, err = run("resolve-baseline", stdin_text=text)
     assert code == 0
     assert out.count("#begin document") == 2
     assert err == (f"-:{begin}: error: duplicate document id 'verhaal1'; "
                    "keeping the first\n")
-    assert results[2] == results[3] == results[1]
 
 
-@pytest.mark.parametrize("jobs", ["1", "3"])
-def test_a_load_error_follows_the_parse_report(tmp_path, jobs):
+def test_a_load_error_follows_the_parse_report(tmp_path):
     missing = str(tmp_path / "missing.cfg")
     text = "stray\n" + E2E_TEXT
-    code, out, err = run("delex", "--config", missing, "--jobs", jobs,
-                         stdin_text=text)
+    code, out, err = run("delex", "--config", missing, stdin_text=text)
     assert code == 2 and out == ""
     assert err.startswith("-:1: error: unexpected content outside a "
                           "document: 'stray'\ncorefkit: error: ")
     assert missing in err and err.count("\n") == 2
     # An empty corpus comes first, as when the corpus was read first.
-    assert run("delex", "--config", missing, "--jobs", jobs,
-               stdin_text="stray\n") == (
+    assert run("delex", "--config", missing, stdin_text="stray\n") == (
         2, "", "-:1: error: unexpected content outside a document: "
                "'stray'\ncorefkit: error: no parseable document in input\n")
 
@@ -215,20 +212,7 @@ def test_no_command_builds_a_token_grid(monkeypatch, argv):
     assert built == []
 
 
-def test_output_file_is_the_same_at_every_job_count(tmp_path):
-    texts = set()
-    for jobs in (1, 2, 3, 5):
-        output = tmp_path / f"out{jobs}.conll"
-        assert run("transform", E2E, "--paradigm", "die", "--anonymize",
-                   "--neutralize-nouns", "--jobs", str(jobs),
-                   "-o", str(output)) == (0, "", "")
-        texts.add(output.read_bytes())
-    assert len(texts) == 1
-    assert sorted(os.listdir(tmp_path)) == [f"out{j}.conll" for j in (1, 2, 3, 5)]
-    assert_no_child_left()
-
-
-# --- every job count against the serial run, on hostile corpora ------------
+# --- hostile corpora ------------------------------------------------------
 
 # A mapping raises on this id, and a lexicon turns this noun into a form
 # holding a line break, which fails validation. No lexicon file can hold
@@ -285,7 +269,8 @@ def corpus_texts(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-# Each command as the property test runs it; "{dir}" is a fresh directory.
+# Each writer as the writer property test runs it on stdin; "{dir}" is a
+# fresh directory.
 COMMANDS = {
     "transform": ["transform", "--paradigm", "die", "--anonymize",
                   "--neutralize-nouns", "--lexicon", E2E],
@@ -297,45 +282,15 @@ COMMANDS = {
     "unseen": ["unseen", "--seed", "5", "--no-anonymize", "--lexicon", E2E],
     "unseen --fixed": ["unseen", "--fixed", "zem", "-o", "{dir}/out.conll"],
 }
-JOBS_COMMANDS = ("transform", "delex", "resolve-baseline")
 
 
-def filled(template, directory):
-    """``template`` with "{dir}" naming ``directory``."""
-    return [arg.replace("{dir}", directory) for arg in template]
-
-
-@settings(max_examples=120, deadline=None)
-@given(text=corpus_texts())
-@example(text=LENIENT_AND_EDGE["lenient"])
-@example(text=LENIENT_AND_EDGE["edge"])
-def test_every_job_count_reports_what_the_serial_run_reports(text):
-    """Each writer, at each job count it takes, on a drawn corpus."""
-    import corefkit.builder
-    import corefkit.conll
-    import corefkit.lexicon
-    import corefkit.resolver
-    import corefkit.transform
-
-    with pytest.MonkeyPatch.context() as patch, \
-            tempfile.TemporaryDirectory() as directory:
-        # The kernels of the command and the library calls of the reference.
-        for module, name in ((corefkit.transform, "_rewrite_rows"),
-                             (corefkit.resolver, "_resolve_rows"),
-                             (corefkit.conll, "_strip_rows"),
-                             (corefkit.builder, "_rewrite"),
-                             (corefkit.transform, "pronoun_specific"),
-                             (corefkit.transform, "delexicalize"),
-                             (corefkit.resolver, "resolve"),
-                             (corefkit.conll, "strip_singletons")):
-            patch.setattr(module, name, booming(getattr(module, name)))
-        patch.setattr(corefkit.lexicon, "_read_lexicon",
-                      lambda text: (POISON, []))
-        for command, template in COMMANDS.items():
-            argv = filled(template, directory)
-            expected = reference(argv, text)
-            for jobs in ([["--jobs", str(n)] for n in (1, 2, 3)]
-                         if command in JOBS_COMMANDS else [[]]):
-                assert run_in(directory, argv + jobs, text) == expected, (
-                    command, jobs)
-    assert_no_child_left()
+def filled(template, directory, **paths):
+    """``template`` with "{dir}" naming ``directory`` and each "{name}"
+    of ``paths`` naming its path."""
+    values = {"dir": directory, **paths}
+    args = []
+    for arg in template:
+        for name, value in values.items():
+            arg = arg.replace("{" + name + "}", value)
+        args.append(arg)
+    return args

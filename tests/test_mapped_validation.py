@@ -6,8 +6,8 @@ changed: a rewritten form or lemma, or a resolver's new clusters. That
 is sound only because the parser returns nothing ``validate_corpus``
 rejects; this premise is tested here. So is what follows from it: each
 writer reports and writes what ``serialize_corpus`` of the library
-mapping does, on lenient input and on hostile rewritten values, and
-holds one document at a time.
+mapping does, on hostile and lenient input and on hostile rewritten
+values, and holds one document at a time.
 """
 import random
 import tempfile
@@ -15,11 +15,13 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import FIXTURE_DOCUMENTS, FIXTURES, lines_of, run, run_in
+import test_jobs
+from conftest import (FIXTURE_DOCUMENTS, FIXTURES, assert_no_child_left,
+                      lines_of, run, run_in)
 from corefkit import cli, conll
 from corefkit.conll import (END_LINE, _strip_rows, parse_corpus,
                             serialize_corpus, strip_singletons)
@@ -30,8 +32,8 @@ from corefkit.model import (_LINE_BREAKS, Cluster, Corpus, Document,
 from corefkit.resolver import resolve
 from corefkit.transform import _rewrite, _rewrite_rows
 from reference import reference
-from test_jobs import (COMMANDS, E2E, E2E_TEXT, ONE_RUN_EACH, POISON,
-                       filled)
+from test_jobs import (COMMANDS, E2E, E2E_TEXT, LENIENT_AND_EDGE, ONE_RUN_EACH,
+                       POISON, booming, filled)
 
 
 def errors(issues):
@@ -260,21 +262,39 @@ def test_a_writer_holds_one_document_at_a_time(monkeypatch, command):
     assert produced == ends
 
 
-# --- lenient input through every writer --------------------------------------
+# --- every writer against the reference, on hostile and lenient corpora ----
 
 @settings(max_examples=150, deadline=None)
-@given(text=corpus_texts())
-def test_every_writer_writes_lenient_input_as_the_library_does(text):
-    """Indices and heads spelled ``0{n}``, ``\u0661`` or ``00``, empty feats
-    and coref entries in any order: each writer reports and writes what
-    ``serialize_corpus(mapping(parse_corpus(text)))`` does."""
+@given(hostile=test_jobs.corpus_texts(), lenient=corpus_texts())
+@example(hostile=LENIENT_AND_EDGE["lenient"], lenient=LENIENT_AND_EDGE["edge"])
+def test_every_writer_reports_what_the_reference_reports(hostile, lenient):
+    """Each writer of ``COMMANDS`` on a hostile corpus, whose documents may
+    be broken, duplicated or unterminated, fail the mapping (``booming``)
+    or fail validation (``POISON``), and on a lenient one: indices and
+    heads spelled ``0{n}``, ``\u0661`` or ``00``, empty feats and coref
+    entries in any order. It reports and writes what ``reference`` does."""
+    import corefkit.builder
     import corefkit.lexicon
+    import corefkit.resolver
+    import corefkit.transform
 
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as directory:
+        # The kernels of the command and the library calls of the reference.
+        for module, name in ((corefkit.transform, "_rewrite_rows"),
+                             (corefkit.resolver, "_resolve_rows"),
+                             (conll, "_strip_rows"),
+                             (corefkit.builder, "_rewrite"),
+                             (corefkit.transform, "pronoun_specific"),
+                             (corefkit.transform, "delexicalize"),
+                             (corefkit.resolver, "resolve"),
+                             (conll, "strip_singletons")):
+            patch.setattr(module, name, booming(getattr(module, name)))
         patch.setattr(corefkit.lexicon, "_read_lexicon",
                       lambda text: (POISON, []))
-        for command, template in COMMANDS.items():
-            argv = filled(template, directory)
-            assert run_in(directory, argv, text) == reference(argv, text), \
-                command
+        for text in (hostile, lenient):
+            for command, template in COMMANDS.items():
+                argv = filled(template, directory)
+                assert run_in(directory, argv, text) == reference(argv, text), \
+                    command
+    assert_no_child_left()

@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
@@ -390,26 +390,6 @@ def test_score_reports_what_the_serial_calls_report(texts, gold_kind, pred_kind,
         assert (code, out, written, err) == reference(argv, stdin_text)
         assert set(tmp.rglob("*")) - before <= {target, target.parent}
     assert_no_child_left()
-
-
-@settings(max_examples=100, deadline=None)
-@given(gold_text=corpus_texts(), pred_text=corpus_texts())
-@example(*RESOLVED["lenient"])
-@example(*RESOLVED["edge"])
-def test_score_on_hostile_corpora_reports_what_the_serial_calls_report(
-        gold_text, pred_text):
-    """Two drawn corpora, then the first as both sides: each may hold
-    broken, duplicate or unterminated documents, or none. The examples
-    pair a corpus with its baseline resolution."""
-    with tempfile.TemporaryDirectory() as tmp:
-        gold = str(Path(tmp) / "gold.conll")
-        pred = str(Path(tmp) / "pred.conll")
-        Path(gold).write_text(gold_text, "utf-8", newline="")
-        Path(pred).write_text(pred_text, "utf-8", newline="")
-        for pred_arg in (pred, gold):
-            argv = ["score", "--gold", gold, "--pred", pred_arg]
-            code, out, _, err = reference(argv)
-            assert run(*argv) == (code, out, err)
 
 
 # --- spans held by many clusters -------------------------------------------

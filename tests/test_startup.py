@@ -67,12 +67,13 @@ def test_importing_the_cli_loads_no_layer(baseline):
 
 @pytest.mark.parametrize("args,own", [
     (("transform", HERSTEL, "--paradigm", "die", "--anonymize",
-      "--neutralize-nouns"), set()),
-    (("resolve-baseline", HERSTEL), {"corefkit.resolver"}),
+      "--neutralize-nouns", "--jobs", "2"), set()),
+    (("resolve-baseline", HERSTEL, "--jobs", "2"), {"corefkit.resolver"}),
     (("score", "--gold", HERSTEL, "--pred", HERSTEL), {"corefkit.metrics"}),
     (("stats", HERSTEL), {"corefkit.stats"}),
 ])
 def test_pipeline_command_loads_only_its_layers(baseline, args, own):
+    # --jobs 2 starts no worker pool: no concurrent.futures (HEAVY).
     added = loaded_modules(_PROBE, *args) - baseline
     common = {"corefkit.cli", "corefkit.errors", "corefkit.lexicon",
               "corefkit.conll", "corefkit.transform"}
@@ -119,12 +120,6 @@ def test_score_loads_what_transform_loads_and_the_scorer(baseline):
     assert score == transform | {"corefkit.metrics"}
     assert not {m for m in score
                 if m.startswith(("multiprocessing", "concurrent"))}
-
-
-@pytest.mark.parametrize("command", ["transform", "resolve-baseline"])
-def test_jobs_above_one_starts_no_worker_pool(baseline, command):
-    added = loaded_modules(_PROBE, command, HERSTEL, "--jobs", "2") - baseline
-    assert not {m for m in added if m.startswith("concurrent")}
 
 
 def test_public_names_resolve_to_their_home_objects():

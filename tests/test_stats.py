@@ -1,9 +1,4 @@
-import os
 import random
-import tempfile
-from pathlib import Path
-
-from hypothesis import example, given, settings
 
 from corefkit.conll import parse_corpus
 from corefkit.model import Corpus
@@ -14,7 +9,7 @@ from corefkit.transform import classify_pronoun
 import corpusgen
 from conftest import FIXTURES, run
 from reference import reference
-from test_jobs import LENIENT_AND_EDGE, corpus_texts
+from test_jobs import LENIENT_AND_EDGE
 
 PRS_3SG = "Number=Sing|Person=3|PronType=Prs"
 
@@ -187,27 +182,10 @@ def test_document_order_never_matters():
             == pronoun_frequencies(shuffled, ()))
 
 
-# --- the stats command against the reference -------------------------------
+# --- the configuration through the CLI -------------------------------------
 
+# A classifier configuration: every PronType=Prs token is third singular.
 PRS = "third_singular.feats = PronType=Prs\n"
-# Argument sets of the property test; "{config}" names a file holding PRS.
-STATS_ARGUMENTS = ([], ["--summary-only"], ["--forms", "hen", "HEN", "die"],
-                   ["--config", "{config}"])
-
-
-@settings(max_examples=100, deadline=None)
-@given(text=corpus_texts())
-@example(text=LENIENT_AND_EDGE["lenient"])
-@example(text=LENIENT_AND_EDGE["edge"])
-def test_stats_reports_what_the_serial_calls_report(text):
-    with tempfile.TemporaryDirectory() as directory:
-        config = os.path.join(directory, "prs.cfg")
-        Path(config).write_text(PRS, encoding="utf-8")
-        for argv in STATS_ARGUMENTS:
-            argv = ["stats", *(a.replace("{config}", config) for a in argv)]
-            code, out, files, err = reference(argv, text)
-            assert run(*argv, stdin_text=text) == (code, out, err), argv
-            assert files == {}
 
 
 def test_the_configuration_changes_what_stats_counts(tmp_path):
