@@ -97,20 +97,27 @@ def inputs(directory, text, other):
     return paths
 
 
+SUBCOMMANDS = cli.build_parser()._subparsers._group_actions[0].choices
+# Each subcommand's options but -h, as (subcommand, option strings).
+OPTIONS = [(name, action.option_strings)
+           for name, parser in SUBCOMMANDS.items()
+           if parser.format_usage()  # adds the subcommand's arguments
+           for action in parser._actions
+           if action.option_strings and "-h" not in action.option_strings]
+
+
 def test_every_subcommand_is_run():
-    """Every subcommand, and each of its options but -h, runs in ``RUNS``
-    or ``COMMANDS``."""
-    subcommands = cli.build_parser()._subparsers._group_actions[0].choices
-    assert {argv[0] for argv in RUNS} == set(subcommands)
-    unrun = []
-    for name, parser in subcommands.items():
-        parser.format_usage()  # adds the subcommand's arguments
-        used = {arg for argv in [*RUNS, *COMMANDS.values()] if argv[0] == name
-                for arg in argv}
-        unrun += [(name, action.option_strings) for action in parser._actions
-                  if action.option_strings and "-h" not in action.option_strings
-                  and not used & set(action.option_strings)]
-    assert unrun == []
+    assert {argv[0] for argv in RUNS} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name, option_strings", OPTIONS,
+                         ids=[f"{name} {strings[-1]}"
+                              for name, strings in OPTIONS])
+def test_every_option_is_run(name, option_strings):
+    """Each option runs in ``RUNS`` or ``COMMANDS``, so that it is
+    compared with ``reference``."""
+    assert any(argv[0] == name and set(argv) & set(option_strings)
+               for argv in [*RUNS, *COMMANDS.values()])
 
 
 @settings(max_examples=100, deadline=None)

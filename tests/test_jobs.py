@@ -70,22 +70,24 @@ JOBS_COMMANDS = {"transform": ["transform", "--paradigm", "die", "--anonymize",
 NO_END_LINE = ["", "stray\n", "#begin document a\nx\n"]
 
 
+@pytest.mark.parametrize("source, text",
+                         [(E2E, ""), *(("-", text) for text in NO_END_LINE)],
+                         ids=["e2e", *(repr(text) for text in NO_END_LINE)])
 @pytest.mark.parametrize("command", sorted(JOBS_COMMANDS))
-def test_jobs_changes_no_byte(tmp_path, monkeypatch, command):
+def test_jobs_changes_no_byte(tmp_path, monkeypatch, command, source, text):
     """With ``--jobs N``, a run gives the exit code, stdout, stderr and
     files of the same run without it, to stdout and to ``-o``."""
     forbid_fork(monkeypatch)
-    for source, text in [(E2E, ""), *(("-", text) for text in NO_END_LINE)]:
-        for output in ([], ["-o", str(tmp_path / "out.conll")]):
-            argv = [*JOBS_COMMANDS[command], source, *output]
-            expected = run_in(str(tmp_path), argv, text)
-            assert expected[0] == (0 if source == E2E else 2), argv
-            if source == "-":
-                assert expected[3].endswith("corefkit: error: no parseable "
-                                            "document in input\n")
-            for jobs in (2, 64, 10**9):
-                assert run_in(str(tmp_path), [*argv, "--jobs", str(jobs)],
-                              text) == expected, (argv, jobs)
+    for output in ([], ["-o", str(tmp_path / "out.conll")]):
+        argv = [*JOBS_COMMANDS[command], source, *output]
+        expected = run_in(str(tmp_path), argv, text)
+        assert expected[0] == (0 if source == E2E else 2), argv
+        if source == "-":
+            assert expected[3].endswith("corefkit: error: no parseable "
+                                        "document in input\n")
+        for jobs in (2, 64, 10**9):
+            assert run_in(str(tmp_path), [*argv, "--jobs", str(jobs)],
+                          text) == expected, (argv, jobs)
     assert_no_child_left()
 
 
