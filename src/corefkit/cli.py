@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import gc
 import os
 import stat
@@ -38,31 +39,7 @@ _FAILURES = (CorefKitError, ValueError, OSError)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1.
-
-    A subcommand's parser gets its arguments from ``_arguments(parser)``
-    only when it first parses or formats its usage or help, so a run
-    builds the arguments of its own subcommand alone.
-    """
-
-    _arguments = None
-
-    def _added(self) -> None:
-        arguments, self._arguments = self._arguments, None
-        if arguments is not None:
-            arguments(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._added()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._added()
-        return super().format_usage()
-
-    def format_help(self):
-        self._added()
-        return super().format_help()
+    """argparse with usage failures mapped to exit code 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -501,20 +478,33 @@ def _add_shared(parser, *names: str) -> None:
         parser.add_argument(*flags, **kwargs)
 
 
-def _stats_arguments(p) -> None:
+@functools.cache
+def build_parser() -> _ArgumentParser:
+    """The parser of every subcommand, built whole on the first call and
+    the same object on every later one, so a process builds it at most
+    once (and importing this module builds none)."""
+    parser = _ArgumentParser(
+        prog="corefkit",
+        description="Rewrite coreference corpora into pronoun-specific "
+                    "variants and score predictions.")
+    parser.add_argument("--version", action="version", version=__version__)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+
+    p = commands.add_parser("stats", help="pronoun frequency report")
     _add_shared(p, "input", "config")
     p.add_argument("--forms", nargs="+", help="forms to tabulate")
     p.add_argument("--summary-only", action="store_true",
                    help="print corpus totals without the per-form table")
     p.set_defaults(handler=_cmd_stats)
 
-
-def _strip_singletons_arguments(p) -> None:
+    p = commands.add_parser("strip-singletons",
+                            help="drop all size-1 clusters")
     _add_shared(p, "input", "output")
     p.set_defaults(handler=_cmd_strip_singletons)
 
-
-def _transform_arguments(p) -> None:
+    p = commands.add_parser("transform",
+                            help="rewrite pronouns, names and nouns")
     _add_shared(p, "input", "output")
     p.add_argument("--paradigm", choices=_PARADIGM_NAMES,
                    help="target pronoun paradigm (omit for the baseline "
@@ -526,19 +516,18 @@ def _transform_arguments(p) -> None:
     _add_shared(p, "config", "lexicon", "jobs")
     p.set_defaults(handler=_cmd_transform)
 
-
-def _delex_arguments(p) -> None:
+    p = commands.add_parser(
+        "delex", help="replace pronouns by <SUBJ>/<OBJ>/<POSS> tags")
     _add_shared(p, "input", "output", "config", "jobs")
     p.set_defaults(handler=_cmd_delex)
 
-
-def _cda_arguments(p) -> None:
+    p = commands.add_parser("cda",
+                            help="counterfactually augment with hen/die")
     _add_shared(p, "input", "output", "seed", "assignments", "config",
                 "lexicon", "no-anonymize", "no-neutralize-nouns")
     p.set_defaults(handler=_cmd_cda)
 
-
-def _sample_arguments(p) -> None:
+    p = commands.add_parser("sample", help="draw training partitions")
     _add_shared(p, "input")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fraction", type=_fraction,
@@ -553,8 +542,7 @@ def _sample_arguments(p) -> None:
                    help="write each partition to PREFIX<i>.txt instead of stdout")
     p.set_defaults(handler=_cmd_sample)
 
-
-def _unseen_arguments(p) -> None:
+    p = commands.add_parser("unseen", help="rewrite with neopronouns")
     _add_shared(p, "input", "output", "seed")
     p.add_argument("--fixed", choices=_PARADIGM_NAMES,
                    help="use this paradigm for every document instead of "
@@ -563,8 +551,8 @@ def _unseen_arguments(p) -> None:
                 "no-neutralize-nouns")
     p.set_defaults(handler=_cmd_unseen)
 
-
-def _resolve_baseline_arguments(p) -> None:
+    p = commands.add_parser("resolve-baseline",
+                            help="run the two-sieve baseline resolver")
     _add_shared(p, "input", "output")
     p.add_argument("--window", type=_at_least(0), default=2,
                    help="pronoun antecedent window in sentences (default 2)")
@@ -573,8 +561,7 @@ def _resolve_baseline_arguments(p) -> None:
     _add_shared(p, "config", "jobs")
     p.set_defaults(handler=_cmd_resolve_baseline)
 
-
-def _score_arguments(p) -> None:
+    p = commands.add_parser("score", help="evaluate predictions against gold")
     p.add_argument("--gold", required=True, help="gold corpus file")
     p.add_argument("--pred", required=True, help="predicted corpus file")
     p.add_argument("--macro", action="store_true",
@@ -583,36 +570,6 @@ def _score_arguments(p) -> None:
                    help="drop size-1 entities from both sides before LEA")
     _add_shared(p, "config", "output")
     p.set_defaults(handler=_cmd_score)
-
-
-# Each subcommand's name, its line in the top-level help, and what adds
-# its arguments, in the order of that help.
-_COMMANDS = (
-    ("stats", "pronoun frequency report", _stats_arguments),
-    ("strip-singletons", "drop all size-1 clusters",
-     _strip_singletons_arguments),
-    ("transform", "rewrite pronouns, names and nouns", _transform_arguments),
-    ("delex", "replace pronouns by <SUBJ>/<OBJ>/<POSS> tags",
-     _delex_arguments),
-    ("cda", "counterfactually augment with hen/die", _cda_arguments),
-    ("sample", "draw training partitions", _sample_arguments),
-    ("unseen", "rewrite with neopronouns", _unseen_arguments),
-    ("resolve-baseline", "run the two-sieve baseline resolver",
-     _resolve_baseline_arguments),
-    ("score", "evaluate predictions against gold", _score_arguments),
-)
-
-
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
-        prog="corefkit",
-        description="Rewrite coreference corpora into pronoun-specific "
-                    "variants and score predictions.")
-    parser.add_argument("--version", action="version", version=__version__)
-    commands = parser.add_subparsers(dest="command", required=True,
-                                     metavar="COMMAND")
-    for name, help_line, arguments in _COMMANDS:
-        commands.add_parser(name, help=help_line)._arguments = arguments
     return parser
 
 
@@ -624,7 +581,11 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
     written: one text would silently replace the other.
 
     Each file first goes to a temp file beside its target, with the mode
-    of the file it replaces. A symlink is followed, so the file it names
+    of the file it replaces. Temp and backup files are named
+    ``.corefkit.PID.N.tmp`` and ``.old``, whatever the target's name, so
+    they fit wherever it fits; an error names the target's path as given,
+    never them. A path ending in a separator names a directory, which is
+    an error. A symlink is followed, so the file it names
     is written and the link stays. A target that exists but is not a
     regular file (a FIFO, say) cannot be replaced: it is written
     directly, after every temp file, so that write alone is not
@@ -648,6 +609,7 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
     direct: list[tuple[str, str]] = []
     made: list[str] = []  # missing parent directories, in creation order
     backups: dict[str, str] = {}  # target -> its backup
+    given: dict[str, str] = {}  # temp or backup -> the path it stands for
     replaced = 0
     try:
         for i, (path, content) in enumerate(files):
@@ -656,15 +618,16 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                 mode = os.stat(target).st_mode
             except OSError:
                 mode = None  # not there yet; staging reports any other cause
-            # Caught here, a directory target would only fail in
-            # os.replace, after earlier targets were already replaced.
-            if mode is not None and stat.S_ISDIR(mode):
+            directory, name = os.path.split(target)
+            # Caught here, a directory target (or a path ending in a
+            # separator) would only fail in os.replace, after earlier
+            # targets were already replaced.
+            if not name or mode is not None and stat.S_ISDIR(mode):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                         path)
             if mode is not None and not stat.S_ISREG(mode):
                 direct.append((target, content))
                 continue
-            directory, name = os.path.split(target)
             if directory:
                 missing, parent = [], directory
                 while parent and not os.path.exists(parent):
@@ -672,7 +635,8 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                     parent = os.path.dirname(parent)
                 made += reversed(missing)  # before any is made
                 os.makedirs(directory, exist_ok=True)
-            temp = os.path.join(directory, f".{name}.{os.getpid()}.{i}.tmp")
+            temp = os.path.join(directory, f".corefkit.{os.getpid()}.{i}.tmp")
+            given[temp] = path
             with open(temp, "x", encoding="utf-8", newline="") as handle:
                 staged.append((temp, target, mode is not None))
                 if mode is not None:
@@ -686,6 +650,7 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
         for temp, target, existed in staged[:last]:
             if existed:
                 backup = os.path.splitext(temp)[0] + ".old"
+                given[backup] = given[temp]
                 os.link(target, backup)
                 backups[target] = backup
         for temp, target, _ in staged:
@@ -717,8 +682,16 @@ def _write(files: list[tuple[str, str]], stdout: str | None) -> None:
                 os.rmdir(directory)
             except OSError:
                 pass
-        if failed and isinstance(exc, _FAILURES):
-            raise CorefKitError("; ".join([str(exc), *failed])) from exc
+        error = exc
+        if isinstance(exc, OSError) and {exc.filename,
+                                         exc.filename2} & given.keys():
+            # The error names the output path, not its temp or backup file.
+            error = OSError(exc.errno, exc.strerror,
+                            given.get(exc.filename) or given[exc.filename2])
+        if failed and isinstance(error, _FAILURES):
+            raise CorefKitError("; ".join([str(error), *failed])) from exc
+        if error is not exc:
+            raise error from exc
         raise
     for backup in backups.values():
         try:

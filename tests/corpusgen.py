@@ -5,11 +5,13 @@ test runs are reproducible. Two flavours of documents are produced:
 ``random_document`` gives arbitrary token grids with random span
 clusters (good for round-trip and transform checks), ``story_document``
 gives name/pronoun narratives whose clusters track entities (good for
-scoring and resolver checks).
+scoring and resolver checks). The hostile-corpus strategies pick their
+documents with ``source_document`` and break them with ``damaged``.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from corefkit.model import Cluster, Corpus, Document, MentionSpan, Token
 
@@ -202,6 +204,38 @@ def perturb_clusters(rng: random.Random, document: Document,
     groups.sort(key=lambda g: min(g))
     clusters = tuple(Cluster(i, tuple(sorted(g))) for i, g in enumerate(groups))
     return Document(document.id, document.sentences, clusters)
+
+
+def source_document(draw, kind: str, doc_id: str, rng: random.Random,
+                    fixtures, max_sentences: int) -> Document:
+    """The document of one pick of the hostile-corpus strategies, with id
+    ``doc_id``: for ``kind`` "fixture" one that the Hypothesis ``draw``
+    draws from the strategy ``fixtures``; for "random" a
+    :func:`random_document`; for any other kind a :func:`story_document`
+    of 1 to ``max_sentences`` sentences. This module imports no
+    Hypothesis: the benchmark harness imports it, and a larger harness
+    raises the peak RSS its commands report."""
+    if kind == "fixture":
+        return replace(draw(fixtures), id=doc_id)
+    if kind == "random":
+        return random_document(rng, doc_id)
+    return story_document(rng, doc_id, rng.randint(1, max_sentences))
+
+
+def damaged(lines: list[str], damage: str, rng: random.Random) -> list[str]:
+    """``lines``, one document's, broken in place in a way the parser
+    recovers from: "malformed" cuts the last column off one inner line
+    (or fills a blank one with two columns), "stray" puts a line of
+    words before the document and "unterminated" drops its end line.
+    Any other ``damage`` leaves them as they are."""
+    if damage == "malformed":
+        at = rng.randrange(1, len(lines) - 1)
+        lines[at] = lines[at].rsplit("\t", 1)[0] if lines[at] else "1\tx"
+    elif damage == "stray":
+        lines.insert(0, "stray words")
+    elif damage == "unterminated":
+        lines.pop()
+    return lines
 
 
 # The words of the edge corpus's sentences, cycled: (form, pos, feats, ner).

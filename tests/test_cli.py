@@ -10,7 +10,7 @@ import pytest
 
 from corefkit.cli import main
 
-from conftest import FIXTURES, child_env, run_in
+from conftest import FIXTURES, child_env, run, run_in
 from reference import reference
 from test_jobs import filled
 
@@ -20,46 +20,35 @@ HERSTEL = str(FIXTURES / "herstel.conll")
 E2E = str(FIXTURES / "e2e.conll")
 
 
-@pytest.fixture
-def cli(capsys, monkeypatch):
-    def run(*argv, stdin_text=None):
-        if stdin_text is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-    return run
-
-
-def test_version_flag(cli):
-    code, out, _ = cli("--version")
+def test_version_flag():
+    code, out, _ = run("--version")
     assert code == 0
     assert out.strip() == "0.1.0"
 
 
-def test_transform_baseline_keeps_pronouns(cli):
-    code, out, _ = cli("transform", HERSTEL, "--neutralize-nouns")
+def test_transform_baseline_keeps_pronouns():
+    code, out, _ = run("transform", HERSTEL, "--neutralize-nouns")
     assert code == 0
     assert "\thij\t" in out
     assert "\tpersoon\t" in out and "\touder\t" in out
     assert "vrouw" not in out
 
 
-def test_transform_without_flags_is_identity_here(cli):
-    code, out, _ = cli("transform", HERSTEL)
+def test_transform_without_flags_is_identity_here():
+    code, out, _ = run("transform", HERSTEL)
     assert code == 0
     assert out == (FIXTURES / "herstel.conll").read_text("utf-8")
 
 
-def test_transform_reads_stdin(cli):
+def test_transform_reads_stdin():
     text = (FIXTURES / "herstel.conll").read_text("utf-8")
-    code, out, _ = cli("transform", "--paradigm", "hen", stdin_text=text)
+    code, out, _ = run("transform", "--paradigm", "hen", stdin_text=text)
     assert code == 0
     assert "\then\t" in out
 
 
-def test_delex_tags_pronouns(cli):
-    code, out, _ = cli("delex", HERSTEL)
+def test_delex_tags_pronouns():
+    code, out, _ = run("delex", HERSTEL)
     assert code == 0
     forms = [line.split("\t")[1] for line in out.splitlines()
              if line and not line.startswith("#")]
@@ -67,15 +56,15 @@ def test_delex_tags_pronouns(cli):
     assert "hij" not in forms and "zijn" not in forms
 
 
-def test_strip_singletons_removes_size_one_clusters(cli):
-    code, out, _ = cli("strip-singletons", DIALOGUE_GOLD)
+def test_strip_singletons_removes_size_one_clusters():
+    code, out, _ = run("strip-singletons", DIALOGUE_GOLD)
     assert code == 0
     assert "(2)" not in out           # the singleton cluster is gone
     assert "(0)" in out               # multi-mention clusters survive
 
 
-def test_stats_table_and_totals(cli):
-    code, out, _ = cli("stats", DIALOGUE_GOLD, "--forms", "they", "their")
+def test_stats_table_and_totals():
+    code, out, _ = run("stats", DIALOGUE_GOLD, "--forms", "they", "their")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].split() == ["form", "total", "subj", "obj", "poss",
@@ -86,33 +75,33 @@ def test_stats_table_and_totals(cli):
     assert "third_singular_count=2" in out
 
 
-def test_stats_rows_of_forms_equal_ignoring_case(cli):
-    code, out, _ = cli("stats", DIALOGUE_GOLD, "--forms", "they", "THEY")
+def test_stats_rows_of_forms_equal_ignoring_case():
+    code, out, _ = run("stats", DIALOGUE_GOLD, "--forms", "they", "THEY")
     assert code == 0
     rows = [line.split() for line in out.split("\n\n", 1)[0].splitlines()[1:]]
     assert rows == [["they", "1", "1", "0", "0", "0", "0", "0", "1"]] * 2
 
 
-def test_stats_summary_only(cli):
-    code, out, _ = cli("stats", DIALOGUE_GOLD, "--summary-only")
+def test_stats_summary_only():
+    code, out, _ = run("stats", DIALOGUE_GOLD, "--summary-only")
     assert code == 0
     assert "form" not in out.splitlines()[0]
     assert out.startswith("token_count=")
 
 
-def test_stats_accepts_classifier_config(cli, tmp_path):
+def test_stats_accepts_classifier_config(tmp_path):
     config = tmp_path / "cls.cfg"
     config.write_text("third_singular.feats = PronType=Prs\n", "utf-8")
-    code, out, _ = cli("stats", DIALOGUE_GOLD, "--summary-only",
+    code, out, _ = run("stats", DIALOGUE_GOLD, "--summary-only",
                        "--config", str(config))
     assert code == 0
     # loosening the gate pulls in 'you' and 'me' as well
     assert "third_singular_count=4" in out
 
 
-def test_cda_writes_output_and_assignment_sidecar(cli, tmp_path):
+def test_cda_writes_output_and_assignment_sidecar(tmp_path):
     out_path = tmp_path / "aug.conll"
-    code, _, _ = cli("cda", E2E, "-o", str(out_path), "--seed", "1")
+    code, _, _ = run("cda", E2E, "-o", str(out_path), "--seed", "1")
     assert code == 0
     sidecar = tmp_path / "aug.conll.assignments.tsv"
     assert out_path.exists() and sidecar.exists()
@@ -122,9 +111,9 @@ def test_cda_writes_output_and_assignment_sidecar(cli, tmp_path):
     assert {row[1] for row in rows} <= {"hen", "die"}
 
 
-def test_cda_explicit_assignment_path(cli, tmp_path):
+def test_cda_explicit_assignment_path(tmp_path):
     sidecar = tmp_path / "map.tsv"
-    code, out, _ = cli("cda", E2E, "--assignments", str(sidecar))
+    code, out, _ = run("cda", E2E, "--assignments", str(sidecar))
     assert code == 0
     assert out.startswith("#begin document")
     assert len(sidecar.read_text("utf-8").splitlines()) == 3
@@ -133,13 +122,13 @@ def test_cda_explicit_assignment_path(cli, tmp_path):
 @pytest.mark.parametrize("command", ["cda", "unseen"])
 @pytest.mark.parametrize("spelling", ["same", "dot-slash", "symlink"])
 def test_output_and_assignments_naming_one_file_is_an_error(
-        cli, tmp_path, monkeypatch, command, spelling):
+        tmp_path, monkeypatch, command, spelling):
     monkeypatch.chdir(tmp_path)
     sidecar = {"same": "out.conll", "dot-slash": "./out.conll",
                "symlink": "link.tsv"}[spelling]
     if spelling == "symlink":
         os.symlink("out.conll", "link.tsv")
-    code, out, err = cli(command, E2E, "-o", "out.conll",
+    code, out, err = run(command, E2E, "-o", "out.conll",
                          "--assignments", sidecar)
     assert code == 2
     assert out == ""
@@ -151,9 +140,9 @@ def test_output_and_assignments_naming_one_file_is_an_error(
 
 
 @pytest.mark.parametrize("command", ["cda", "unseen"])
-def test_assignments_dash_goes_to_stdout(cli, tmp_path, monkeypatch, command):
+def test_assignments_dash_goes_to_stdout(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    code, out, err = cli(command, E2E, "-o", "out.conll", "--assignments", "-")
+    code, out, err = run(command, E2E, "-o", "out.conll", "--assignments", "-")
     assert code == 0, err
     assert [row.split("\t")[0] for row in out.splitlines()] == [
         "verhaal1", "verhaal2", "verhaal3"]
@@ -165,20 +154,20 @@ def test_assignments_dash_goes_to_stdout(cli, tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("command", ["cda", "unseen"])
 @pytest.mark.parametrize("output", [(), ("-o", "-")])
 def test_assignments_dash_with_the_corpus_on_stdout_is_an_error(
-        cli, tmp_path, monkeypatch, command, output):
+        tmp_path, monkeypatch, command, output):
     monkeypatch.chdir(tmp_path)
-    code, out, err = cli(command, E2E, *output, "--assignments", "-")
+    code, out, err = run(command, E2E, *output, "--assignments", "-")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("corefkit: error: ")
     assert os.listdir(tmp_path) == []
 
 
-def test_lexicon_warnings_follow_the_parse_diagnostics(cli, tmp_path):
+def test_lexicon_warnings_follow_the_parse_diagnostics(tmp_path):
     lexicon = tmp_path / "dup.tsv"
     lexicon.write_text("x\teerste\t0\nx\ttweede\t1\n", "utf-8")
     text = "stray\n" + (FIXTURES / "e2e.conll").read_text("utf-8")
-    code, out, err = cli("transform", "--neutralize-nouns", "--lexicon",
+    code, out, err = run("transform", "--neutralize-nouns", "--lexicon",
                          str(lexicon), stdin_text=text)
     assert code == 0
     # The lexicon holds no noun of the corpus.
@@ -188,9 +177,9 @@ def test_lexicon_warnings_follow_the_parse_diagnostics(cli, tmp_path):
                    "WARNING: duplicate lexicon key 'x' at line 2, last wins\n")
 
 
-def test_sample_writes_partition_files(cli, tmp_path):
+def test_sample_writes_partition_files(tmp_path):
     prefix = str(tmp_path / "part")
-    code, _, _ = cli("sample", E2E, "--count", "2", "--partitions", "3",
+    code, _, _ = run("sample", E2E, "--count", "2", "--partitions", "3",
                      "--seed", "5", "--out-prefix", prefix)
     assert code == 0
     contents = []
@@ -200,44 +189,44 @@ def test_sample_writes_partition_files(cli, tmp_path):
         assert set(lines) <= {"verhaal1", "verhaal2", "verhaal3"}
         contents.append(lines)
     rerun = str(tmp_path / "again")
-    cli("sample", E2E, "--count", "2", "--partitions", "3", "--seed", "5",
+    run("sample", E2E, "--count", "2", "--partitions", "3", "--seed", "5",
         "--out-prefix", rerun)
     for i in range(3):
         assert (tmp_path / f"again{i}.txt").read_text("utf-8").splitlines() \
             == contents[i]
 
 
-def test_unseen_fixed_paradigm(cli):
-    code, out, _ = cli("unseen", HERSTEL, "--fixed", "zem")
+def test_unseen_fixed_paradigm():
+    code, out, _ = run("unseen", HERSTEL, "--fixed", "zem")
     assert code == 0
     assert "\tzem\t" in out and "\tzeer\t" in out
 
 
-def test_score_report(cli):
-    code, out, _ = cli("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED)
+def test_score_report():
+    code, out, _ = run("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED)
     assert code == 0
     assert "0.857143" in out
     assert "50.00" in out
     assert "pronoun_form_their=1/1" in out
 
 
-def test_score_ignore_singletons(cli):
-    code, out, _ = cli("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED,
+def test_score_ignore_singletons():
+    code, out, _ = run("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED,
                        "--ignore-singletons")
     assert code == 0
     assert "lea_f1=0.833333" in out
 
 
-def test_score_macro_flag(cli):
-    code, out, _ = cli("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED,
+def test_score_macro_flag():
+    code, out, _ = run("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED,
                        "--macro")
     assert code == 0
     assert "pronoun_score=50.00" in out
 
 
-def test_score_output_file(cli, tmp_path):
+def test_score_output_file(tmp_path):
     report = tmp_path / "report.txt"
-    code, out, _ = cli("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_GOLD,
+    code, out, _ = run("score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_GOLD,
                        "-o", str(report))
     assert code == 0
     assert out == ""
@@ -246,15 +235,15 @@ def test_score_output_file(cli, tmp_path):
 
 # --- failure behaviour -----------------------------------------------------
 
-def test_unknown_subcommand_is_a_usage_error(cli):
-    code, out, err = cli("frobnicate")
+def test_unknown_subcommand_is_a_usage_error():
+    code, out, err = run("frobnicate")
     assert code == 1
     assert out == ""
     assert "frobnicate" in err
 
 
-def test_unknown_paradigm_is_a_usage_error(cli):
-    code, _, err = cli("transform", HERSTEL, "--paradigm", "xyz")
+def test_unknown_paradigm_is_a_usage_error():
+    code, _, err = run("transform", HERSTEL, "--paradigm", "xyz")
     assert code == 1
     assert "invalid choice" in err
 
@@ -264,9 +253,9 @@ def test_unknown_paradigm_is_a_usage_error(cli):
     ["transform", HERSTEL, "--neutralize-nouns", "--lexicon", "-"],
     ["score", "--gold", DIALOGUE_GOLD, "--pred", DIALOGUE_PRED, "--config", "-"],
 ])
-def test_stdin_for_config_or_lexicon_is_a_usage_error(cli, argv):
+def test_stdin_for_config_or_lexicon_is_a_usage_error(argv):
     # Stdin is the corpus input; read for the option it would be empty.
-    code, out, err = cli(*argv, stdin_text="")
+    code, out, err = run(*argv, stdin_text="")
     assert (code, out) == (1, "")
     assert err.startswith("usage: ")
     (error,) = [line for line in err.splitlines() if "error:" in line]
@@ -292,8 +281,8 @@ def test_stdin_for_config_or_lexicon_is_a_usage_error(cli, argv):
     (["sample", HERSTEL, "--count", "1", "--partitions", "1",
       "--out-prefix", ""], "--out-prefix: an empty path names no file"),
 ])
-def test_a_bad_option_value_is_a_usage_error(cli, argv, message):
-    code, out, err = cli(*argv)
+def test_a_bad_option_value_is_a_usage_error(argv, message):
+    code, out, err = run(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("usage: ")
     assert err.endswith(f"corefkit {argv[0]}: error: argument {message}\n")
@@ -312,24 +301,24 @@ def test_a_bad_option_value_is_a_usage_error(cli, argv, message):
      "--fraction: must be in (0, 1], not -0.5"),
 ])
 def test_sample_partitions_or_fraction_out_of_range_is_a_usage_error(
-        cli, tmp_path, argv, message):
+        tmp_path, argv, message):
     # Caught before the input is read: the file does not even exist.
-    code, out, err = cli("sample", str(tmp_path / "missing.conll"), *argv)
+    code, out, err = run("sample", str(tmp_path / "missing.conll"), *argv)
     assert (code, out) == (1, "")
     assert err.startswith("usage: ")
     assert err.endswith(f"corefkit sample: error: argument {message}\n")
 
 
-def test_window_zero_is_accepted(cli):
-    code, out, _ = cli("resolve-baseline", HERSTEL, "--window", "0")
+def test_window_zero_is_accepted():
+    code, out, _ = run("resolve-baseline", HERSTEL, "--window", "0")
     assert code == 0 and out.startswith("#begin document")
 
 
-def test_sample_flag_exclusivity(cli):
-    code, _, _ = cli("sample", E2E, "--fraction", "1/2", "--count", "3",
+def test_sample_flag_exclusivity():
+    code, _, _ = run("sample", E2E, "--fraction", "1/2", "--count", "3",
                      "--partitions", "2")
     assert code == 1
-    code, _, _ = cli("sample", E2E, "--fraction", "1/2")
+    code, _, _ = run("sample", E2E, "--fraction", "1/2")
     assert code == 1  # --partitions is required
 
 
@@ -357,10 +346,10 @@ def test_a_data_error_reports_what_the_reference_reports(tmp_path, argv,
     assert run_in(str(tmp_path), argv, stdin_text) == (code, out, files, err)
 
 
-def test_unwritable_output_path_is_an_io_error(cli, tmp_path):
+def test_unwritable_output_path_is_an_io_error(tmp_path):
     blocker = tmp_path / "afile"
     blocker.write_text("", "utf-8")
-    code, out, err = cli("transform", HERSTEL, "-o", str(blocker / "x.conll"))
+    code, out, err = run("transform", HERSTEL, "-o", str(blocker / "x.conll"))
     assert code == 2
     assert out == ""
     assert err.startswith("corefkit: error: ")
@@ -369,10 +358,10 @@ def test_unwritable_output_path_is_an_io_error(cli, tmp_path):
 
 @pytest.mark.parametrize("output", ["out.conll", "new/out.conll"])
 @pytest.mark.parametrize("command", ["cda", "unseen"])
-def test_failed_sidecar_write_leaves_no_output(cli, tmp_path, command, output):
+def test_failed_sidecar_write_leaves_no_output(tmp_path, command, output):
     blocker = tmp_path / "afile"
     blocker.write_text("", "utf-8")
-    code, out, err = cli(command, E2E, "-o", str(tmp_path / output),
+    code, out, err = run(command, E2E, "-o", str(tmp_path / output),
                          "--assignments", str(blocker / "a.tsv"))
     assert code == 2
     assert out == ""
@@ -380,9 +369,9 @@ def test_failed_sidecar_write_leaves_no_output(cli, tmp_path, command, output):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
-def test_failed_partition_write_leaves_no_partition_file(cli, tmp_path):
+def test_failed_partition_write_leaves_no_partition_file(tmp_path):
     (tmp_path / "part1.txt").mkdir()   # the second target cannot be written
-    code, out, err = cli("sample", E2E, "--count", "2", "--partitions", "3",
+    code, out, err = run("sample", E2E, "--count", "2", "--partitions", "3",
                          "--out-prefix", str(tmp_path / "part"))
     assert code == 2
     assert out == ""
@@ -391,10 +380,10 @@ def test_failed_partition_write_leaves_no_partition_file(cli, tmp_path):
     assert not any((tmp_path / "part1.txt").iterdir())
 
 
-def test_existing_output_file_is_replaced(cli, tmp_path):
+def test_existing_output_file_is_replaced(tmp_path):
     target = tmp_path / "out.conll"
     target.write_text("stale\n", "utf-8")
-    code, _, _ = cli("transform", HERSTEL, "-o", str(target))
+    code, _, _ = run("transform", HERSTEL, "-o", str(target))
     assert code == 0
     assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.conll"]
@@ -531,7 +520,7 @@ def test_closed_stdout_is_not_needed_with_an_output_file(tmp_path):
     assert only_output(tmp_path) == (FIXTURES / "herstel.conll").read_bytes()
 
 
-def test_closed_stderr_loses_only_the_warnings(cli, tmp_path):
+def test_closed_stderr_loses_only_the_warnings(tmp_path):
     (tmp_path / "dup.tsv").write_text("x\teerste\t0\nx\ttweede\t1\n", "utf-8")
     for argv in (("transform", HERSTEL, "-o", "out.conll"),
                  ("transform", HERSTEL, "--neutralize-nouns", "--lexicon",
@@ -540,7 +529,7 @@ def test_closed_stderr_loses_only_the_warnings(cli, tmp_path):
         assert only_output(tmp_path, "dup.tsv") == (
             FIXTURES / "herstel.conll").read_bytes()
     code, out, _ = closed_stream_run(2, "stats", HERSTEL, cwd=tmp_path)
-    assert (code, out) == (0, cli("stats", HERSTEL)[1])
+    assert (code, out) == (0, run("stats", HERSTEL)[1])
 
 
 def test_closed_stderr_keeps_the_exit_code_of_an_error(tmp_path):
@@ -597,36 +586,36 @@ def test_stdin_and_stdout_are_utf8_whatever_the_locale(tmp_path, source,
 
 # --- -o targets that are not plain new files --------------------------------
 
-def test_output_through_a_symlink_writes_its_target(cli, tmp_path):
+def test_output_through_a_symlink_writes_its_target(tmp_path):
     target = tmp_path / "real.conll"
     target.write_text("stale\n", "utf-8")
     link = tmp_path / "link.conll"
     link.symlink_to(target)
-    code, out, _ = cli("transform", HERSTEL, "-o", str(link))
+    code, out, _ = run("transform", HERSTEL, "-o", str(link))
     assert code == 0 and out == ""
     assert os.readlink(link) == str(target)
     assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.conll", "real.conll"]
 
 
-def test_output_through_a_dangling_symlink_creates_its_target(cli, tmp_path):
+def test_output_through_a_dangling_symlink_creates_its_target(tmp_path):
     link = tmp_path / "link.conll"
     link.symlink_to(tmp_path / "sub" / "new.conll")
-    assert cli("transform", HERSTEL, "-o", str(link))[0] == 0
+    assert run("transform", HERSTEL, "-o", str(link))[0] == 0
     assert link.is_symlink()
     assert (tmp_path / "sub" / "new.conll").read_text("utf-8") == (
         FIXTURES / "herstel.conll").read_text("utf-8")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-def test_output_to_a_fifo_writes_into_it(cli, tmp_path):
+def test_output_to_a_fifo_writes_into_it(tmp_path):
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(
         target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    code, out, err = cli("transform", HERSTEL, "-o", str(fifo))
+    code, out, err = run("transform", HERSTEL, "-o", str(fifo))
     reader.join(timeout=30)
     assert not reader.is_alive()
     assert code == 0, err
@@ -635,13 +624,58 @@ def test_output_to_a_fifo_writes_into_it(cli, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
 
 
-def test_replaced_output_keeps_its_mode(cli, tmp_path):
+def test_replaced_output_keeps_its_mode(tmp_path):
     target = tmp_path / "out.conll"
     target.write_text("stale\n", "utf-8")
     target.chmod(0o600)
-    assert cli("transform", HERSTEL, "-o", str(target))[0] == 0
+    assert run("transform", HERSTEL, "-o", str(target))[0] == 0
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
     assert target.read_text("utf-8") == (FIXTURES / "herstel.conll").read_text("utf-8")
+
+
+# A name of 250 bytes fits where a name may hold 255; the temp file
+# and the backup must fit beside it.
+LONG_NAME = "a" * 250
+
+
+def test_a_long_output_name_is_written(tmp_path):
+    assert run("transform", HERSTEL, "-o", str(tmp_path / LONG_NAME)) == (
+        0, "", "")
+    assert os.listdir(tmp_path) == [LONG_NAME]  # no temp file is left
+    assert (tmp_path / LONG_NAME).read_bytes() == (
+        FIXTURES / "herstel.conll").read_bytes()
+
+
+def test_a_long_output_name_is_replaced_through_a_backup(tmp_path,
+                                                         monkeypatch):
+    target = tmp_path / LONG_NAME
+    target.write_text("old\n", "utf-8")
+    links, link = [], os.link
+
+    def counted(*args):
+        links.append(args)
+        link(*args)
+
+    monkeypatch.setattr(os, "link", counted)
+    # Stdout is written after the replace, so the old file is backed up.
+    code, out, err = run("cda", E2E, "-o", str(target), "--assignments", "-")
+    assert (code, err) == (0, "") and out.startswith("verhaal1\t")
+    assert len(links) == 1
+    assert os.listdir(tmp_path) == [LONG_NAME]  # no temp or backup file
+    assert target.read_text("utf-8").startswith("#begin document verhaal1\n")
+
+
+@pytest.mark.parametrize("end", [os.sep, os.sep + os.curdir],
+                         ids=["separator", "dot"])
+def test_an_output_path_naming_a_directory_is_named_as_given(tmp_path, end):
+    # "x/" names a directory, and "x/." is staged as x/.corefkit.PID.0.tmp,
+    # which cannot replace the directory x.
+    path = str(tmp_path / "new" / "x") + end
+    code, out, err = run("transform", HERSTEL, "-o", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("corefkit: error: [Errno ")
+    assert err.endswith(f": {path!r}\n") and ".corefkit" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

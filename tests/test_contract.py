@@ -101,7 +101,6 @@ SUBCOMMANDS = cli.build_parser()._subparsers._group_actions[0].choices
 # Each subcommand's options but -h, as (subcommand, option strings).
 OPTIONS = [(name, action.option_strings)
            for name, parser in SUBCOMMANDS.items()
-           if parser.format_usage()  # adds the subcommand's arguments
            for action in parser._actions
            if action.option_strings and "-h" not in action.option_strings]
 
@@ -353,7 +352,7 @@ def test_a_failed_restore_is_named_and_its_backup_kept(tmp_path, monkeypatch):
 
     out = tmp_path / "c.conll"
     out.write_text("old\n", "utf-8")
-    backup = tmp_path / f".c.conll.{os.getpid()}.0.old"
+    backup = tmp_path / f".corefkit.{os.getpid()}.0.old"
     monkeypatch.setattr(os, "replace", replace)
     assert run("cda", E2E, "-o", str(out), "--assignments",
                str(tmp_path / "c.tsv")) == (

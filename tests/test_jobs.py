@@ -7,7 +7,6 @@ Here too are the hostile corpora that the property tests draw
 """
 import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
@@ -245,20 +244,10 @@ def blocks(draw):
         doc_id = draw(st.sampled_from([doc_id, BOOM]))
         return lines_of(corpusgen.build_doc(doc_id, [[
             corpusgen.tok("De"), corpusgen.tok("zeeman", pos="NOUN")]]))
-    if kind == "fixture":
-        document = replace(draw(st.sampled_from(FIXTURE_DOCUMENTS)), id=doc_id)
-    elif kind == "random":
-        document = corpusgen.random_document(rng, doc_id)
-    else:
-        document = corpusgen.story_document(
-            rng, BOOM if kind == "boom" else doc_id, rng.randint(1, 8))
-    lines = lines_of(document)
-    if kind == "malformed":
-        at = rng.randrange(1, len(lines) - 1)
-        lines[at] = lines[at].rsplit("\t", 1)[0] if lines[at] else "1\tx"
-    if kind == "unterminated":
-        lines.pop()
-    return lines
+    document = corpusgen.source_document(
+        draw, kind, BOOM if kind == "boom" else doc_id, rng,
+        st.sampled_from(FIXTURE_DOCUMENTS), 8)
+    return corpusgen.damaged(lines_of(document), kind, rng)
 
 
 @st.composite

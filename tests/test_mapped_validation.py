@@ -11,7 +11,6 @@ values, and holds one document at a time.
 """
 import random
 import tempfile
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -78,13 +77,8 @@ def lenient_documents(draw):
     rng = random.Random(draw(st.integers(0, 2**16)))
     doc_id = draw(st.sampled_from("abc"))
     kind = draw(st.sampled_from(["story", "random", "fixture"]))
-    if kind == "fixture":
-        document = replace(draw(st.sampled_from(FIXTURE_DOCUMENTS)), id=doc_id)
-    elif kind == "random":
-        document = corpusgen.random_document(rng, doc_id)
-    else:
-        document = corpusgen.story_document(rng, doc_id, rng.randint(1, 6))
-    lines = lines_of(document)
+    lines = lines_of(corpusgen.source_document(
+        draw, kind, doc_id, rng, st.sampled_from(FIXTURE_DOCUMENTS), 6))
     for i, line in enumerate(lines):
         columns = line.split("\t")
         if len(columns) != 9:

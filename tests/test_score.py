@@ -284,14 +284,7 @@ def hostile(draw, rng, lines):
     recovers from."""
     damage = draw(st.sampled_from(["none"] * 5 + ["malformed", "stray",
                                                   "unterminated"]))
-    if damage == "malformed":
-        at = rng.randrange(1, len(lines) - 1)
-        lines[at] = lines[at].rsplit("\t", 1)[0] if lines[at] else "1\tx"
-    elif damage == "stray":
-        lines.insert(0, "stray words")
-    elif damage == "unterminated":
-        lines.pop()
-    return lines
+    return corpusgen.damaged(lines, damage, rng)
 
 
 @st.composite
@@ -305,12 +298,8 @@ def corpus_pairs_texts(draw):
         doc_id = draw(st.sampled_from("abcd"))
         rng = random.Random(draw(st.integers(0, 2**16)))
         source = draw(st.sampled_from(["story", "random", "fixture"]))
-        if source == "story":
-            gold = corpusgen.story_document(rng, doc_id, rng.randint(1, 6))
-        elif source == "random":
-            gold = corpusgen.random_document(rng, doc_id)
-        else:
-            gold = replace(draw(st.sampled_from(FIXTURE_DOCUMENTS)), id=doc_id)
+        gold = corpusgen.source_document(
+            draw, source, doc_id, rng, st.sampled_from(FIXTURE_DOCUMENTS), 6)
         gold_blocks.append(hostile(draw, rng, lines_of(gold)))
         kind = draw(st.sampled_from(["same", "resolved", "perturbed",
                                      "unclustered"] * 3

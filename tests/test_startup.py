@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import corefkit
-from corefkit.cli import build_parser, main
+from corefkit.cli import main
 
 from conftest import FIXTURES, child_env
 
@@ -167,17 +167,53 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     assert captured.err == ""
 
 
-def test_a_run_adds_the_arguments_of_its_own_subcommand_only(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    parser = build_parser()
-    subparsers = parser._subparsers._group_actions[0].choices
-    parser.parse_args(["stats", HERSTEL])
-    # Until then a subcommand's parser holds its -h alone.
-    assert {name for name, sub in subparsers.items()
-            if len(sub._actions) > 1} == {"stats"}
-    assert subparsers["score"].format_help() == _golden_help()["score"]
-    assert subparsers["delex"].format_usage() == (
-        _golden_help()["delex"].split("\n\n")[0] + "\n")
+# Run the CLI on each argv of the JSON list in argv[1], in this one
+# process, and print each run's [exit code, stdout, stderr] and the
+# number of argparse parsers made until then, after the import first.
+_IN_ORDER_PROBE = """
+import argparse, contextlib, io, json, sys
+made, init = [], argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    made.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from corefkit.cli import main
+runs, parsers = [], [len(made)]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([main(argv), out.getvalue(), err.getvalue()])
+    parsers.append(len(made))
+print(json.dumps([runs, parsers]))
+"""
+# A usage error first, so the parser that failed is the one every later
+# run reuses.
+IN_ORDER = [
+    ["sample", HERSTEL, "--fraction", "abc", "--partitions", "2"],
+    ["--help"],
+    ["--version"],
+    ["transform", HERSTEL, "--paradigm", "die"],
+    ["stats", HERSTEL, "--forms", "hen"],
+]
+
+
+def test_runs_in_one_process_match_runs_in_fresh_ones():
+    env = {**child_env(), "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-c", _IN_ORDER_PROBE, json.dumps(IN_ORDER)],
+        env=env, capture_output=True, encoding="utf-8", timeout=120)
+    assert done.returncode == 0, done.stderr
+    runs, parsers = json.loads(done.stdout)
+    fresh = [subprocess.run([sys.executable, "-m", "corefkit.cli", *argv],
+                            env=env, capture_output=True, encoding="utf-8",
+                            timeout=120) for argv in IN_ORDER]
+    assert runs == [[run.returncode, run.stdout, run.stderr] for run in fresh]
+    assert [code for code, _, _ in runs] == [1, 0, 0, 0, 0]
+    # The import builds no parser; the first run builds the top one and
+    # the nine subcommands', and no later run builds any.
+    assert parsers == [0] + [10] * len(IN_ORDER)
 
 
 def test_duplicate_lexicon_key_warning_line(tmp_path):
